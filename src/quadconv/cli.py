@@ -7,12 +7,13 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConvSpec, RELU_MIMIC, validate_activation
+from .core import ConvSpec, RELU_MIMIC, format_float, validate_activation
 from .dataio import (
     SplitSpec,
     load_csv,
@@ -61,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _add_common_train_args(p):
     p.add_argument("--data", required=True, help="input CSV with a header row")
     p.add_argument("--mode", choices=("narx", "window"), default="narx",
@@ -79,7 +76,6 @@ def _add_common_train_args(p):
     p.add_argument("--c", type=float, default=RELU_MIMIC.c, help="activation c (default %(default)s)")
     p.add_argument("--split", type=float, default=0.5, dest="split_fraction",
                    help="sequential train fraction (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded with the run")
 
 
 def build_parser() -> _Parser:
@@ -171,6 +167,8 @@ def _beta_list(arg):
         raise _ConfigError(f"cannot parse --beta list {arg!r}") from None
     if not betas:
         raise _ConfigError("--beta must contain at least one value")
+    if not all(math.isfinite(b) for b in betas):
+        raise _ConfigError("--beta values must be finite")
     if any(b < 0 for b in betas):
         raise _ConfigError("--beta values must be >= 0")
     return betas
@@ -214,8 +212,9 @@ def cmd_train(args) -> int:
             fh.write("beta,f,n,n_train,n_test,train_mse,test_mse,train_time_s,theta_norm\n")
             for beta, tr, te, secs, norm in rows:
                 fh.write(
-                    f"{_fmt(beta)},{spec.f},{spec.n},{train_set.n_samples},"
-                    f"{test_set.n_samples},{_fmt(tr)},{_fmt(te)},{secs:.6f},{_fmt(norm)}\n"
+                    f"{format_float(beta)},{spec.f},{spec.n},{train_set.n_samples},"
+                    f"{test_set.n_samples},{format_float(tr)},{format_float(te)},{secs:.6f},"
+                    f"{format_float(norm)}\n"
                 )
     return 0
 
@@ -236,11 +235,11 @@ def cmd_predict(args) -> int:
         if y_true is not None:
             fh.write("index,y_true,y_pred\n")
             for i, (t, p) in enumerate(zip(y_true, y_pred)):
-                fh.write(f"{i},{_fmt(t)},{_fmt(p)}\n")
+                fh.write(f"{i},{format_float(t)},{format_float(p)}\n")
         else:
             fh.write("index,y_pred\n")
             for i, p in enumerate(y_pred):
-                fh.write(f"{i},{_fmt(p)}\n")
+                fh.write(f"{i},{format_float(p)}\n")
     if y_true is not None:
         print(f"mse={mse(y_pred, y_true):.17g} rows={len(y_pred)} out={args.out}")
     else:
@@ -260,15 +259,17 @@ def cmd_sensitivity(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("index," + ",".join(f"g{i + 1}" for i in range(n)) + "\n")
         for i, row in enumerate(grads):
-            fh.write(f"{i}," + ",".join(_fmt(v) for v in row) + "\n")
+            fh.write(f"{i}," + ",".join(map(format_float, row)) + "\n")
         if args.summary:
             peak = np.abs(grads).max(axis=0)
-            fh.write("max_abs," + ",".join(_fmt(v) for v in peak) + "\n")
+            fh.write("max_abs," + ",".join(map(format_float, peak)) + "\n")
     print(f"rows={len(grads)} out={args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise _ConfigError("--seed must be >= 0")
     if args.instances < 0:
         raise _ConfigError("--instances must be >= 0")
     if args.instances == 0:
@@ -318,7 +319,7 @@ def cmd_bench(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("method,f,train_mse,test_mse,train_time_s\n")
         for method, f, tr, te, secs in rows:
-            fh.write(f"{method},{f},{_fmt(tr)},{_fmt(te)},{secs:.6f}\n")
+            fh.write(f"{method},{f},{format_float(tr)},{format_float(te)},{secs:.6f}\n")
     for method, f, tr, te, secs in rows:
         print(f"{method:8s} f={f:<4d} train_mse={tr:.6e} test_mse={te:.6e} train_time_s={secs:.6f}")
 

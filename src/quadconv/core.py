@@ -105,6 +105,9 @@ class BandIndexMap:
     spec: ConvSpec
     rows: np.ndarray
     cols: np.ndarray
+    #: diagonals[d] is the slice of the band holding diagonal d, whose
+    #: entries pair x[:n - d] with x[d:]
+    diagonals: tuple[slice, ...]
 
     def __len__(self) -> int:
         return self.rows.size
@@ -117,11 +120,29 @@ class BandIndexMap:
 def band_index_map(spec: ConvSpec) -> BandIndexMap:
     """Build (and cache) the band index map for a filter geometry."""
     n, f = spec.n, spec.f
+    diagonals = []
+    start = 0
+    for d in range(f):
+        diagonals.append(slice(start, start + n - d))
+        start += n - d
     rows = np.concatenate([np.arange(n - d) for d in range(f)])
     cols = np.concatenate([np.arange(d, n) for d in range(f)])
     rows.setflags(write=False)
     cols.setflags(write=False)
-    return BandIndexMap(spec, rows, cols)
+    return BandIndexMap(spec, rows, cols, tuple(diagonals))
+
+
+def band_products(X: np.ndarray, spec: ConvSpec, out: np.ndarray) -> np.ndarray:
+    """Write the band products X[:, r] * X[:, c] of every row of X into
+    out (shape N x spec.band_size), one diagonal at a time, and return out.
+
+    Each diagonal is one elementwise product of two column slices of X, so
+    no N-row index gather is ever materialized.
+    """
+    n = spec.n
+    for d, s in enumerate(band_index_map(spec).diagonals):
+        np.multiply(X[:, : n - d], X[:, d:], out=out[:, s])
+    return out
 
 
 def vecf(x, spec: ConvSpec) -> np.ndarray:
@@ -133,8 +154,14 @@ def vecf(x, spec: ConvSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.n,):
         raise DimensionMismatch(f"expected vector of length {spec.n}, got shape {x.shape}")
-    m = band_index_map(spec)
-    return x[m.rows] * x[m.cols]
+    return band_products(x[None, :], spec, np.empty((1, spec.band_size)))[0]
+
+
+def format_float(v) -> str:
+    """Text for a float with 17 significant digits, which round-trips
+    float64 exactly. Non-finite values format as 'nan'/'inf'; writers that
+    must reject them check before formatting."""
+    return format(float(v), ".17g")
 
 
 class WeightCounts(NamedTuple):

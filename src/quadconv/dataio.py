@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import format_float
 from .errors import (
     ChannelMissing,
     InsufficientData,
@@ -70,13 +71,10 @@ class SplitSpec:
     """Sequential prefix split: first floor(N * train_fraction) rows train."""
 
     train_fraction: float = 0.5
-    mode: str = "sequential_prefix"
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction!r}")
-        if self.mode != "sequential_prefix":
-            raise ValueError(f"unknown split mode {self.mode!r}")
 
 
 def _read_table(path, column_names=None):
@@ -151,13 +149,11 @@ def load_feature_csv(path):
     """
     names, columns = _read_table(path, None)
     feature_names = [n for n in names if n != "y"]
+    if not feature_names:
+        raise MissingColumn(f"{path}: no feature columns besides 'y' in header {names}")
     X = np.column_stack([columns[names.index(n)] for n in feature_names])
     y = np.array(columns[names.index("y")]) if "y" in names else None
     return X, y, feature_names
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def dataset_to_csv(data: Dataset, path, feature_prefix: str = "x") -> None:
@@ -166,7 +162,7 @@ def dataset_to_csv(data: Dataset, path, feature_prefix: str = "x") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([f"{feature_prefix}{i + 1}" for i in range(n)] + ["y"]) + "\n")
         for row, label in zip(data.inputs, data.labels):
-            fh.write(",".join([_fmt(v) for v in row] + [_fmt(label)]) + "\n")
+            fh.write(",".join([format_float(v) for v in row] + [format_float(label)]) + "\n")
 
 
 def series_to_csv(ts: TimeSeries, path) -> None:
@@ -175,7 +171,7 @@ def series_to_csv(ts: TimeSeries, path) -> None:
         fh.write(",".join(ts.names) + "\n")
         cols = [ts.channels[name] for name in ts.names]
         for i in range(ts.length):
-            fh.write(",".join(_fmt(col[i]) for col in cols) + "\n")
+            fh.write(",".join(format_float(col[i]) for col in cols) + "\n")
 
 
 def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int) -> Dataset:
@@ -215,9 +211,7 @@ def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) ->
     W = ts.length // r
     if W < 1:
         raise InsufficientData(f"need at least r={r} samples, have {ts.length}")
-    rows = np.empty((W, r * len(chans)))
-    for w in range(W):
-        rows[w] = np.concatenate([ch[w * r : (w + 1) * r] for ch in chans])
+    rows = np.hstack([ch[: W * r].reshape(W, r) for ch in chans])
     starts = np.arange(W) * r
     labels = label[starts + r - 1] - label[starts]
     return Dataset(rows, labels)

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ActivationParams, ConvSpec, band_index_map, validate_activation
+from .core import ActivationParams, ConvSpec, band_index_map, format_float, validate_activation
 from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile
 from .solver import WeightVector
 
@@ -22,16 +22,20 @@ class QuadraticModel:
     """Output map a * x' Zbar1 x + b * Zbar2' x + c * Zbar4.
 
     Zbar1 is symmetric with zero entries wherever |row - col| >= f and is
-    stored as its band coefficients (diagonal-major, true values). Zbar4
-    is the trace of Zbar1 and is derived, never stored, so the trace tie
-    cannot drift. Activation coefficients travel with the model so it is
-    self-contained for prediction.
+    stored as its band coefficients (diagonal-major, true values). Two
+    read-only values are derived from the band once, on construction: the
+    dense `zbar1` that predict and sensitivity multiply by, and `zbar4`,
+    the trace of Zbar1, which is never stored in a model file so the trace
+    tie cannot drift. Activation coefficients travel with the model so it
+    is self-contained for prediction.
     """
 
     zbar1_band: np.ndarray
     zbar2: np.ndarray
     spec: ConvSpec
     params: ActivationParams
+    zbar1: np.ndarray = field(init=False, repr=False, compare=False)
+    zbar4: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         band = np.array(self.zbar1_band, dtype=float, copy=True)
@@ -44,22 +48,20 @@ class QuadraticModel:
             raise DimensionMismatch(
                 f"zbar2 must have length {self.spec.n}, got shape {z2.shape}"
             )
-        band.setflags(write=False)
-        z2.setflags(write=False)
-        object.__setattr__(self, "zbar1_band", band)
-        object.__setattr__(self, "zbar2", z2)
-
-    @property
-    def zbar4(self) -> float:
-        return float(self.zbar1_band[: self.spec.n].sum())
-
-    def zbar1_dense(self) -> np.ndarray:
-        """Materialize Zbar1 as a dense symmetric n x n matrix."""
         m = band_index_map(self.spec)
         Z = np.zeros((self.spec.n, self.spec.n))
-        Z[m.rows, m.cols] = self.zbar1_band
-        Z[m.cols, m.rows] = self.zbar1_band
-        return Z
+        Z[m.rows, m.cols] = band
+        Z[m.cols, m.rows] = band
+        for a in (band, z2, Z):
+            a.setflags(write=False)
+        object.__setattr__(self, "zbar1_band", band)
+        object.__setattr__(self, "zbar2", z2)
+        object.__setattr__(self, "zbar1", Z)
+        object.__setattr__(self, "zbar4", float(band[: self.spec.n].sum()))
+
+    def zbar1_dense(self) -> np.ndarray:
+        """A writable copy of Zbar1 as a dense symmetric n x n matrix."""
+        return self.zbar1.copy()
 
     @classmethod
     def from_dense(cls, zbar1, zbar2, spec: ConvSpec, params: ActivationParams) -> "QuadraticModel":
@@ -97,75 +99,79 @@ def to_weight_vector(model: QuadraticModel) -> WeightVector:
     return WeightVector(np.concatenate([band, model.zbar2]), model.spec)
 
 
-def _row_values(model: QuadraticModel, X: np.ndarray) -> np.ndarray:
-    m = band_index_map(model.spec)
-    mult = np.ones(len(m))
-    mult[model.spec.n :] = 2.0
-    quad = (X[:, m.rows] * X[:, m.cols]) @ (mult * model.zbar1_band)
+# The evaluation kernel. Both maps read the same product X @ Zbar1:
+#   output   a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4
+#   gradient 2a * X Zbar1 + b * Zbar2
+# The single-row entry points call these on a one-row matrix. BLAS may
+# round a one-row product (gemv) differently from a many-row one (gemm), so
+# the two entry points agree to rounding, not bit for bit.
+
+
+def _predict_rows(model: QuadraticModel, X: np.ndarray) -> np.ndarray:
     p = model.params
-    return p.a * quad + p.b * (X @ model.zbar2) + p.c * model.zbar4
+    XZ = X @ model.zbar1
+    return p.a * np.einsum("ij,ij->i", X, XZ) + p.b * (X @ model.zbar2) + p.c * model.zbar4
 
 
-def predict(model: QuadraticModel, x) -> float:
-    """Evaluate a * x' Zbar1 x + b * Zbar2' x + c * Zbar4 at one input."""
+def _sensitivity_rows(model: QuadraticModel, X: np.ndarray) -> np.ndarray:
+    p = model.params
+    return 2.0 * p.a * (X @ model.zbar1) + p.b * model.zbar2
+
+
+def _as_row(model: QuadraticModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.spec.n,):
         raise DimensionMismatch(f"expected input of length {model.spec.n}, got shape {x.shape}")
-    return float(_row_values(model, x[None, :])[0])
+    return x[None, :]
 
 
-def predict_batch(model: QuadraticModel, X) -> np.ndarray:
-    """Vectorized predict over rows of X."""
+def _as_rows(model: QuadraticModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.spec.n:
         raise DimensionMismatch(
             f"expected rows of length {model.spec.n}, got shape {X.shape}"
         )
-    return _row_values(model, X)
+    return X
+
+
+def predict(model: QuadraticModel, x) -> float:
+    """Evaluate a * x' Zbar1 x + b * Zbar2' x + c * Zbar4 at one input."""
+    return float(_predict_rows(model, _as_row(model, x))[0])
+
+
+def predict_batch(model: QuadraticModel, X) -> np.ndarray:
+    """Vectorized predict over rows of X."""
+    return _predict_rows(model, _as_rows(model, X))
 
 
 def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
     """Gradient of the output with respect to the input at x0:
     2a * Zbar1 x0 + b * Zbar2."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.spec.n,):
-        raise DimensionMismatch(f"expected input of length {model.spec.n}, got shape {x0.shape}")
-    p = model.params
-    return 2.0 * p.a * (model.zbar1_dense() @ x0) + p.b * model.zbar2
+    return _sensitivity_rows(model, _as_row(model, x0))[0]
 
 
 def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:
     """Vectorized sensitivity over rows of X0."""
-    X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2 or X0.shape[1] != model.spec.n:
-        raise DimensionMismatch(
-            f"expected rows of length {model.spec.n}, got shape {X0.shape}"
-        )
-    p = model.params
-    return 2.0 * p.a * (X0 @ model.zbar1_dense()) + p.b * model.zbar2
-
-
-def _fmt(v: float) -> str:
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError("cannot serialize non-finite value")
-    return format(v, ".17g")
+    return _sensitivity_rows(model, _as_rows(model, X0))
 
 
 def serialize(model: QuadraticModel) -> str:
     """Render the model as JSON with 17-significant-digit numbers, which
     round-trip float64 exactly. Zbar4 is derived on load and not stored.
+    Raises ValueError if any number is non-finite, which JSON cannot carry.
     """
-    band = ", ".join(_fmt(v) for v in model.zbar1_band)
-    z2 = ", ".join(_fmt(v) for v in model.zbar2)
     p = model.params
+    if not np.isfinite(np.concatenate([model.zbar1_band, model.zbar2, [p.a, p.b, p.c]])).all():
+        raise ValueError("cannot serialize non-finite value")
+    band = ", ".join(map(format_float, model.zbar1_band))
+    z2 = ", ".join(map(format_float, model.zbar2))
     return (
         "{\n"
         f'  "n": {model.spec.n},\n'
         f'  "f": {model.spec.f},\n'
-        f'  "a": {_fmt(p.a)},\n'
-        f'  "b": {_fmt(p.b)},\n'
-        f'  "c": {_fmt(p.c)},\n'
+        f'  "a": {format_float(p.a)},\n'
+        f'  "b": {format_float(p.b)},\n'
+        f'  "c": {format_float(p.c)},\n'
         f'  "zbar1_band": [{band}],\n'
         f'  "zbar2": [{z2}]\n'
         "}\n"

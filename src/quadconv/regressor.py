@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationParams, ConvSpec, band_index_map
+from .core import ActivationParams, ConvSpec, band_products
 from .errors import DimensionMismatch, NonFiniteInput
 
 
@@ -76,14 +76,18 @@ def build_regressor(data: Dataset, spec: ConvSpec, params: ActivationParams) -> 
     """Assemble H so that H @ theta is the model output at every sample.
 
     Row i is [a * vecf(x_i) with c added to the n diagonal entries, b * x_i].
-    Deterministic regardless of how rows might be batched.
+    Deterministic regardless of how rows might be batched. H is allocated
+    once and filled in place, so assembly needs no temporaries of its size.
     """
     if data.n_features != spec.n:
         raise DimensionMismatch(
             f"dataset has {data.n_features} features but spec.n = {spec.n}"
         )
     X = data.inputs
-    m = band_index_map(spec)
-    quad = params.a * (X[:, m.rows] * X[:, m.cols])
-    quad[:, : spec.n] += params.c
-    return RegressorMatrix(np.hstack([quad, params.b * X]), spec, params)
+    n, q = spec.n, spec.band_size
+    H = np.empty((data.n_samples, spec.n_weights))
+    quad = band_products(X, spec, H[:, :q])
+    quad *= params.a
+    quad[:, :n] += params.c
+    np.multiply(X, params.b, out=H[:, q:])
+    return RegressorMatrix(H, spec, params)

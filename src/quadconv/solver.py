@@ -68,6 +68,8 @@ def solve_ridge(H: RegressorMatrix, y, beta: float) -> SolveReport:
     the weight vector; it is not equivalent to trace-based regularization
     of the constrained convex formulation except at beta = 0.
     """
+    if not np.isfinite(beta):
+        raise NonFiniteInput(f"beta must be finite, got {beta!r}")
     if beta < 0:
         raise NegativeRegularizer(f"beta must be >= 0, got {beta!r}")
     return _solve(H, y, float(beta))

@@ -83,6 +83,8 @@ def test_train_beta_sweep_writes_one_model_per_beta(series_csv, tmp_path):
 def test_train_config_errors_exit_1(series_csv, tmp_path):
     assert main(_train_args(series_csv, tmp_path, **{"--f": "11"})) == 1  # f > n = 10
     assert main(_train_args(series_csv, tmp_path, **{"--beta": "-1"})) == 1
+    assert main(_train_args(series_csv, tmp_path, **{"--beta": "nan"})) == 1
+    assert main(_train_args(series_csv, tmp_path, **{"--beta": "0,inf"})) == 1
     assert main(_train_args(series_csv, tmp_path, **{"--a": "-0.5"})) == 1
     assert main(_train_args(series_csv, tmp_path, **{"--d": None})) == 1
     assert main(["train", "--data", series_csv]) == 1  # missing required flags
@@ -173,6 +175,13 @@ def test_predict_dimension_mismatch_exits_2(series_csv, tmp_path):
          "--out", str(tmp_path / "p.csv")]
     )
     assert code == 2
+    labels_only = tmp_path / "labels_only.csv"
+    labels_only.write_text("y\n1\n")
+    code = main(
+        ["predict", "--model", str(tmp_path / "model.json"), "--data", str(labels_only),
+         "--out", str(tmp_path / "p.csv")]
+    )
+    assert code == 2
 
 
 def test_sensitivity_origin_gives_linear_term(series_csv, tmp_path):
@@ -197,11 +206,14 @@ def test_sensitivity_empty_x0_exits_2(series_csv, tmp_path):
     assert main(_train_args(series_csv, tmp_path)) == 0
     empty = tmp_path / "empty.csv"
     empty.write_text(",".join(f"x{i+1}" for i in range(10)) + "\n")
-    code = main(
-        ["sensitivity", "--model", str(tmp_path / "model.json"), "--x0", str(empty),
-         "--out", str(tmp_path / "g.csv")]
-    )
-    assert code == 2
+    labels_only = tmp_path / "labels_only.csv"
+    labels_only.write_text("y\n1\n")
+    for x0 in (empty, labels_only):
+        code = main(
+            ["sensitivity", "--model", str(tmp_path / "model.json"), "--x0", str(x0),
+             "--out", str(tmp_path / "g.csv")]
+        )
+        assert code == 2
 
 
 def test_verify_passes_and_is_deterministic(capsys):
@@ -217,6 +229,12 @@ def test_verify_zero_instances_warns(capsys):
     assert main(["verify", "--instances", "0"]) == 0
     out = capsys.readouterr().out
     assert "vacuous" in out
+
+
+def test_verify_config_errors_exit_1(capsys):
+    assert main(["verify", "--seed", "-1", "--instances", "1"]) == 1
+    assert main(["verify", "--instances", "-1"]) == 1
+    assert capsys.readouterr().err.count("config error:") == 2
 
 
 def test_verify_failure_exits_3(monkeypatch):

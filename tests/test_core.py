@@ -121,6 +121,9 @@ def test_band_index_map_ordering_and_bounds():
     assert (diffs >= 0).all() and (diffs <= spec.f - 1).all()
     np.testing.assert_array_equal(m.rows[:5], np.arange(5))
     np.testing.assert_array_equal(m.rows[5:9], np.arange(4))
+    assert m.diagonals == (slice(0, 5), slice(5, 9), slice(9, 12))
+    for d, s in enumerate(m.diagonals):
+        assert (diffs[s] == d).all()
 
 
 def test_band_index_map_length_exhaustive():

@@ -196,8 +196,6 @@ def test_split_spec_validation():
         SplitSpec(0.0)
     with pytest.raises(ValueError):
         SplitSpec(1.0)
-    with pytest.raises(ValueError):
-        SplitSpec(0.5, mode="shuffled")
 
 
 def test_synth_narx_deterministic_per_seed():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from quadconv import (
     DimensionMismatch,
     NonFiniteInput,
     WeightVector,
+    band_index_map,
     build_regressor,
     predict_batch,
     reconstruct,
@@ -81,6 +84,38 @@ def test_linear_block_scales_with_b():
     h1 = build_regressor(data, spec, ActivationParams(1.0, 0.5, 1.0)).matrix
     h2 = build_regressor(data, spec, ActivationParams(1.0, 1.5, 1.0)).matrix
     np.testing.assert_allclose(h2[:, -3:], 3.0 * h1[:, -3:], rtol=1e-14)
+
+
+def test_assembly_matches_gathered_band_bit_for_bit():
+    # H assembled independently by gathering the band index map's (row, col)
+    # pairs; the in-place per-diagonal fill must reproduce it exactly
+    rng = np.random.default_rng(12)
+    geometries = [(1, 1), (9, 1), (9, 9), (40, 5)]
+    geometries += [(n, int(rng.integers(1, n + 1))) for n in rng.integers(1, 30, size=20)]
+    for n, f in geometries:
+        spec = ConvSpec(n, f)
+        params = ActivationParams(*rng.uniform(0.1, 2.0, size=3))
+        X = rng.standard_normal((int(rng.integers(1, 50)), n))
+        m = band_index_map(spec)
+        quad = params.a * (X[:, m.rows] * X[:, m.cols])
+        quad[:, :n] += params.c
+        expected = np.hstack([quad, params.b * X])
+        H = build_regressor(Dataset(X, np.zeros(X.shape[0])), spec, params).matrix
+        np.testing.assert_array_equal(H, expected)
+
+
+def test_assembly_allocates_little_beyond_h():
+    rng = np.random.default_rng(13)
+    data = Dataset(rng.standard_normal((4000, 30)), np.zeros(4000))
+    spec = ConvSpec(30, 6)
+    band_index_map(spec)  # cached; keep its allocation out of the measurement
+    tracemalloc.start()
+    try:
+        H = build_regressor(data, spec, ActivationParams(0.5, 1.0, 0.5)).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * H.nbytes
 
 
 def test_build_regressor_rejects_feature_mismatch():

@@ -97,6 +97,9 @@ def test_non_finite_inputs_rejected():
     bad[3, 3] = np.inf
     with pytest.raises(NonFiniteInput):
         solve_ls(RegressorMatrix(bad, ConvSpec(2, 2), _PARAMS), y)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(NonFiniteInput):
+            solve_ridge(H, y, beta)
 
 
 def test_label_length_mismatch():
