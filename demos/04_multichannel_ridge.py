@@ -16,7 +16,7 @@ from quadconv import (
     RELU_MIMIC,
     SplitSpec,
     TimeSeries,
-    fit,
+    fit_path,
     mse,
     multichannel_window,
     predict_batch,
@@ -56,8 +56,9 @@ for label, data in datasets.items():
     train_set, test_set = split(data, SplitSpec(0.5))
     print(f"target: delta {label} per block")
     print(f"  {'beta':>8} {'train mse':>12} {'test mse':>12} {'||theta||':>10}")
-    for beta in (0.1, 1.0, 10.0, 100.0):
-        result = fit(train_set, spec, RELU_MIMIC, beta)
+    betas = (0.1, 1.0, 10.0, 100.0)
+    # one regressor, one Gram matrix, one Cholesky factor per beta
+    for beta, result in zip(betas, fit_path(train_set, spec, RELU_MIMIC, betas)):
         tr = mse(predict_batch(result.model, train_set.inputs), train_set.labels)
         te = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
         norm = np.linalg.norm(to_weight_vector(result.model).theta)

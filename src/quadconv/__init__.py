@@ -77,8 +77,8 @@ from .oracle import (
     random_patch_model_set,
 )
 from .regressor import Dataset, RegressorMatrix, build_regressor
-from .solver import SolveReport, SolveStrategy, WeightVector, solve_ls, solve_ridge
-from .train import FitResult, fit
+from .solver import SolveReport, SolveStrategy, WeightVector, solve_ls, solve_path, solve_ridge
+from .train import FitResult, fit, fit_path
 from .verify import SuiteResult, run_all_checks
 
 __version__ = "0.1.0"
@@ -123,6 +123,7 @@ __all__ = [
     "eval_patch_model",
     "extract_patches",
     "fit",
+    "fit_path",
     "induced_patch_models",
     "load_csv",
     "load_feature_csv",
@@ -140,6 +141,7 @@ __all__ = [
     "serialize",
     "series_to_csv",
     "solve_ls",
+    "solve_path",
     "solve_ridge",
     "split",
     "synth_narx",

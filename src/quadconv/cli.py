@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .model import deserialize, predict_batch, sensitivity_batch, serialize, to_weight_vector
-from .train import fit
+from .train import fit, fit_path
 from .verify import run_all_checks
 
 _DATA_ERRORS = (
@@ -143,8 +143,9 @@ def _windowed_dataset(args):
         return narx_window(ts, names[0], names[1], args.d)
     if args.r is None:
         raise _ConfigError("window mode requires --r")
-    if args.r < 1:
-        raise _ConfigError("--r must be >= 1")
+    if args.r < 2:
+        # a block's label is its last sample minus its first
+        raise _ConfigError("--r must be >= 2 (with r = 1 every label is 0)")
     if args.label is None:
         raise _ConfigError("window mode requires --label")
     names = channels if channels is not None else [n for n in ts.names if n != args.label]
@@ -194,8 +195,15 @@ def cmd_train(args) -> int:
     train_set, test_set = split(data, split_spec)
 
     rows = []
-    for beta in betas:
-        result = fit(train_set, spec, params, beta)
+    for beta, result in zip(betas, fit_path(train_set, spec, params, betas)):
+        if result.report.rank_deficient:
+            print(
+                f"warning: beta={beta:g} fit is rank deficient "
+                f"(route {result.report.solve_strategy.value}, "
+                f"{train_set.n_samples} training rows, {spec.n_weights} weights); "
+                "the training data do not determine every weight",
+                file=sys.stderr,
+            )
         train_mse = mse(predict_batch(result.model, train_set.inputs), train_set.labels)
         test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
         theta_norm = float(np.linalg.norm(to_weight_vector(result.model).theta))

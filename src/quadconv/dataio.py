@@ -22,7 +22,7 @@ from .regressor import Dataset
 _SMOOTH = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Named channels of real samples, all of equal length."""
 

@@ -17,7 +17,7 @@ from .solver import WeightVector
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticModel:
     """Output map a * x' Zbar1 x + b * Zbar2' x + c * Zbar4.
 
@@ -34,8 +34,8 @@ class QuadraticModel:
     zbar2: np.ndarray
     spec: ConvSpec
     params: ActivationParams
-    zbar1: np.ndarray = field(init=False, repr=False, compare=False)
-    zbar4: float = field(init=False, repr=False, compare=False)
+    zbar1: np.ndarray = field(init=False, repr=False)
+    zbar4: float = field(init=False, repr=False)
 
     def __post_init__(self):
         band = np.array(self.zbar1_band, dtype=float, copy=True)

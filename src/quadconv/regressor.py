@@ -10,7 +10,7 @@ from .core import ActivationParams, ConvSpec, band_products
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """N feature rows of equal length n with N scalar labels."""
 
@@ -42,7 +42,7 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressorMatrix:
     """Regressor H with one row per sample and q + n columns.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -13,7 +14,7 @@ from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
 from .regressor import RegressorMatrix
 
 # Accept the Cholesky solution only when the normal-equation residual is at
-# rounding level; otherwise fall through to the SVD route.
+# rounding level; otherwise fall through to the QR/SVD route.
 _CHOLESKY_ACCEPT = 1e-10
 
 
@@ -22,7 +23,7 @@ class SolveStrategy(str, Enum):
     PSEUDOINVERSE = "pseudoinverse"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Trained weights: [diagonal of Zbar1; doubled off-diagonal band
     entries, diagonal-major; Zbar2]. Length q + n."""
@@ -40,9 +41,14 @@ class WeightVector:
         object.__setattr__(self, "theta", t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solution plus diagnostics of a single least-squares solve."""
+    """Solution plus diagnostics of a single least-squares solve.
+
+    `seconds` is the wall time this beta added to its sweep: the first beta
+    of a sweep also carries the shared Gram, and the first beta that falls
+    back also carries the sweep's one QR/SVD.
+    """
 
     theta: WeightVector
     beta: float
@@ -50,6 +56,21 @@ class SolveReport:
     normal_residual_norm: float
     rank_deficient: bool
     solve_strategy: SolveStrategy
+    seconds: float
+
+
+def _check_betas(betas) -> list[float]:
+    """The ridge weights of a sweep as floats; raises on an empty list or a
+    negative or non-finite weight."""
+    betas = [float(b) for b in betas]
+    if not betas:
+        raise ValueError("need at least one beta")
+    for beta in betas:
+        if not np.isfinite(beta):
+            raise NonFiniteInput(f"beta must be finite, got {beta!r}")
+        if beta < 0:
+            raise NegativeRegularizer(f"beta must be >= 0, got {beta!r}")
+    return betas
 
 
 def solve_ls(H: RegressorMatrix, y) -> SolveReport:
@@ -58,7 +79,7 @@ def solve_ls(H: RegressorMatrix, y) -> SolveReport:
     Returns the unique minimizer on full-rank systems; the minimum-norm
     minimizer (with rank_deficient set) otherwise.
     """
-    return _solve(H, y, 0.0)
+    return _solve_path(H, y, [0.0])[0]
 
 
 def solve_ridge(H: RegressorMatrix, y, beta: float) -> SolveReport:
@@ -68,14 +89,23 @@ def solve_ridge(H: RegressorMatrix, y, beta: float) -> SolveReport:
     the weight vector; it is not equivalent to trace-based regularization
     of the constrained convex formulation except at beta = 0.
     """
-    if not np.isfinite(beta):
-        raise NonFiniteInput(f"beta must be finite, got {beta!r}")
-    if beta < 0:
-        raise NegativeRegularizer(f"beta must be >= 0, got {beta!r}")
-    return _solve(H, y, float(beta))
+    return _solve_path(H, y, _check_betas([beta]))[0]
 
 
-def _solve(H: RegressorMatrix, y, beta: float) -> SolveReport:
+def solve_path(H: RegressorMatrix, y, betas) -> list[SolveReport]:
+    """solve_ridge for every beta of a sweep, one report per beta in order.
+
+    The Gram matrix H'H and H'y are formed once. Each beta factors
+    H'H + beta I by Cholesky; a beta whose factor is degenerate or fails
+    the residual check falls back to one QR of [H | y] shared by the whole
+    sweep. Each report's weights and diagnostics equal solve_ridge's for
+    its beta bit for bit.
+    """
+    return _solve_path(H, y, _check_betas(betas))
+
+
+def _solve_path(H: RegressorMatrix, y, betas: list[float]) -> list[SolveReport]:
+    t = time.perf_counter()
     M = H.matrix
     y = np.asarray(y, dtype=float)
     if y.shape != (M.shape[0],):
@@ -87,57 +117,93 @@ def _solve(H: RegressorMatrix, y, beta: float) -> SolveReport:
     if not np.isfinite(y).all():
         raise NonFiniteInput("labels contain non-finite values")
 
-    p = M.shape[1]
     A = M.T @ M
-    if beta > 0:
-        A[np.diag_indices_from(A)] += beta
     rhs = M.T @ y
+    gram_diagonal = A.diagonal().copy()
     scale = max(1.0, float(np.linalg.norm(rhs)))
+    svd = None
+    reports = []
+    for beta in betas:
+        # A holds H'H + beta I; its diagonal is rewritten from the saved
+        # one, so every beta sees exactly the matrix a lone solve would
+        np.fill_diagonal(A, gram_diagonal + beta)
+        theta = _cholesky(A, rhs, beta, scale, max(M.shape))
+        rank_deficient = False
+        strategy = SolveStrategy.CHOLESKY
+        if theta is None:
+            if svd is None:
+                svd = _rank_revealing(M, y)
+            theta, rank_deficient = _pseudoinverse(*svd, beta, max(M.shape))
+            strategy = SolveStrategy.PSEUDOINVERSE
+        residual_norm = float(np.linalg.norm(y - M @ theta))
+        normal_residual_norm = float(np.linalg.norm(A @ theta - rhs))
+        now = time.perf_counter()
+        reports.append(SolveReport(
+            theta=WeightVector(theta, H.spec),
+            beta=beta,
+            residual_norm=residual_norm,
+            normal_residual_norm=normal_residual_norm,
+            rank_deficient=rank_deficient,
+            solve_strategy=strategy,
+            seconds=now - t,
+        ))
+        t = now
+    return reports
 
-    theta = None
-    rank_deficient = False
-    strategy = SolveStrategy.PSEUDOINVERSE
+
+def _cholesky(A, rhs, beta, scale, size):
+    """The refined Cholesky solution of A theta = rhs, or None when the
+    factor is degenerate (beta = 0) or the normal residual is above the
+    acceptance level."""
     try:
         fac = scipy.linalg.cho_factor(A, lower=False, check_finite=False)
-        # a collapsed pivot means the normal matrix is numerically singular;
-        # the residual check below cannot see null-space components, so the
-        # factor diagonal is the rank-deficiency detector for beta = 0
-        pivots = np.abs(np.diag(fac[0]))
-        degenerate = beta == 0.0 and bool(
-            pivots.min() <= np.sqrt(np.finfo(float).eps * max(M.shape)) * pivots.max()
-        )
-        if not degenerate:
-            th = scipy.linalg.cho_solve(fac, rhs, check_finite=False)
-            # one step of iterative refinement tightens stationarity to
-            # rounding level on reasonably conditioned systems
-            th += scipy.linalg.cho_solve(fac, rhs - A @ th, check_finite=False)
-            if np.linalg.norm(rhs - A @ th) <= _CHOLESKY_ACCEPT * scale:
-                theta = th
-                strategy = SolveStrategy.CHOLESKY
     except np.linalg.LinAlgError:
-        pass
+        return None
+    # a collapsed pivot means the normal matrix is numerically singular;
+    # the residual check below cannot see null-space components, so the
+    # factor diagonal is the rank-deficiency detector for beta = 0
+    pivots = np.abs(np.diag(fac[0]))
+    if beta == 0.0 and pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max():
+        return None
+    theta = scipy.linalg.cho_solve(fac, rhs, check_finite=False)
+    # one step of iterative refinement tightens stationarity to rounding
+    # level on reasonably conditioned systems
+    theta += scipy.linalg.cho_solve(fac, rhs - A @ theta, check_finite=False)
+    if np.linalg.norm(rhs - A @ theta) <= _CHOLESKY_ACCEPT * scale:
+        return theta
+    return None
 
-    if theta is None:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        smax = float(s[0]) if s.size else 0.0
-        cutoff = smax * np.finfo(float).eps * max(M.shape)
-        rank = int(np.count_nonzero(s > cutoff))
-        rank_deficient = rank < p
-        if beta > 0:
-            gain = s / (s * s + beta)
-        else:
-            gain = np.zeros_like(s)
-            nz = s > cutoff
-            gain[nz] = 1.0 / s[nz]
-        theta = Vt.T @ (gain * (U.T @ y))
 
-    residual_norm = float(np.linalg.norm(y - M @ theta))
-    normal_residual_norm = float(np.linalg.norm(A @ theta - rhs))
-    return SolveReport(
-        theta=WeightVector(theta, H.spec),
-        beta=beta,
-        residual_norm=residual_norm,
-        normal_residual_norm=normal_residual_norm,
-        rank_deficient=rank_deficient,
-        solve_strategy=strategy,
-    )
+def _rank_revealing(M, y):
+    """Singular values s, right singular vectors Vt and U'y of H, from one
+    Householder QR of [H | y] and an SVD of its small triangle.
+
+    With [H | y] = Q [R z], H = (Q U_R) S Vt for the SVD R = U_R S Vt, so
+    U'y = U_R' z. The QR overwrites its one Fortran-ordered buffer, and
+    the N-row left factor U is never formed.
+    """
+    N, p = M.shape
+    Hy = np.empty((N, p + 1), order="F")
+    Hy[:, :p] = M
+    Hy[:, p] = y
+    # mode="raw" returns only the leading triangle as R; mode="r" would
+    # return triu of the whole N-row buffer
+    _, R = scipy.linalg.qr(Hy, mode="raw", overwrite_a=True, check_finite=False)
+    k = min(N, p)
+    U_R, s, Vt = np.linalg.svd(R[:k, :p], full_matrices=False)
+    return s, Vt, U_R.T @ R[:k, p]
+
+
+def _pseudoinverse(s, Vt, Uty, beta, size):
+    """Minimum-norm (beta = 0) or ridge (beta > 0) solution from the SVD
+    of H; also whether H is numerically rank deficient."""
+    smax = float(s[0]) if s.size else 0.0
+    cutoff = smax * np.finfo(float).eps * size
+    nz = s > cutoff
+    if beta > 0:
+        gain = s / (s * s + beta)
+    else:
+        gain = np.zeros_like(s)
+        gain[nz] = 1.0 / s[nz]
+    theta = Vt.T @ (gain * Uty)
+    return theta, int(np.count_nonzero(nz)) < Vt.shape[1]

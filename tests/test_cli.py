@@ -80,7 +80,7 @@ def test_train_beta_sweep_writes_one_model_per_beta(series_csv, tmp_path):
     assert len(metrics) == 5  # header + one row per beta
 
 
-def test_train_config_errors_exit_1(series_csv, tmp_path):
+def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
     assert main(_train_args(series_csv, tmp_path, **{"--f": "11"})) == 1  # f > n = 10
     assert main(_train_args(series_csv, tmp_path, **{"--beta": "-1"})) == 1
     assert main(_train_args(series_csv, tmp_path, **{"--beta": "nan"})) == 1
@@ -88,6 +88,30 @@ def test_train_config_errors_exit_1(series_csv, tmp_path):
     assert main(_train_args(series_csv, tmp_path, **{"--a": "-0.5"})) == 1
     assert main(_train_args(series_csv, tmp_path, **{"--d": None})) == 1
     assert main(["train", "--data", series_csv]) == 1  # missing required flags
+    # window mode with r = 1: a block's first and last sample coincide, so
+    # every label would be 0
+    window_r1 = ["--mode", "window", "--r", "1", "--label", "y", "--channels", "u"]
+    capsys.readouterr()
+    assert main(_train_args(series_csv, tmp_path, **{"--d": None, "--f": "1"}) + window_r1) == 1
+    assert main(["bench", "--data", series_csv, "--f-list", "1",
+                 "--out", str(tmp_path / "b.csv")] + window_r1) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: --r") for line in err)
+
+
+def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
+    # 30 samples, d = 5: 12 training rows for 37 weights
+    from quadconv import TimeSeries
+
+    rng = np.random.default_rng(3)
+    path = tmp_path / "short.csv"
+    series_to_csv(TimeSeries({"u": rng.normal(size=30), "y": rng.normal(size=30)}), path)
+    code = main(_train_args(str(path), tmp_path, **{"--beta": "0,1"}))
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: beta=0 fit is rank deficient (route pseudoinverse")
+    assert "12 training rows, 37 weights" in err[0]
 
 
 def test_train_data_errors_exit_2(series_csv, tmp_path):

@@ -12,11 +12,29 @@ from quadconv import (
     SolveStrategy,
     WeightVector,
     build_regressor,
+    narx_window,
     solve_ls,
+    solve_path,
     solve_ridge,
+    synth_narx,
 )
+from quadconv import solver
 
 _PARAMS = ActivationParams(1.0, 1.0, 1.0)
+
+
+def _narx_system():
+    # noise-free windowed NARX rows: 595 x 37 and numerically rank deficient
+    data = narx_window(synth_narx(600, seed=9), "u", "y", 5)
+    H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
+    return H, data.labels
+
+
+def _lstsq(H, y):
+    theta, _, rank, _ = np.linalg.lstsq(
+        H.matrix, y, rcond=np.finfo(float).eps * max(H.matrix.shape)
+    )
+    return theta, rank
 
 
 def _random_system(rng, n, f, n_samples=None):
@@ -172,17 +190,11 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
     # the quadratic features; the normal matrix then factorizes numerically
     # even though it is singular, and the result must still be the flagged
     # minimum-norm solution rather than one polluted by null-space junk
-    from quadconv import ConvSpec as CS, narx_window, synth_narx
-
-    ts = synth_narx(600, seed=9)
-    data = narx_window(ts, "u", "y", 5)
-    H = build_regressor(data, CS(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
-    rep = solve_ls(H, data.labels)
+    H, y = _narx_system()
+    rep = solve_ls(H, y)
     assert rep.rank_deficient
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
-    reference, _, rank, _ = np.linalg.lstsq(
-        H.matrix, data.labels, rcond=np.finfo(float).eps * max(H.matrix.shape)
-    )
+    reference, rank = _lstsq(H, y)
     assert rank < H.n_cols
     np.testing.assert_allclose(rep.theta.theta, reference, rtol=1e-8, atol=1e-10)
 
@@ -190,3 +202,120 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
 def test_weight_vector_validates_length():
     with pytest.raises(DimensionMismatch):
         WeightVector(np.zeros(4), ConvSpec(2, 2))
+
+
+def _assert_same_report(a, b):
+    assert a.theta.theta.tobytes() == b.theta.theta.tobytes()
+    assert (a.beta, a.residual_norm, a.normal_residual_norm) == (
+        b.beta, b.residual_norm, b.normal_residual_norm
+    )
+    assert (a.rank_deficient, a.solve_strategy) == (b.rank_deficient, b.solve_strategy)
+
+
+@pytest.mark.parametrize("betas", [[0.0, 1.0, 10.0], [10.0, 0.0, 1e-6, 0.0, 1.0]])
+def test_solve_path_matches_per_beta_solves_bit_for_bit(betas):
+    H, y = _narx_system()
+    reports = solve_path(H, y, betas)
+    assert [r.beta for r in reports] == betas
+    assert {r.solve_strategy for r in reports} == set(SolveStrategy)
+    for beta, rep in zip(betas, reports):
+        _assert_same_report(rep, solve_ridge(H, y, beta))
+
+
+def test_solve_path_full_rank_sweep_matches_per_beta_solves():
+    rng = np.random.default_rng(10)
+    H, y = _random_system(rng, 6, 3)
+    betas = [0.0, 0.1, 100.0]
+    reports = solve_path(H, y, betas)
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
+    for beta, rep in zip(betas, reports):
+        _assert_same_report(rep, solve_ridge(H, y, beta))
+
+
+def _count_rank_revealing(monkeypatch):
+    calls = []
+    original = solver._rank_revealing
+
+    def counted(M, y):
+        calls.append(M.shape)
+        return original(M, y)
+
+    monkeypatch.setattr(solver, "_rank_revealing", counted)
+    return calls
+
+
+def test_solve_path_factors_h_at_most_once_and_only_on_fallback(monkeypatch):
+    calls = _count_rank_revealing(monkeypatch)
+    H, y = _narx_system()
+    reports = solve_path(H, y, [0.0, 1.0, 0.0, 10.0])
+    assert [r.solve_strategy for r in reports].count(SolveStrategy.PSEUDOINVERSE) == 2
+    assert len(calls) == 1
+    calls.clear()
+    rng = np.random.default_rng(11)
+    H, y = _random_system(rng, 5, 2)
+    solve_path(H, y, [0.0, 1.0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_samples", [5, 11])  # N < p = 11 and N = p
+def test_fallback_matches_lstsq_minimum_norm_on_short_systems(n_samples):
+    rng = np.random.default_rng(12)
+    H, y = _random_system(rng, 4, 2, n_samples=n_samples)
+    rep = solve_path(H, y, [0.0])[0]
+    if n_samples < H.n_cols:
+        assert rep.rank_deficient
+        assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    reference, _ = _lstsq(H, y)
+    np.testing.assert_allclose(rep.theta.theta, reference, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_samples", [40, 11, 5])  # N > p, N = p, N < p; p = 11
+def test_forced_fallback_matches_svd_formulas(monkeypatch, n_samples):
+    # no Cholesky solution is accepted, so every beta takes the QR/SVD route
+    monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", -1.0)
+    rng = np.random.default_rng(13)
+    H, y = _random_system(rng, 4, 2, n_samples=n_samples)
+    betas = [0.5, 3.0, 0.0]
+    reports = solve_path(H, y, betas)
+    U, s, Vt = np.linalg.svd(H.matrix, full_matrices=False)
+    for beta, rep in zip(betas, reports):
+        assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+        assert rep.rank_deficient == (n_samples < H.n_cols)
+        if beta > 0:
+            expected = Vt.T @ (s / (s * s + beta) * (U.T @ y))
+        else:
+            expected, _ = _lstsq(H, y)
+        np.testing.assert_allclose(rep.theta.theta, expected, rtol=1e-8, atol=1e-12)
+
+
+def test_fallback_factors_no_n_row_matrix_but_its_own_buffer(monkeypatch):
+    # the QR overwrites its one [H | y] buffer, and every SVD is of a
+    # triangle with at most p rows, so no N x p left factor is formed
+    factored, svd_shapes = [], []
+    qr, svd = solver.scipy.linalg.qr, np.linalg.svd
+
+    def recording_qr(a, **kwargs):
+        out = qr(a, **kwargs)
+        factored.append(np.shares_memory(out[0][0], a))
+        return out
+
+    def recording_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver.scipy.linalg, "qr", recording_qr)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    H, y = _narx_system()
+    solve_path(H, y, [0.0, 0.0])
+    assert factored == [True]
+    assert svd_shapes == [(H.n_cols, H.n_cols)]
+
+
+@pytest.mark.parametrize(
+    "betas,error",
+    [([], ValueError), ([0.0, -1.0], NegativeRegularizer), ([1.0, np.nan], NonFiniteInput)],
+)
+def test_solve_path_rejects_bad_beta_lists(betas, error):
+    H = RegressorMatrix(np.eye(5), ConvSpec(2, 2), _PARAMS)
+    with pytest.raises(error):
+        solve_path(H, np.zeros(5), betas)
