@@ -18,10 +18,8 @@ Typical use::
 
 from .core import (
     ActivationParams,
-    BandIndexMap,
     ConvSpec,
     RELU_MIMIC,
-    WeightCounts,
     activation_eval,
     band_counts,
     band_index_map,
@@ -79,13 +77,11 @@ from .oracle import (
 from .regressor import Dataset, RegressorMatrix, build_regressor
 from .solver import SolveReport, SolveStrategy, WeightVector, solve_ls, solve_path, solve_ridge
 from .train import FitResult, fit, fit_path
-from .verify import SuiteResult, run_all_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActivationParams",
-    "BandIndexMap",
     "ChannelMissing",
     "ConvSpec",
     "Dataset",
@@ -107,9 +103,7 @@ __all__ = [
     "SolveReport",
     "SolveStrategy",
     "SplitSpec",
-    "SuiteResult",
     "TimeSeries",
-    "WeightCounts",
     "WeightVector",
     "activation_eval",
     "aggregate",
@@ -135,7 +129,6 @@ __all__ = [
     "random_neuron_set",
     "random_patch_model_set",
     "reconstruct",
-    "run_all_checks",
     "sensitivity",
     "sensitivity_batch",
     "serialize",

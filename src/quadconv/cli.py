@@ -1,21 +1,23 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error (any other package
+error, or a file that cannot be read or written), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConvSpec, RELU_MIMIC, format_float, validate_activation
+from .core import ConvSpec, RELU_MIMIC, validate_activation
 from .dataio import (
     SplitSpec,
+    _write_csv,
     load_csv,
     load_feature_csv,
     mse,
@@ -24,32 +26,15 @@ from .dataio import (
     split,
 )
 from .errors import (
-    ChannelMissing,
     DimensionMismatch,
-    InsufficientData,
     InvalidActivation,
     MalformedModelFile,
-    MissingColumn,
     NegativeRegularizer,
-    NonFiniteInput,
-    ParseError,
+    QuadconvError,
 )
 from .model import deserialize, predict_batch, sensitivity_batch, serialize, to_weight_vector
 from .train import fit, fit_path
 from .verify import run_all_checks
-
-_DATA_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    ParseError,
-    MissingColumn,
-    ChannelMissing,
-    InsufficientData,
-    DimensionMismatch,
-    NonFiniteInput,
-    MalformedModelFile,
-)
-
 
 class _ConfigError(Exception):
     pass
@@ -128,19 +113,13 @@ def _parse_channels(arg):
     return names
 
 
-def _windowed_dataset(args):
-    """Load the CSV and build the windowed dataset per the configured mode."""
-    channels = _parse_channels(args.channels)
-    ts = load_csv(args.data, None)
+def _check_mode_args(args):
     if args.mode == "narx":
         if args.d is None:
             raise _ConfigError("narx mode requires --d")
         if args.d < 1:
             raise _ConfigError("--d must be >= 1")
-        names = channels if channels is not None else ts.names
-        if len(names) < 2:
-            raise _ConfigError("narx mode needs an input and an output channel")
-        return narx_window(ts, names[0], names[1], args.d)
+        return
     if args.r is None:
         raise _ConfigError("window mode requires --r")
     if args.r < 2:
@@ -148,7 +127,25 @@ def _windowed_dataset(args):
         raise _ConfigError("--r must be >= 2 (with r = 1 every label is 0)")
     if args.label is None:
         raise _ConfigError("window mode requires --label")
+
+
+def _windowed_dataset(args):
+    """Load the CSV and build the windowed dataset per the configured mode.
+
+    The mode arguments are checked before the file is read, so a config
+    error is reported as one even when the data file is missing.
+    """
+    channels = _parse_channels(args.channels)
+    _check_mode_args(args)
+    ts = load_csv(args.data)
+    if args.mode == "narx":
+        names = channels if channels is not None else ts.names
+        if len(names) < 2:
+            raise _ConfigError("narx mode needs an input and an output channel")
+        return narx_window(ts, names[0], names[1], args.d)
     names = channels if channels is not None else [n for n in ts.names if n != args.label]
+    if not names:
+        raise _ConfigError("window mode needs a feature channel besides --label")
     return multichannel_window(ts, names, args.r, args.label)
 
 
@@ -216,19 +213,22 @@ def cmd_train(args) -> int:
         )
 
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write("beta,f,n,n_train,n_test,train_mse,test_mse,train_time_s,theta_norm\n")
-            for beta, tr, te, secs, norm in rows:
-                fh.write(
-                    f"{format_float(beta)},{spec.f},{spec.n},{train_set.n_samples},"
-                    f"{test_set.n_samples},{format_float(tr)},{format_float(te)},{secs:.6f},"
-                    f"{format_float(norm)}\n"
-                )
+        header = ["beta", "f", "n", "n_train", "n_test", "train_mse", "test_mse",
+                  "train_time_s", "theta_norm"]
+        _write_csv(args.metrics, header, (
+            (beta, spec.f, spec.n, train_set.n_samples, test_set.n_samples, tr, te,
+             f"{secs:.6f}", norm)
+            for beta, tr, te, secs, norm in rows
+        ))
     return 0
 
 
 def _load_model(path: str):
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedModelFile(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return deserialize(text)
 
 
 def cmd_predict(args) -> int:
@@ -239,18 +239,11 @@ def cmd_predict(args) -> int:
             f"model expects n={model.spec.n} features, data has {X.shape[1]}"
         )
     y_pred = predict_batch(model, X)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        if y_true is not None:
-            fh.write("index,y_true,y_pred\n")
-            for i, (t, p) in enumerate(zip(y_true, y_pred)):
-                fh.write(f"{i},{format_float(t)},{format_float(p)}\n")
-        else:
-            fh.write("index,y_pred\n")
-            for i, p in enumerate(y_pred):
-                fh.write(f"{i},{format_float(p)}\n")
     if y_true is not None:
+        _write_csv(args.out, ["index", "y_true", "y_pred"], zip(itertools.count(), y_true, y_pred))
         print(f"mse={mse(y_pred, y_true):.17g} rows={len(y_pred)} out={args.out}")
     else:
+        _write_csv(args.out, ["index", "y_pred"], enumerate(y_pred))
         print(f"rows={len(y_pred)} out={args.out}")
     return 0
 
@@ -263,14 +256,9 @@ def cmd_sensitivity(args) -> int:
             f"model expects n={model.spec.n} features, x0 rows have {X0.shape[1]}"
         )
     grads = sensitivity_batch(model, X0)
-    n = model.spec.n
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("index," + ",".join(f"g{i + 1}" for i in range(n)) + "\n")
-        for i, row in enumerate(grads):
-            fh.write(f"{i}," + ",".join(map(format_float, row)) + "\n")
-        if args.summary:
-            peak = np.abs(grads).max(axis=0)
-            fh.write("max_abs," + ",".join(map(format_float, peak)) + "\n")
+    summary = [("max_abs", *np.abs(grads).max(axis=0))] if args.summary else []
+    rows = itertools.chain(((i, *row) for i, row in enumerate(grads)), summary)
+    _write_csv(args.out, ["index"] + [f"g{i + 1}" for i in range(model.spec.n)], rows)
     print(f"rows={len(grads)} out={args.out}")
     return 0
 
@@ -324,10 +312,8 @@ def cmd_bench(args) -> int:
         test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
         rows.append((method, f, train_mse, test_mse, best))
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("method,f,train_mse,test_mse,train_time_s\n")
-        for method, f, tr, te, secs in rows:
-            fh.write(f"{method},{f},{format_float(tr)},{format_float(te)},{secs:.6f}\n")
+    _write_csv(args.out, ["method", "f", "train_mse", "test_mse", "train_time_s"],
+               ((method, f, tr, te, f"{secs:.6f}") for method, f, tr, te, secs in rows))
     for method, f, tr, te, secs in rows:
         print(f"{method:8s} f={f:<4d} train_mse={tr:.6e} test_mse={te:.6e} train_time_s={secs:.6f}")
 
@@ -350,13 +336,10 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except _ConfigError as e:
+    except (_ConfigError, NegativeRegularizer) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except NegativeRegularizer as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as e:
+    except (QuadconvError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

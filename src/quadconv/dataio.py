@@ -20,6 +20,7 @@ from .errors import (
 from .regressor import Dataset
 
 _SMOOTH = 5
+_PARSE_CELLS = 1 << 14  # cells per string-to-float conversion in _read_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,69 +78,90 @@ class SplitSpec:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction!r}")
 
 
-def _read_table(path, column_names=None):
-    """Parse a headered CSV into named float columns.
+def _read_table(path):
+    """Parse a headered CSV into its column names and one N x C float array.
 
-    Returns (names, columns) where columns is a list of float lists in the
-    order of `names`. Errors carry the file row and column name.
+    Every data cell is an unquoted decimal number, parsed with float()
+    semantics. Blank lines are skipped; error messages count file lines.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file (missing header row)")
-        names = [h.strip() for h in header]
-        if len(set(names)) != len(names):
-            raise ParseError(f"{path}: duplicate column names in header: {names}")
-        if column_names is None:
-            wanted = names
-        else:
-            wanted = list(column_names)
-            for name in wanted:
-                if name not in names:
-                    raise MissingColumn(
-                        f"{path}: column {name!r} not in header {names}"
-                    )
-        index = [names.index(name) for name in wanted]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            # not str.splitlines, which also breaks at \x0c, \x1c and \u2028
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    if lines == [""]:
+        raise ParseError(f"{path}: empty file (missing header row)")
+    names = [h.strip() for h in next(csv.reader(lines[:1]))]
+    if len(set(names)) != len(names):
+        raise ParseError(f"{path}: duplicate column names in header: {names}")
+    data = [line for line in lines[1:] if line]
+    if not data:
+        raise ParseError(f"{path}: no data rows after the header")
+    # convert a block of lines at a time: one call over the whole file would
+    # hold a Python string (about 60 bytes) per cell at once
+    step = max(1, _PARSE_CELLS // max(len(names), 1))
+    try:
+        table = np.concatenate([
+            np.array(",".join(data[i : i + step]).split(","), dtype=float)
+            for i in range(0, len(data), step)
+        ])
+    except ValueError:
+        table = None
+    if (
+        table is None
+        or {line.count(",") for line in data} != {len(names) - 1}
+        or not np.isfinite(table).all()
+    ):
+        _raise_first_bad_cell(path, names, lines)
+    return names, table.reshape(len(data), len(names))
 
-        columns = [[] for _ in wanted]
-        n_rows = 0
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
+
+def _raise_first_bad_cell(path, names, lines):
+    """Raise the ParseError for the first malformed line; runs only after
+    the whole-file parse has failed, so the success path never loops here."""
+    for rownum, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ParseError(
+                f"{path}: row {rownum}: expected {len(names)} fields, got {len(cells)}"
+            )
+        for name, cell in zip(names, cells):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise ParseError(
-                    f"{path}: row {rownum}: expected {len(names)} fields, got {len(row)}"
+                    f"{path}: row {rownum}, column {name!r}: cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {rownum}, column {name!r}: non-finite value {cell!r}"
                 )
-            for pos, col in enumerate(index):
-                cell = row[col]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {wanted[pos]!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {wanted[pos]!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                columns[pos].append(value)
-            n_rows += 1
-        if n_rows == 0:
-            raise ParseError(f"{path}: no data rows after the header")
-    return wanted, columns
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row: strings as they are,
+    numbers through format_float (lossless for float64)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else format_float(v) for v in row) + "\n")
 
 
 def load_csv(path, schema=None) -> TimeSeries:
     """Read named channels from a headered CSV file.
 
     schema lists the channel names to extract; None takes every header
-    column in file order.
+    column in file order. Every column is parsed, selected or not.
     """
-    names, columns = _read_table(path, schema)
-    return TimeSeries({name: np.array(col) for name, col in zip(names, columns)})
+    names, table = _read_table(path)
+    wanted = names if schema is None else list(schema)
+    for name in wanted:
+        if name not in names:
+            raise MissingColumn(f"{path}: column {name!r} not in header {names}")
+    return TimeSeries({name: table[:, names.index(name)] for name in wanted})
 
 
 def load_feature_csv(path):
@@ -147,31 +169,25 @@ def load_feature_csv(path):
 
     Returns (X, y_or_None, feature_names). Feature columns keep header order.
     """
-    names, columns = _read_table(path, None)
+    names, table = _read_table(path)
     feature_names = [n for n in names if n != "y"]
     if not feature_names:
         raise MissingColumn(f"{path}: no feature columns besides 'y' in header {names}")
-    X = np.column_stack([columns[names.index(n)] for n in feature_names])
-    y = np.array(columns[names.index("y")]) if "y" in names else None
-    return X, y, feature_names
+    if "y" not in names:
+        return table, None, feature_names
+    j = names.index("y")
+    return np.delete(table, j, axis=1), table[:, j].copy(), feature_names
 
 
-def dataset_to_csv(data: Dataset, path, feature_prefix: str = "x") -> None:
+def dataset_to_csv(data: Dataset, path) -> None:
     """Write a dataset as x1..xn,y with lossless float formatting."""
-    n = data.n_features
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([f"{feature_prefix}{i + 1}" for i in range(n)] + ["y"]) + "\n")
-        for row, label in zip(data.inputs, data.labels):
-            fh.write(",".join([format_float(v) for v in row] + [format_float(label)]) + "\n")
+    header = [f"x{i + 1}" for i in range(data.n_features)] + ["y"]
+    _write_csv(path, header, np.column_stack([data.inputs, data.labels]))
 
 
 def series_to_csv(ts: TimeSeries, path) -> None:
     """Write a time series as one column per channel."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(ts.names) + "\n")
-        cols = [ts.channels[name] for name in ts.names]
-        for i in range(ts.length):
-            fh.write(",".join(format_float(col[i]) for col in cols) + "\n")
+    _write_csv(path, ts.names, np.column_stack(list(ts.channels.values())))
 
 
 def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int) -> Dataset:

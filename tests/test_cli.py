@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
                  "--out", str(tmp_path / "b.csv")] + window_r1) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("config error: --r") for line in err)
+    # mode arguments are checked before the data file is read
+    missing = str(tmp_path / "missing.csv")
+    assert main(_train_args(missing, tmp_path, **{"--d": None})) == 1
+    assert main(_train_args(missing, tmp_path, **{"--d": None, "--f": "1"}) + window_r1) == 1
+    assert main(["bench", "--data", missing, "--f-list", "1",
+                 "--out", str(tmp_path / "b.csv")] + window_r1) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("config error:") for line in err)
 
 
 def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
@@ -119,6 +128,85 @@ def test_train_data_errors_exit_2(series_csv, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,y\n1,zap\n")
     assert main(_train_args(str(bad), tmp_path)) == 2
+
+
+# ridge keeps these noise-free fits full rank, so they print no warning
+_TRAIN = ["train", "--d", "3", "--f", "2", "--beta", "1"]
+_WINDOW = ["train", "--mode", "window", "--r", "2", "--label", "y", "--f", "1"]
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A series CSV, a model trained on it and a feature CSV for that model."""
+    root = tmp_path_factory.mktemp("scored")
+    series_to_csv(synth_narx(200, seed=2), root / "series.csv")
+    argv = ["--data", str(root / "series.csv"), "--out", str(root / "model.json")]
+    assert main(_TRAIN + argv) == 0
+    ts = load_csv(str(root / "series.csv"))
+    dataset_to_csv(narx_window(ts, "u", "y", 3), root / "features.csv")
+    (root / "latin1.bin").write_bytes(b"u,y\n1,\xe9\n")
+    (root / "label_only.csv").write_text("y\n" + "\n".join(map(str, range(8))) + "\n")
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        # a path below a regular file raises NotADirectoryError
+        pytest.param(_TRAIN + ["--data", "{root}/series.csv/x", "--out", "{tmp}/m.json"],
+                     2, "data error:", id="train-data-under-file"),
+        pytest.param(_TRAIN + ["--data", "{root}/series.csv", "--out", "{root}/series.csv/m.json"],
+                     2, "data error:", id="train-out-under-file"),
+        pytest.param(_TRAIN + ["--data", "{root}/series.csv", "--out", "{tmp}/m.json",
+                               "--metrics", "{root}/series.csv/m.csv"],
+                     2, "data error:", id="train-metrics-under-file"),
+        pytest.param(["predict", "--model", "{root}/model.json",
+                      "--data", "{root}/features.csv/x", "--out", "{tmp}/p.csv"],
+                     2, "data error:", id="predict-data-under-file"),
+        pytest.param(["predict", "--model", "{root}/model.json",
+                      "--data", "{root}/features.csv", "--out", "{root}/features.csv/p.csv"],
+                     2, "data error:", id="predict-out-under-file"),
+        pytest.param(["sensitivity", "--model", "{root}/model.json",
+                      "--x0", "{root}/features.csv", "--out", "{root}/features.csv/g.csv"],
+                     2, "data error:", id="sensitivity-out-under-file"),
+        pytest.param(["bench", "--d", "3", "--f-list", "1", "--data", "{root}/series.csv",
+                      "--out", "{root}/series.csv/b.csv"],
+                     2, "data error:", id="bench-out-under-file"),
+        # a full device fails the write (ENOSPC), a directory fails the open
+        pytest.param(["predict", "--model", "{root}/model.json",
+                      "--data", "{root}/features.csv", "--out", "/dev/full"],
+                     2, "data error:", id="predict-out-dev-full"),
+        pytest.param(["predict", "--model", "{root}/model.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}"],
+                     2, "data error:", id="predict-out-directory"),
+        # non-UTF-8 bytes in a CSV and in a model file
+        pytest.param(_TRAIN + ["--data", "{root}/latin1.bin", "--out", "{tmp}/m.json"],
+                     2, "data error: {root}/latin1.bin: not UTF-8", id="train-data-not-utf8"),
+        pytest.param(["predict", "--model", "{root}/latin1.bin",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: {root}/latin1.bin: not UTF-8", id="predict-model-not-utf8"),
+        # window mode over a file whose only column is the label
+        pytest.param(_WINDOW + ["--data", "{root}/label_only.csv", "--out", "{tmp}/m.json"],
+                     1, "config error: window mode needs a feature channel",
+                     id="window-no-feature-channel"),
+        # config errors win over a missing data file
+        pytest.param(_WINDOW[:5] + ["--f", "1", "--data", "{tmp}/missing.csv",
+                                    "--out", "{tmp}/m.json"],
+                     1, "config error: window mode requires --label",
+                     id="window-missing-label-and-file"),
+    ],
+)
+def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
+    if "/dev/full" in argv and not Path("/dev/full").exists():
+        pytest.skip("/dev/full is not available")
+    fill = {"root": str(scored), "tmp": str(tmp_path)}
+    capsys.readouterr()
+    assert main([a.format(**fill) for a in argv]) == code
+    err = capsys.readouterr().err
+    # an exception escaping main fails the test before this point
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix.format(**fill))
 
 
 def test_train_window_mode(tmp_path):

@@ -23,6 +23,8 @@ from quadconv import (
     split,
     synth_narx,
 )
+from quadconv import dataio
+from quadconv.dataio import _read_table, _write_csv
 
 
 def _write(path, text):
@@ -67,6 +69,85 @@ def test_load_csv_missing_column(tmp_path):
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(ParseError, match="row 3"):
         load_csv(_write(tmp_path / "ragged.csv", "u,y\n1,2\n3\n"), ["u", "y"])
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
+@pytest.mark.parametrize("seed", range(5))
+def test_write_read_round_trip_is_bit_exact(tmp_path, monkeypatch, seed, block_cells):
+    # small blocks make the reader convert the file in several pieces
+    monkeypatch.setattr(dataio, "_PARSE_CELLS", block_cells)
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 40)), 1 if seed == 0 else int(rng.integers(1, 9)))
+    table = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    table[0, 0] = -0.0
+    names = [f"c{j}" for j in range(shape[1])]
+    path = tmp_path / "t.csv"
+    _write_csv(path, names, table)
+    back_names, back = _read_table(path)
+    assert back_names == names
+    assert back.shape == shape
+    np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))
+
+
+def test_read_table_matches_float_per_cell(tmp_path):
+    cells = ["1_000", " 2 ", "+3", ".5", "5.", "1E3", "-0", "\x0c7", "1e-320", "0012"]
+    path = _write(tmp_path / "forms.csv", "a,b\n" + "\n".join(
+        f"{x},{y}" for x, y in zip(cells[::2], cells[1::2])) + "\n")
+    _, table = _read_table(path)
+    expected = np.array([float(c) for c in cells])
+    np.testing.assert_array_equal(table.ravel().view(np.int64), expected.view(np.int64))
+
+
+def test_load_csv_crlf_and_blank_lines(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"u,y\r\n1,2\r\n\r\n3,4\r\n\n5,6")
+    ts = load_csv(str(path))
+    np.testing.assert_array_equal(ts.channels["u"], [1.0, 3.0, 5.0])
+    np.testing.assert_array_equal(ts.channels["y"], [2.0, 4.0, 6.0])
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("u,y\n1,2\n3,4\n5,x\n", "row 4, column 'y'"),  # last row
+        ("u,y\n1,2\n\n\nx,4\n", "row 5, column 'u'"),  # after blank lines
+        ("u,y\r\n1,2\r\n\r\n3,nan\r\n", "row 4, column 'y': non-finite"),
+        ("u\n1\n   \n2\n", "row 3, column 'u'"),  # whitespace-only line
+        ("u,y\n1,2\n   \n", "row 3: expected 2 fields, got 1"),
+        ("u,y\n1,2,3\n4\n", "row 2: expected 2 fields, got 3"),  # total count fits
+        ('u,y\n1,"2.5"\n', "row 2, column 'y': cannot parse '\"2.5\"'"),  # quoted cell
+    ],
+)
+def test_load_csv_bad_cell_location_counts_file_lines(tmp_path, text, where):
+    with pytest.raises(ParseError) as info:
+        load_csv(_write(tmp_path / "bad.csv", text))
+    message = str(info.value)
+    assert where in message
+    assert "\n" not in message
+
+
+def test_load_csv_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"u,y\n1,\xe9\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(str(path))
+
+
+def test_load_csv_parses_unselected_columns(tmp_path):
+    path = _write(tmp_path / "tag.csv", "u,y,tag\n1,2,a\n")
+    with pytest.raises(ParseError, match="column 'tag'"):
+        load_csv(path, ["u", "y"])
+
+
+def test_load_feature_csv_layout(tmp_path):
+    path = _write(tmp_path / "f.csv", "x1,y,x2\n1,2,3\n4,5,6\n")
+    X, y, names = load_feature_csv(path)
+    assert names == ["x1", "x2"]
+    assert X.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(X, [[1.0, 3.0], [4.0, 6.0]])
+    np.testing.assert_array_equal(y, [2.0, 5.0])
+    X, y, _ = load_feature_csv(_write(tmp_path / "g.csv", "a,b\n1,2\n"))
+    assert X.flags["C_CONTIGUOUS"] and y is None
 
 
 def test_load_csv_default_schema_keeps_header_order(tmp_path):
