@@ -1,14 +1,20 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (any other package
-error, or a file that cannot be read or written), 3 verification failure.
+error, or a file that cannot be read or written), 3 verification failure,
+141 (the shell's code for a process ended by SIGPIPE) when stdout is closed
+before the command's summary is printed, as in `quadconv ... | head -c0`;
+this one exits without a message.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -179,11 +185,26 @@ def _beta_path(base: str, beta: float, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}_beta{beta:g}{path.suffix or '.json'}")
 
 
+def _check_parent_dir(path) -> None:
+    """Raise the OSError that writing `path` would, when its parent is not
+    an existing directory, so a bad output path fails before the fit."""
+    try:
+        mode = os.stat(Path(path).parent).st_mode
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from None
+    if not stat.S_ISDIR(mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+
+
 def cmd_train(args) -> int:
     params, split_spec = _train_config(args)
     betas = _beta_list(args.beta)
     if args.f < 1:
         raise _ConfigError("--f must be >= 1")
+    for beta in betas:
+        _check_parent_dir(_beta_path(args.out, beta, len(betas) > 1))
+    if args.metrics:
+        _check_parent_dir(args.metrics)
 
     data = _windowed_dataset(args)
     if args.f > data.n_features:
@@ -290,6 +311,7 @@ def cmd_bench(args) -> int:
         raise _ConfigError("--f-list must contain integers >= 1")
     if args.repeats < 1:
         raise _ConfigError("--repeats must be >= 1")
+    _check_parent_dir(args.out)
 
     data = _windowed_dataset(args)
     n = data.n_features
@@ -335,7 +357,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout shows here, not in the interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing can reach a closed stdout; point it at the null device so
+        # the exit flush of the unwritten buffer does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (_ConfigError, NegativeRegularizer) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

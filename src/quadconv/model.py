@@ -182,6 +182,11 @@ def _reject_constant(token: str):
     raise MalformedModelFile(f"non-finite number {token!r} is not allowed")
 
 
+def _parse_int(token: str):
+    # serialize writes a negative zero as "-0", which int() would read as 0
+    return -0.0 if token == "-0" else int(token)
+
+
 def _require_int(doc: dict, key: str) -> int:
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, int):
@@ -220,7 +225,7 @@ def _require_num_list(doc: dict, key: str, length: int, why: str) -> np.ndarray:
 def deserialize(text: str) -> QuadraticModel:
     """Parse a model file, reporting the offending line or field on error."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise MalformedModelFile(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"

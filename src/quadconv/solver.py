@@ -8,6 +8,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrt
 
 from .core import ConvSpec
 from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
@@ -16,6 +17,13 @@ from .regressor import RegressorMatrix
 # Accept the Cholesky solution only when the normal-equation residual is at
 # rounding level; otherwise fall through to the QR/SVD route.
 _CHOLESKY_ACCEPT = 1e-10
+
+# The QR fallback and the residual norms walk H in blocks of at least this
+# many rows, and of at least four triangles of the QR, so the triangle
+# stacked on each block stays a small share of it. Each QR step factors its
+# block by LAPACK's recursive blocked QR with panels this wide.
+_BLOCK_ROWS = 4096
+_QR_PANEL = 64
 
 
 class SolveStrategy(str, Enum):
@@ -46,8 +54,9 @@ class SolveReport:
     """Solution plus diagnostics of a single least-squares solve.
 
     `seconds` is the wall time this beta added to its sweep: the first beta
-    of a sweep also carries the shared Gram, and the first beta that falls
-    back also carries the sweep's one QR/SVD.
+    of a sweep also carries the shared Gram and the shared walk over H that
+    computes every beta's residual norm, and the first beta that falls back
+    also carries the sweep's one QR/SVD.
     """
 
     theta: WeightVector
@@ -98,8 +107,9 @@ def solve_path(H: RegressorMatrix, y, betas) -> list[SolveReport]:
     The Gram matrix H'H and H'y are formed once. Each beta factors
     H'H + beta I by Cholesky; a beta whose factor is degenerate or fails
     the residual check falls back to one QR of [H | y] shared by the whole
-    sweep. Each report's weights and diagnostics equal solve_ridge's for
-    its beta bit for bit.
+    sweep, and one walk over H gives every beta's residual norm. Each
+    report's weights and diagnostics equal solve_ridge's for its beta bit
+    for bit.
     """
     return _solve_path(H, y, _check_betas(betas))
 
@@ -112,17 +122,22 @@ def _solve_path(H: RegressorMatrix, y, betas: list[float]) -> list[SolveReport]:
         raise DimensionMismatch(
             f"labels must have shape ({M.shape[0]},), got {y.shape}"
         )
-    if not np.isfinite(M).all():
-        raise NonFiniteInput("regressor matrix contains non-finite values")
     if not np.isfinite(y).all():
         raise NonFiniteInput("labels contain non-finite values")
 
-    A = M.T @ M
-    rhs = M.T @ y
+    # a NaN or inf in column j makes A_jj = sum_i M_ij^2 non-finite, so the
+    # Gram diagonal stands in for a scan of H
+    with np.errstate(invalid="ignore", over="ignore"):
+        A = M.T @ M
     gram_diagonal = A.diagonal().copy()
+    if not np.isfinite(gram_diagonal).all():
+        if not np.isfinite(M).all():
+            raise NonFiniteInput("regressor matrix contains non-finite values")
+        raise NonFiniteInput("H'H overflows: the regressor entries are too large")
+    rhs = M.T @ y
     scale = max(1.0, float(np.linalg.norm(rhs)))
     svd = None
-    reports = []
+    solved = []  # the fields of each beta's report but its residual norm
     for beta in betas:
         # A holds H'H + beta I; its diagonal is rewritten from the saved
         # one, so every beta sees exactly the matrix a lone solve would
@@ -135,20 +150,47 @@ def _solve_path(H: RegressorMatrix, y, betas: list[float]) -> list[SolveReport]:
                 svd = _rank_revealing(M, y)
             theta, rank_deficient = _pseudoinverse(*svd, beta, max(M.shape))
             strategy = SolveStrategy.PSEUDOINVERSE
-        residual_norm = float(np.linalg.norm(y - M @ theta))
         normal_residual_norm = float(np.linalg.norm(A @ theta - rhs))
         now = time.perf_counter()
-        reports.append(SolveReport(
+        solved.append(dict(
             theta=WeightVector(theta, H.spec),
             beta=beta,
-            residual_norm=residual_norm,
             normal_residual_norm=normal_residual_norm,
             rank_deficient=rank_deficient,
             solve_strategy=strategy,
             seconds=now - t,
         ))
         t = now
-    return reports
+    residual_norms = _residual_norms(M, y, [s["theta"].theta for s in solved])
+    # the shared walk counts towards the first beta, as the Gram does
+    solved[0]["seconds"] += time.perf_counter() - t
+    return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
+
+
+def _block_rows(p):
+    """Rows per block of a p-column H."""
+    return max(_BLOCK_ROWS, 4 * (p + 1))
+
+
+def _row_blocks(N, p):
+    """Slices of consecutive rows that cover N rows of a p-column H."""
+    rows = _block_rows(p)
+    return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
+
+
+def _residual_norms(M, y, thetas):
+    """||y - M theta|| for every theta, reading each row block of M once.
+
+    Each theta gets its own product per block, so its norm does not depend
+    on which other thetas share the walk.
+    """
+    squares = np.zeros(len(thetas))
+    for rows in _row_blocks(*M.shape):
+        block, labels = M[rows], y[rows]
+        for i, theta in enumerate(thetas):
+            r = labels - block @ theta
+            squares[i] += r @ r
+    return np.sqrt(squares)
 
 
 def _cholesky(A, rhs, beta, scale, size):
@@ -175,20 +217,32 @@ def _cholesky(A, rhs, beta, scale, size):
 
 
 def _rank_revealing(M, y):
-    """Singular values s, right singular vectors Vt and U'y of H, from one
-    Householder QR of [H | y] and an SVD of its small triangle.
+    """Singular values s, right singular vectors Vt and U'y of H, from a
+    QR of [H | y] and an SVD of its small triangle.
 
     With [H | y] = Q [R z], H = (Q U_R) S Vt for the SVD R = U_R S Vt, so
-    U'y = U_R' z. The QR overwrites its one Fortran-ordered buffer, and
-    the N-row left factor U is never formed.
+    U'y = U_R' z. The QR is a tall-skinny QR over row blocks: the triangle
+    of the rows so far is stacked on the next block in one Fortran-ordered
+    buffer, and the buffer is factored in place; the triangle of the stack
+    is the triangle of all rows so far. Neither Q, an N-row copy of H nor
+    the N-row left factor U is formed.
     """
     N, p = M.shape
-    Hy = np.empty((N, p + 1), order="F")
-    Hy[:, :p] = M
-    Hy[:, p] = y
-    # mode="raw" returns only the leading triangle as R; mode="r" would
-    # return triu of the whole N-row buffer
-    _, R = scipy.linalg.qr(Hy, mode="raw", overwrite_a=True, check_finite=False)
+    width = p + 1
+    buffer = np.empty((min(N, _block_rows(p)) + width) * width)
+    R = np.zeros((0, width))
+    for rows in _row_blocks(N, p):
+        k = len(R)
+        m = k + rows.stop - rows.start
+        # a contiguous m-row view, so the factorization works in place
+        stack = buffer[: m * width].reshape((m, width), order="F")
+        stack[:k] = R
+        stack[k:, :p] = M[rows]
+        stack[k:, p] = y[rows]
+        qr, _, info = dgeqrt(min(_QR_PANEL, m, width), stack, overwrite_a=True)
+        if info:
+            raise RuntimeError(f"dgeqrt rejected argument {-info}")
+        R = np.triu(qr[: min(m, width)])
     k = min(N, p)
     U_R, s, Vt = np.linalg.svd(R[:k, :p], full_matrices=False)
     return s, Vt, U_R.T @ R[:k, p]

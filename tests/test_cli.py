@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +208,61 @@ def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix.format(**fill))
+    # a failed run leaves no model, metrics or other output behind
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(_TRAIN + ["--out", "{tmp}/missing/m.json"],
+                     "No such file or directory: '{tmp}/missing/m.json'", id="out-missing-dir"),
+        pytest.param(_TRAIN + ["--out", "{root}/series.csv/m.json"],
+                     "Not a directory: '{root}/series.csv/m.json'", id="out-under-file"),
+        pytest.param(_TRAIN + ["--out", "{root}/series.csv/m.json", "--beta", "0,1"],
+                     "Not a directory: '{root}/series.csv/m_beta0.json'",
+                     id="sweep-out-under-file"),
+        pytest.param(_TRAIN + ["--out", "{tmp}/m.json", "--metrics", "{root}/series.csv/m.csv"],
+                     "Not a directory: '{root}/series.csv/m.csv'", id="metrics-under-file"),
+        pytest.param(["bench", "--d", "3", "--f-list", "1", "--out", "{root}/series.csv/b.csv"],
+                     "Not a directory: '{root}/series.csv/b.csv'", id="bench-out-under-file"),
+    ],
+)
+def test_output_directories_are_checked_before_reading_data(
+    scored, tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_read(path):
+        raise AssertionError(f"read {path} before checking the output paths")
+
+    monkeypatch.setattr("quadconv.cli.load_csv", no_read)
+    fill = {"root": str(scored), "tmp": str(tmp_path)}
+    argv = argv + ["--data", "{root}/series.csv"]
+    capsys.readouterr()
+    assert main([a.format(**fill) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.rstrip().endswith(message.format(**fill))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_exits_quietly(scored, tmp_path):
+    # the reader closes the pipe before the command prints anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadconv", "predict", "--model", str(scored / "model.json"),
+             "--data", str(scored / "features.csv"), "--out", str(tmp_path / "p.csv")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+    # the predictions file is written in full before the summary line
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert lines[0] == "index,y_true,y_pred" and len(lines) > 1
 
 
 def test_train_window_mode(tmp_path):

@@ -256,6 +256,51 @@ def test_serialize_round_trip_random_models_bit_exact():
         assert back.params == m.params
 
 
+def _random_doubles(rng, size):
+    # any finite float64: random sign, exponent and mantissa, with zeros,
+    # subnormals and the extremes mixed in
+    bits = rng.integers(0, 2**63 - 2**52, size=size, dtype=np.int64)  # below inf
+    bits |= rng.integers(0, 2, size=size, dtype=np.int64) << 63
+    values = bits.view(np.float64)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1.0]
+    picks = rng.random(size) < 0.2
+    values[picks] = rng.choice(special, size=int(picks.sum()))
+    return values
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_serialize_round_trip_is_bit_exact_for_random_specs():
+    rng = np.random.default_rng(14)
+    shapes = [(1, 1), (2, 1), (2, 2), (7, 1), (7, 7)]
+    shapes += [(n, int(rng.integers(1, n + 1))) for n in rng.integers(1, 40, size=195)]
+    for n, f in shapes:
+        spec = ConvSpec(int(n), int(f))
+        a = float(np.exp(rng.uniform(-30, 30)))
+        c = float(np.exp(rng.uniform(-30, 30)))
+        b = float(rng.choice([-1.0, 1.0]) * 2.0 * np.sqrt(a * c) * np.exp(rng.uniform(0, 5)))
+        if b * b - 4.0 * a * c < 0:
+            b = 2.0 * b  # |b| = 2 sqrt(ac) can round below the discriminant's zero
+        # the derived trace zbar4 of extreme bands can overflow to inf
+        with np.errstate(over="ignore"):
+            m = QuadraticModel(
+                _random_doubles(rng, spec.band_size),
+                _random_doubles(rng, spec.n),
+                spec,
+                ActivationParams(a, b, c),
+            )
+            back = deserialize(serialize(m))
+        assert back.spec == m.spec
+        for field in ("zbar1_band", "zbar2", "zbar1"):
+            np.testing.assert_array_equal(_bits(getattr(back, field)), _bits(getattr(m, field)))
+        for value in ("a", "b", "c"):
+            assert _bits(getattr(back.params, value)) == _bits(getattr(m.params, value))
+        # zbar4 is not stored but derived again from the same band
+        assert _bits(back.zbar4) == _bits(m.zbar4)
+
+
 def test_serialize_uses_17_significant_digits():
     spec = ConvSpec(1, 1)
     m = QuadraticModel(np.array([0.1]), np.array([2.0]), spec, _RELU)

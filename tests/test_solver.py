@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,46 +271,126 @@ def test_fallback_matches_lstsq_minimum_norm_on_short_systems(n_samples):
     np.testing.assert_allclose(rep.theta.theta, reference, rtol=1e-8, atol=1e-12)
 
 
+def _assert_fallback_matches_svd_formulas(H, y, betas):
+    # every beta takes the QR/SVD route; compare with the SVD of H itself
+    reports = solve_path(H, y, betas)
+    U, s, Vt = np.linalg.svd(H.matrix, full_matrices=False)
+    for beta, rep in zip(betas, reports):
+        assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+        assert rep.rank_deficient == (H.n_rows < H.n_cols)
+        if beta > 0:
+            expected = Vt.T @ (s / (s * s + beta) * (U.T @ y))
+        else:
+            expected, _ = _lstsq(H, y)
+        np.testing.assert_allclose(rep.theta.theta, expected, rtol=1e-8, atol=1e-12)
+        residual = np.linalg.norm(y - H.matrix @ rep.theta.theta)
+        assert rep.residual_norm == pytest.approx(residual, rel=1e-12, abs=1e-14)
+
+
 @pytest.mark.parametrize("n_samples", [40, 11, 5])  # N > p, N = p, N < p; p = 11
 def test_forced_fallback_matches_svd_formulas(monkeypatch, n_samples):
     # no Cholesky solution is accepted, so every beta takes the QR/SVD route
     monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", -1.0)
     rng = np.random.default_rng(13)
     H, y = _random_system(rng, 4, 2, n_samples=n_samples)
-    betas = [0.5, 3.0, 0.0]
-    reports = solve_path(H, y, betas)
-    U, s, Vt = np.linalg.svd(H.matrix, full_matrices=False)
-    for beta, rep in zip(betas, reports):
-        assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
-        assert rep.rank_deficient == (n_samples < H.n_cols)
-        if beta > 0:
-            expected = Vt.T @ (s / (s * s + beta) * (U.T @ y))
-        else:
-            expected, _ = _lstsq(H, y)
-        np.testing.assert_allclose(rep.theta.theta, expected, rtol=1e-8, atol=1e-12)
+    _assert_fallback_matches_svd_formulas(H, y, [0.5, 3.0, 0.0])
 
 
-def test_fallback_factors_no_n_row_matrix_but_its_own_buffer(monkeypatch):
-    # the QR overwrites its one [H | y] buffer, and every SVD is of a
-    # triangle with at most p rows, so no N x p left factor is formed
-    factored, svd_shapes = [], []
-    qr, svd = solver.scipy.linalg.qr, np.linalg.svd
+# p = 11: one-row blocks, blocks shorter than the triangle, an odd size and
+# blocks of exactly p + 1 rows, each over N > p (partial last block), N = p
+# and N < p; rows of the first block stay below p + 1 in all but the last
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 12])
+@pytest.mark.parametrize("n_samples", [40, 11, 5])
+def test_forced_fallback_in_small_row_blocks(monkeypatch, n_samples, block_rows):
+    monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", -1.0)
+    monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
+    rng = np.random.default_rng(13)
+    H, y = _random_system(rng, 4, 2, n_samples=n_samples)
+    assert len(solver._row_blocks(n_samples, H.n_cols)) == -(-n_samples // block_rows)
+    _assert_fallback_matches_svd_formulas(H, y, [0.5, 3.0, 0.0])
 
-    def recording_qr(a, **kwargs):
-        out = qr(a, **kwargs)
-        factored.append(np.shares_memory(out[0][0], a))
-        return out
+
+@pytest.mark.parametrize("block_rows", [5, 38])  # p = 37
+def test_rank_deficient_fallback_in_small_row_blocks(monkeypatch, block_rows):
+    H, y = _narx_system()
+    whole = solve_path(H, y, [0.0, 1.0])
+    monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
+    blocked = solve_path(H, y, [0.0, 1.0])
+    assert blocked[0].rank_deficient
+    assert blocked[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
+    reference, _ = _lstsq(H, y)
+    np.testing.assert_allclose(blocked[0].theta.theta, reference, rtol=1e-8, atol=1e-10)
+    # the Cholesky beta does not read the QR; only its residual walk is blocked
+    assert blocked[1].theta.theta.tobytes() == whole[1].theta.theta.tobytes()
+    assert blocked[1].residual_norm == pytest.approx(whole[1].residual_norm, rel=1e-12)
+
+
+# Both solvers are backward stable, so on these full-rank, small-residual
+# systems their weights differ by at most c * eps * cond(H) relative, with
+# c = 1; the largest ratio seen over these cases is 0.14.
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("scale, offset", [(1e4, 0.0), (1.0, 50.0), (1.0, 1e3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forced_fallback_accuracy_on_scaled_and_offset_features(
+    monkeypatch, scale, offset, seed, block_rows
+):
+    monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", -1.0)
+    if block_rows is not None:
+        monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
+    rng = np.random.default_rng(seed)
+    spec = ConvSpec(6, 3)
+    X = rng.uniform(-1, 1, size=(500, spec.n)) * scale + offset
+    H = build_regressor(Dataset(X, np.zeros(500)), spec, ActivationParams(0.0937, 0.5, 0.4688))
+    M = H.matrix
+    y = M @ rng.uniform(-1, 1, size=spec.n_weights)
+    y += 0.01 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
+    rep = solve_ls(H, y)
+    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert not rep.rank_deficient
+    reference, _ = _lstsq(H, y)
+    s = np.linalg.svd(M, compute_uv=False)
+    bound = np.finfo(float).eps * s[0] / s[-1]
+    error = np.linalg.norm(rep.theta.theta - reference) / np.linalg.norm(reference)
+    assert error <= bound
+
+
+def test_fallback_allocates_no_n_row_matrix(monkeypatch):
+    # a fallback over several row blocks holds one block-sized buffer, and
+    # every SVD is of a triangle with at most p rows, so no N-row copy of
+    # H and no N x p left factor is formed
+    svd_shapes = []
+    svd = np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
         svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(solver.scipy.linalg, "qr", recording_qr)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    H, y = _narx_system()
-    solve_path(H, y, [0.0, 0.0])
-    assert factored == [True]
+    data = narx_window(synth_narx(13000, seed=9), "u", "y", 5)
+    H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
+    assert len(solver._row_blocks(H.n_rows, H.n_cols)) >= 4
+    tracemalloc.start()
+    try:
+        reports = solve_path(H, data.labels, [0.0, 0.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert peak <= H.matrix.nbytes / 2
     assert svd_shapes == [(H.n_cols, H.n_cols)]
+
+
+def test_non_finite_regressor_columns_are_named_by_the_gram_diagonal():
+    spec = ConvSpec(2, 2)
+    big = np.eye(5)
+    big[0, 1] = 1e200  # finite, but its square is not
+    with pytest.raises(NonFiniteInput, match="overflows"):
+        solve_ls(RegressorMatrix(big, spec, _PARAMS), np.zeros(5))
+    for value in (np.nan, -np.inf):
+        bad = np.eye(5)
+        bad[2, 4] = value
+        with pytest.raises(NonFiniteInput, match="regressor matrix contains non-finite"):
+            solve_ls(RegressorMatrix(bad, spec, _PARAMS), np.zeros(5))
 
 
 @pytest.mark.parametrize(
