@@ -12,21 +12,15 @@ internals, which is what makes the agreement informative.
 
 import numpy as np
 
-from quadconv import (
-    ConvSpec,
-    Dataset,
-    RELU_MIMIC,
+from quadconv import ConvSpec, Dataset, RELU_MIMIC, fit, predict, sensitivity, to_weight_vector
+from quadconv.oracle import (
     aggregate,
     dense_qnn_fit,
     eval_neuron_sum,
     eval_patch_model,
-    fit,
     induced_patch_models,
-    predict,
     random_neuron_set,
     random_patch_model_set,
-    sensitivity,
-    to_weight_vector,
 )
 
 rng = np.random.default_rng(0)
@@ -63,8 +57,8 @@ data = Dataset(
     rng.uniform(-1, 1, size=(3 * spec.n_weights, n)),
     rng.uniform(-1, 1, size=3 * spec.n_weights),
 )
-theta_pipeline = to_weight_vector(fit(data, spec, RELU_MIMIC).model).theta
-theta_oracle = to_weight_vector(dense_qnn_fit(data, RELU_MIMIC)).theta
+theta_pipeline = to_weight_vector(fit(data, spec, RELU_MIMIC).model)
+theta_oracle = to_weight_vector(dense_qnn_fit(data, RELU_MIMIC))
 gap = np.linalg.norm(theta_pipeline - theta_oracle) / np.linalg.norm(theta_pipeline)
 print(f"   relative weight-vector difference: {gap:.3e}")
 print()

@@ -61,7 +61,7 @@ for label, data in datasets.items():
     for beta, result in zip(betas, fit_path(train_set, spec, RELU_MIMIC, betas)):
         tr = mse(predict_batch(result.model, train_set.inputs), train_set.labels)
         te = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
-        norm = np.linalg.norm(to_weight_vector(result.model).theta)
+        norm = np.linalg.norm(to_weight_vector(result.model))
         print(f"  {beta:>8g} {tr:>12.3e} {te:>12.3e} {norm:>10.4f}")
     print(f"  (variance of test labels: {np.var(test_set.labels):.3e})")
     print()

@@ -62,20 +62,8 @@ from .model import (
     serialize,
     to_weight_vector,
 )
-from .oracle import (
-    NeuronSet,
-    PatchModelSet,
-    aggregate,
-    dense_qnn_fit,
-    eval_neuron_sum,
-    eval_patch_model,
-    extract_patches,
-    induced_patch_models,
-    random_neuron_set,
-    random_patch_model_set,
-)
-from .regressor import Dataset, RegressorMatrix, build_regressor
-from .solver import SolveReport, SolveStrategy, WeightVector, solve_ls, solve_path, solve_ridge
+from .regressor import Dataset, build_regressor
+from .solver import SolveReport, SolveStrategy, solve_ls, solve_path, solve_ridge
 from .train import FitResult, fit, fit_path
 
 __version__ = "0.1.0"
@@ -92,33 +80,23 @@ __all__ = [
     "MalformedModelFile",
     "MissingColumn",
     "NegativeRegularizer",
-    "NeuronSet",
     "NonFiniteInput",
     "ParseError",
-    "PatchModelSet",
     "QuadconvError",
     "QuadraticModel",
     "RELU_MIMIC",
-    "RegressorMatrix",
     "SolveReport",
     "SolveStrategy",
     "SplitSpec",
     "TimeSeries",
-    "WeightVector",
     "activation_eval",
-    "aggregate",
     "band_counts",
     "band_index_map",
     "build_regressor",
     "dataset_to_csv",
-    "dense_qnn_fit",
     "deserialize",
-    "eval_neuron_sum",
-    "eval_patch_model",
-    "extract_patches",
     "fit",
     "fit_path",
-    "induced_patch_models",
     "load_csv",
     "load_feature_csv",
     "mse",
@@ -126,8 +104,6 @@ __all__ = [
     "narx_window",
     "predict",
     "predict_batch",
-    "random_neuron_set",
-    "random_patch_model_set",
     "reconstruct",
     "sensitivity",
     "sensitivity_batch",

@@ -224,7 +224,7 @@ def cmd_train(args) -> int:
             )
         train_mse = mse(predict_batch(result.model, train_set.inputs), train_set.labels)
         test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
-        theta_norm = float(np.linalg.norm(to_weight_vector(result.model).theta))
+        theta_norm = float(np.linalg.norm(to_weight_vector(result.model)))
         out_path = _beta_path(args.out, beta, len(betas) > 1)
         out_path.write_text(serialize(result.model), encoding="utf-8")
         rows.append((beta, train_mse, test_mse, result.train_seconds, theta_norm))

@@ -1,5 +1,9 @@
 """Banded quadratic input-output model: reconstruction from the weight
 vector, prediction, input sensitivity, and JSON (de)serialization.
+
+This module owns the weight-vector layout theta = [diagonal of Zbar1;
+doubled off-diagonal band entries, diagonal-major; Zbar2], of length q + n,
+which build_regressor's columns follow and reconstruct inverts.
 """
 
 from __future__ import annotations
@@ -11,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ActivationParams, ConvSpec, band_index_map, format_float, validate_activation
-from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile
-from .solver import WeightVector
+from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile, NonFiniteInput
 
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
 
@@ -26,8 +29,9 @@ class QuadraticModel:
     read-only values are derived from the band once, on construction: the
     dense `zbar1` that predict and sensitivity multiply by, and `zbar4`,
     the trace of Zbar1, which is never stored in a model file so the trace
-    tie cannot drift. Activation coefficients travel with the model so it
-    is self-contained for prediction.
+    tie cannot drift; a band whose trace is not finite is refused.
+    Activation coefficients travel with the model so it is self-contained
+    for prediction.
     """
 
     zbar1_band: np.ndarray
@@ -48,6 +52,14 @@ class QuadraticModel:
             raise DimensionMismatch(
                 f"zbar2 must have length {self.spec.n}, got shape {z2.shape}"
             )
+        # a finite diagonal can still sum past the float range; such a trace
+        # would turn every prediction into inf or nan
+        with np.errstate(over="ignore"):
+            trace = float(band[: self.spec.n].sum())
+        if not math.isfinite(trace):
+            raise NonFiniteInput(
+                f"the trace of Zbar1 (zbar4) is non-finite: the band diagonal sums to {trace!r}"
+            )
         m = band_index_map(self.spec)
         Z = np.zeros((self.spec.n, self.spec.n))
         Z[m.rows, m.cols] = band
@@ -57,7 +69,7 @@ class QuadraticModel:
         object.__setattr__(self, "zbar1_band", band)
         object.__setattr__(self, "zbar2", z2)
         object.__setattr__(self, "zbar1", Z)
-        object.__setattr__(self, "zbar4", float(band[: self.spec.n].sum()))
+        object.__setattr__(self, "zbar4", trace)
 
     def zbar1_dense(self) -> np.ndarray:
         """A writable copy of Zbar1 as a dense symmetric n x n matrix."""
@@ -79,24 +91,28 @@ class QuadraticModel:
         return cls(Z[m.rows, m.cols], zbar2, spec, params)
 
 
-def reconstruct(theta: WeightVector, params: ActivationParams) -> QuadraticModel:
-    """Invert the weight-vector layout.
+def reconstruct(theta, spec: ConvSpec, params: ActivationParams) -> QuadraticModel:
+    """Invert the weight-vector layout of a length q + n theta.
 
     Off-diagonal band entries are stored doubled in theta (each unordered
     pair appears once in the regressor), so they are halved here.
     """
-    spec = theta.spec
-    t = theta.theta
+    t = np.asarray(theta, dtype=float)
+    if t.shape != (spec.n_weights,):
+        raise DimensionMismatch(
+            f"weight vector must have length {spec.n_weights}, got shape {t.shape}"
+        )
     band = t[: spec.band_size].copy()
     band[spec.n :] *= 0.5
     return QuadraticModel(band, t[spec.band_size :], spec, params)
 
 
-def to_weight_vector(model: QuadraticModel) -> WeightVector:
-    """Inverse of reconstruct: double the off-diagonal band entries."""
+def to_weight_vector(model: QuadraticModel) -> np.ndarray:
+    """Inverse of reconstruct: the model's theta, with the off-diagonal band
+    entries doubled."""
     band = model.zbar1_band.copy()
     band[model.spec.n :] *= 2.0
-    return WeightVector(np.concatenate([band, model.zbar2]), model.spec)
+    return np.concatenate([band, model.zbar2])
 
 
 # The evaluation kernel. Both maps read the same product X @ Zbar1:

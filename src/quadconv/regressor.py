@@ -42,41 +42,14 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class RegressorMatrix:
-    """Regressor H with one row per sample and q + n columns.
+def build_regressor(data: Dataset, spec: ConvSpec, params: ActivationParams) -> np.ndarray:
+    """Assemble the N x (q + n) array H so that H @ theta is the model
+    output at every sample.
 
-    Columns [0, q) hold the activation-weighted band products plus the
-    constant contribution on the diagonal block; columns [q, q + n) hold
-    b times the raw features.
-    """
-
-    matrix: np.ndarray
-    spec: ConvSpec
-    params: ActivationParams
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[1] != self.spec.n_weights:
-            raise DimensionMismatch(
-                f"regressor must have {self.spec.n_weights} columns, got shape {M.shape}"
-            )
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_regressor(data: Dataset, spec: ConvSpec, params: ActivationParams) -> RegressorMatrix:
-    """Assemble H so that H @ theta is the model output at every sample.
-
-    Row i is [a * vecf(x_i) with c added to the n diagonal entries, b * x_i].
-    Deterministic regardless of how rows might be batched. H is allocated
+    Row i is [a * vecf(x_i) with c added to the n diagonal entries, b * x_i]:
+    columns [0, q) hold the activation-weighted band products plus the
+    constant contribution on the diagonal block, columns [q, q + n) hold b
+    times the raw features. Deterministic regardless of how rows might be batched. H is allocated
     once and filled in place, so assembly needs no temporaries of its size.
     """
     if data.n_features != spec.n:
@@ -90,4 +63,4 @@ def build_regressor(data: Dataset, spec: ConvSpec, params: ActivationParams) -> 
     quad *= params.a
     quad[:, :n] += params.c
     np.multiply(X, params.b, out=H[:, q:])
-    return RegressorMatrix(H, spec, params)
+    return H

@@ -7,12 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqrt
 
-from .core import ConvSpec
 from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
-from .regressor import RegressorMatrix
 
 # Accept the Cholesky solution only when the normal-equation residual is at
 # rounding level; otherwise fall through to the QR/SVD route.
@@ -32,34 +28,17 @@ class SolveStrategy(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Trained weights: [diagonal of Zbar1; doubled off-diagonal band
-    entries, diagonal-major; Zbar2]. Length q + n."""
-
-    theta: np.ndarray
-    spec: ConvSpec
-
-    def __post_init__(self):
-        t = np.array(self.theta, dtype=float, copy=True)
-        if t.shape != (self.spec.n_weights,):
-            raise DimensionMismatch(
-                f"weight vector must have length {self.spec.n_weights}, got shape {t.shape}"
-            )
-        t.setflags(write=False)
-        object.__setattr__(self, "theta", t)
-
-
-@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution plus diagnostics of a single least-squares solve.
 
     `seconds` is the wall time this beta added to its sweep: the first beta
     of a sweep also carries the shared Gram and the shared walk over H that
     computes every beta's residual norm, and the first beta that falls back
-    also carries the sweep's one QR/SVD.
+    also carries the sweep's one QR/SVD. `theta` is read-only, one weight
+    per column of H, in the layout that model.reconstruct inverts.
     """
 
-    theta: WeightVector
+    theta: np.ndarray
     beta: float
     residual_norm: float
     normal_residual_norm: float
@@ -82,8 +61,8 @@ def _check_betas(betas) -> list[float]:
     return betas
 
 
-def solve_ls(H: RegressorMatrix, y) -> SolveReport:
-    """Minimize ||H theta - y||^2.
+def solve_ls(H, y) -> SolveReport:
+    """Minimize ||H theta - y||^2 over the columns of the 2-D array H.
 
     Returns the unique minimizer on full-rank systems; the minimum-norm
     minimizer (with rank_deficient set) otherwise.
@@ -91,7 +70,7 @@ def solve_ls(H: RegressorMatrix, y) -> SolveReport:
     return _solve_path(H, y, [0.0])[0]
 
 
-def solve_ridge(H: RegressorMatrix, y, beta: float) -> SolveReport:
+def solve_ridge(H, y, beta: float) -> SolveReport:
     """Minimize ||H theta - y||^2 + beta * theta' theta for beta >= 0.
 
     At beta = 0 this is solve_ls. Note this penalty is a plain 2-norm on
@@ -101,7 +80,7 @@ def solve_ridge(H: RegressorMatrix, y, beta: float) -> SolveReport:
     return _solve_path(H, y, _check_betas([beta]))[0]
 
 
-def solve_path(H: RegressorMatrix, y, betas) -> list[SolveReport]:
+def solve_path(H, y, betas) -> list[SolveReport]:
     """solve_ridge for every beta of a sweep, one report per beta in order.
 
     The Gram matrix H'H and H'y are formed once. Each beta factors
@@ -114,9 +93,16 @@ def solve_path(H: RegressorMatrix, y, betas) -> list[SolveReport]:
     return _solve_path(H, y, _check_betas(betas))
 
 
-def _solve_path(H: RegressorMatrix, y, betas: list[float]) -> list[SolveReport]:
+def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
+    # scipy loads at the first solve, not on import, so that serving a model
+    # never pays for it; loading it before the clock starts keeps that
+    # one-time cost out of the first report's seconds
+    import scipy.linalg.lapack  # noqa: F401
+
     t = time.perf_counter()
-    M = H.matrix
+    M = np.asarray(H, dtype=float)
+    if M.ndim != 2:
+        raise DimensionMismatch(f"regressor must be a 2-D array, got shape {M.shape}")
     y = np.asarray(y, dtype=float)
     if y.shape != (M.shape[0],):
         raise DimensionMismatch(
@@ -150,10 +136,11 @@ def _solve_path(H: RegressorMatrix, y, betas: list[float]) -> list[SolveReport]:
                 svd = _rank_revealing(M, y)
             theta, rank_deficient = _pseudoinverse(*svd, beta, max(M.shape))
             strategy = SolveStrategy.PSEUDOINVERSE
+        theta.setflags(write=False)
         normal_residual_norm = float(np.linalg.norm(A @ theta - rhs))
         now = time.perf_counter()
         solved.append(dict(
-            theta=WeightVector(theta, H.spec),
+            theta=theta,
             beta=beta,
             normal_residual_norm=normal_residual_norm,
             rank_deficient=rank_deficient,
@@ -161,7 +148,7 @@ def _solve_path(H: RegressorMatrix, y, betas: list[float]) -> list[SolveReport]:
             seconds=now - t,
         ))
         t = now
-    residual_norms = _residual_norms(M, y, [s["theta"].theta for s in solved])
+    residual_norms = _residual_norms(M, y, [s["theta"] for s in solved])
     # the shared walk counts towards the first beta, as the Gram does
     solved[0]["seconds"] += time.perf_counter() - t
     return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
@@ -197,8 +184,10 @@ def _cholesky(A, rhs, beta, scale, size):
     """The refined Cholesky solution of A theta = rhs, or None when the
     factor is degenerate (beta = 0) or the normal residual is above the
     acceptance level."""
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
-        fac = scipy.linalg.cho_factor(A, lower=False, check_finite=False)
+        fac = cho_factor(A, lower=False, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     # a collapsed pivot means the normal matrix is numerically singular;
@@ -207,10 +196,10 @@ def _cholesky(A, rhs, beta, scale, size):
     pivots = np.abs(np.diag(fac[0]))
     if beta == 0.0 and pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max():
         return None
-    theta = scipy.linalg.cho_solve(fac, rhs, check_finite=False)
+    theta = cho_solve(fac, rhs, check_finite=False)
     # one step of iterative refinement tightens stationarity to rounding
     # level on reasonably conditioned systems
-    theta += scipy.linalg.cho_solve(fac, rhs - A @ theta, check_finite=False)
+    theta += cho_solve(fac, rhs - A @ theta, check_finite=False)
     if np.linalg.norm(rhs - A @ theta) <= _CHOLESKY_ACCEPT * scale:
         return theta
     return None
@@ -227,6 +216,8 @@ def _rank_revealing(M, y):
     is the triangle of all rows so far. Neither Q, an N-row copy of H nor
     the N-row left factor U is formed.
     """
+    from scipy.linalg.lapack import dgeqrt
+
     N, p = M.shape
     width = p + 1
     buffer = np.empty((min(N, _block_rows(p)) + width) * width)

@@ -46,7 +46,7 @@ def _fit(data, spec, params, solve):
     H = build_regressor(data, spec, params)
     build_seconds = time.perf_counter() - t0
     return [
-        FitResult(reconstruct(report.theta, params), report,
+        FitResult(reconstruct(report.theta, spec, params), report,
                   build_seconds if i == 0 else 0.0, report.seconds)
         for i, report in enumerate(solve(H, data.labels))
     ]

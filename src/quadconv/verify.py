@@ -22,7 +22,7 @@ from .oracle import (
     random_patch_model_set,
 )
 from .regressor import Dataset, build_regressor
-from .solver import WeightVector, solve_ls
+from .solver import solve_ls
 
 
 @dataclass
@@ -114,8 +114,7 @@ def gradient_suite(seed: int, instances: int) -> SuiteResult:
     for _ in range(instances):
         spec = _random_spec(rng)
         params = random_activation(rng)
-        theta = WeightVector(rng.uniform(-1.0, 1.0, size=spec.n_weights), spec)
-        m = reconstruct(theta, params)
+        m = reconstruct(rng.uniform(-1.0, 1.0, size=spec.n_weights), spec, params)
         x0 = rng.uniform(-1.0, 1.0, size=spec.n)
         g = sensitivity(m, x0)
         g_fd = np.empty_like(g)
@@ -144,15 +143,15 @@ def ls_optimality_suite(seed: int, instances: int, directions: int = 20) -> Suit
         data = Dataset(rng.uniform(-1, 1, size=(N, spec.n)), rng.uniform(-1, 1, size=N))
         H = build_regressor(data, spec, params)
         rep = solve_ls(H, data.labels)
-        g = H.matrix.T @ (data.labels - H.matrix @ rep.theta.theta)
-        ref = np.linalg.norm(H.matrix.T @ data.labels)
+        g = H.T @ (data.labels - H @ rep.theta)
+        ref = np.linalg.norm(H.T @ data.labels)
         worst = max(worst, float(np.linalg.norm(g)) / max(1.0, float(ref)))
 
-        loss0 = float(np.sum((H.matrix @ rep.theta.theta - data.labels) ** 2))
+        loss0 = float(np.sum((H @ rep.theta - data.labels) ** 2))
         for _ in range(directions):
             d = rng.standard_normal(spec.n_weights)
             d /= np.linalg.norm(d)
-            loss1 = float(np.sum((H.matrix @ (rep.theta.theta + 1e-3 * d) - data.labels) ** 2))
+            loss1 = float(np.sum((H @ (rep.theta + 1e-3 * d) - data.labels) ** 2))
             if loss1 < loss0 - 1e-12:
                 perturbation_ok = False
     passed = worst <= tol and perturbation_ok

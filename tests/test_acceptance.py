@@ -18,19 +18,12 @@ from quadconv import (
     SplitSpec,
     band_counts,
     build_regressor,
-    dense_qnn_fit,
-    eval_neuron_sum,
-    eval_patch_model,
-    aggregate,
     fit,
-    induced_patch_models,
     load_csv,
     mse,
     narx_window,
     predict,
     predict_batch,
-    random_neuron_set,
-    random_patch_model_set,
     reconstruct,
     sensitivity,
     solve_ls,
@@ -38,7 +31,15 @@ from quadconv import (
     split,
     synth_narx,
     to_weight_vector,
-    WeightVector,
+)
+from quadconv.oracle import (
+    aggregate,
+    dense_qnn_fit,
+    eval_neuron_sum,
+    eval_patch_model,
+    induced_patch_models,
+    random_neuron_set,
+    random_patch_model_set,
 )
 
 _RELU = ActivationParams(0.0937, 0.5, 0.4688)
@@ -106,17 +107,17 @@ def test_criterion_3_least_squares_optimality():
         data = Dataset(rng.uniform(-1, 1, size=(N, n)), rng.uniform(-1, 1, size=N))
         H = build_regressor(data, spec, _RELU)
         rep = solve_ls(H, data.labels)
-        g = H.matrix.T @ (data.labels - H.matrix @ rep.theta.theta)
+        g = H.T @ (data.labels - H @ rep.theta)
         worst_stat = max(
             worst_stat,
-            np.linalg.norm(g) / max(1.0, np.linalg.norm(H.matrix.T @ data.labels)),
+            np.linalg.norm(g) / max(1.0, np.linalg.norm(H.T @ data.labels)),
         )
-        theta = rep.theta.theta
-        loss0 = np.sum((H.matrix @ theta - data.labels) ** 2)
+        theta = rep.theta
+        loss0 = np.sum((H @ theta - data.labels) ** 2)
         for _ in range(100):
             d = rng.standard_normal(theta.size)
             d /= np.linalg.norm(d)
-            loss1 = np.sum((H.matrix @ (theta + 1e-3 * d) - data.labels) ** 2)
+            loss1 = np.sum((H @ (theta + 1e-3 * d) - data.labels) ** 2)
             if loss1 < loss0 - 1e-12:
                 perturbation_ok = False
     _report(
@@ -136,8 +137,7 @@ def test_criterion_4_sensitivity_gradient_check():
         n = int(rng.integers(1, 13))
         f = int(rng.integers(1, n + 1))
         spec = ConvSpec(n, f)
-        theta = WeightVector(rng.uniform(-1, 1, size=spec.n_weights), spec)
-        m = reconstruct(theta, _RELU)
+        m = reconstruct(rng.uniform(-1, 1, size=spec.n_weights), spec, _RELU)
         x0 = rng.uniform(-1, 1, size=n)
         g = sensitivity(m, x0)
         g_fd = np.empty(n)
@@ -161,8 +161,8 @@ def test_criterion_5_full_filter_reduces_to_dense_fit():
         spec = ConvSpec(n, n)
         N = 3 * spec.n_weights
         data = Dataset(rng.uniform(-1, 1, size=(N, n)), rng.uniform(-1, 1, size=N))
-        pipeline = to_weight_vector(fit(data, spec, _RELU).model).theta
-        oracle = to_weight_vector(dense_qnn_fit(data, _RELU)).theta
+        pipeline = to_weight_vector(fit(data, spec, _RELU).model)
+        oracle = to_weight_vector(dense_qnn_fit(data, _RELU))
         worst_theta = max(
             worst_theta,
             np.linalg.norm(pipeline - oracle) / max(1.0, np.linalg.norm(pipeline)),
@@ -215,12 +215,12 @@ def test_criterion_7_ridge_behavior():
     data = Dataset(rng.uniform(-1, 1, size=(N, 6)), rng.uniform(-1, 1, size=N))
     H = build_regressor(data, spec, _RELU)
 
-    plain = solve_ls(H, data.labels).theta.theta
-    at_zero = solve_ridge(H, data.labels, 0.0).theta.theta
+    plain = solve_ls(H, data.labels).theta
+    at_zero = solve_ridge(H, data.labels, 0.0).theta
     zero_matches = np.linalg.norm(plain - at_zero) <= 1e-10 * max(1.0, np.linalg.norm(plain))
 
     norms = [
-        np.linalg.norm(solve_ridge(H, data.labels, beta).theta.theta)
+        np.linalg.norm(solve_ridge(H, data.labels, beta).theta)
         for beta in (0.0, 0.1, 1.0, 10.0, 100.0)
     ]
     monotone = all(hi <= lo + 1e-10 for lo, hi in zip(norms, norms[1:]))
@@ -271,7 +271,7 @@ def test_criterion_9_synthetic_end_to_end():
         train_set, test_set = split(data, SplitSpec(0.5))
         result = fit(train_set, ConvSpec(10, 3), _RELU)
         test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
-        return to_weight_vector(result.model).theta, test_mse, float(np.var(test_set.labels))
+        return to_weight_vector(result.model), test_mse, float(np.var(test_set.labels))
 
     theta1, test_mse, var_test = run()
     theta2, _, _ = run()

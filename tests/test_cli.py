@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -147,6 +148,10 @@ def scored(tmp_path_factory):
     dataset_to_csv(narx_window(ts, "u", "y", 3), root / "features.csv")
     (root / "latin1.bin").write_bytes(b"u,y\n1,\xe9\n")
     (root / "label_only.csv").write_text("y\n" + "\n".join(map(str, range(8))) + "\n")
+    # every diagonal entry is finite, but their sum, the trace, is not
+    doc = json.loads((root / "model.json").read_text())
+    doc["zbar1_band"][: doc["n"]] = [1.7e308] * doc["n"]
+    (root / "overflow.json").write_text(json.dumps(doc))
     return root
 
 
@@ -180,6 +185,10 @@ def scored(tmp_path_factory):
         pytest.param(["predict", "--model", "{root}/model.json",
                       "--data", "{root}/features.csv", "--out", "{tmp}"],
                      2, "data error:", id="predict-out-directory"),
+        # a model whose n matches the data but whose trace overflows
+        pytest.param(["predict", "--model", "{root}/overflow.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: the trace of Zbar1", id="predict-model-trace-overflows"),
         # non-UTF-8 bytes in a CSV and in a model file
         pytest.param(_TRAIN + ["--data", "{root}/latin1.bin", "--out", "{tmp}/m.json"],
                      2, "data error: {root}/latin1.bin: not UTF-8", id="train-data-not-utf8"),
@@ -263,6 +272,23 @@ def test_closed_stdout_exits_quietly(scored, tmp_path):
     # the predictions file is written in full before the summary line
     lines = (tmp_path / "p.csv").read_text().splitlines()
     assert lines[0] == "index,y_true,y_pred" and len(lines) > 1
+
+
+def test_serving_never_loads_scipy(scored, tmp_path):
+    # predict and sensitivity need only numpy; scipy loads at the first solve
+    script = (
+        "import sys\n"
+        "from quadconv.cli import main\n"
+        f"root, tmp = {str(scored)!r}, {str(tmp_path)!r}\n"
+        "assert main(['predict', '--model', root + '/model.json',\n"
+        "             '--data', root + '/features.csv', '--out', tmp + '/p.csv']) == 0\n"
+        "assert main(['sensitivity', '--model', root + '/model.json',\n"
+        "             '--x0', root + '/features.csv', '--out', tmp + '/g.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_train_window_mode(tmp_path):

@@ -6,8 +6,8 @@ from quadconv import (
     ConvSpec,
     DimensionMismatch,
     MalformedModelFile,
+    NonFiniteInput,
     QuadraticModel,
-    WeightVector,
     deserialize,
     predict,
     predict_batch,
@@ -25,13 +25,13 @@ def _random_model(rng, n=None, f=None, params=None):
     n = n if n is not None else int(rng.integers(1, 12))
     f = f if f is not None else int(rng.integers(1, n + 1))
     spec = ConvSpec(n, f)
-    theta = WeightVector(rng.uniform(-1, 1, size=spec.n_weights), spec)
-    return reconstruct(theta, params if params is not None else _RELU)
+    theta = rng.uniform(-1, 1, size=spec.n_weights)
+    return reconstruct(theta, spec, params if params is not None else _RELU)
 
 
 def test_reconstruct_zero_weights():
     spec = ConvSpec(3, 2)
-    m = reconstruct(WeightVector(np.zeros(spec.n_weights), spec), _RELU)
+    m = reconstruct(np.zeros(spec.n_weights), spec, _RELU)
     np.testing.assert_array_equal(m.zbar1_band, 0.0)
     np.testing.assert_array_equal(m.zbar2, 0.0)
     assert m.zbar4 == 0.0
@@ -39,7 +39,7 @@ def test_reconstruct_zero_weights():
 
 def test_reconstruct_halves_off_diagonals():
     spec = ConvSpec(2, 2)
-    m = reconstruct(WeightVector(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec), _RELU)
+    m = reconstruct(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec, _RELU)
     np.testing.assert_array_equal(m.zbar1_dense(), [[1.0, 2.0], [2.0, 2.0]])
     np.testing.assert_array_equal(m.zbar2, [5.0, 6.0])
     assert m.zbar4 == 3.0
@@ -47,10 +47,19 @@ def test_reconstruct_halves_off_diagonals():
 
 def test_reconstruct_diagonal_model():
     spec = ConvSpec(3, 1)
-    m = reconstruct(WeightVector(np.arange(1.0, 7.0), spec), _RELU)
+    m = reconstruct(np.arange(1.0, 7.0), spec, _RELU)
     np.testing.assert_array_equal(m.zbar1_dense(), np.diag([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(m.zbar2, [4.0, 5.0, 6.0])
     assert m.zbar4 == 6.0
+
+
+@pytest.mark.parametrize(
+    "theta", [np.zeros(4), np.zeros(6), np.zeros((1, 5)), np.zeros((5, 1))],
+    ids=["short", "long", "row", "column"],
+)
+def test_reconstruct_validates_length(theta):
+    with pytest.raises(DimensionMismatch, match="length 5"):
+        reconstruct(theta, ConvSpec(2, 2), _RELU)
 
 
 def test_to_weight_vector_round_trip():
@@ -58,9 +67,9 @@ def test_to_weight_vector_round_trip():
     for _ in range(10):
         n = int(rng.integers(1, 9))
         spec = ConvSpec(n, int(rng.integers(1, n + 1)))
-        theta = WeightVector(rng.uniform(-1, 1, size=spec.n_weights), spec)
-        back = to_weight_vector(reconstruct(theta, _RELU))
-        np.testing.assert_allclose(back.theta, theta.theta, rtol=0, atol=0)
+        theta = rng.uniform(-1, 1, size=spec.n_weights)
+        back = to_weight_vector(reconstruct(theta, spec, _RELU))
+        np.testing.assert_allclose(back, theta, rtol=0, atol=0)
 
 
 def test_predict_zero_input_is_constant_term():
@@ -71,9 +80,7 @@ def test_predict_zero_input_is_constant_term():
 
 def test_predict_hand_value():
     spec = ConvSpec(2, 2)
-    m = reconstruct(
-        WeightVector(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec), ActivationParams(1, 1, 1)
-    )
+    m = reconstruct(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec, ActivationParams(1, 1, 1))
     assert predict(m, [1.0, 0.0]) == pytest.approx(9.0, rel=1e-15)
 
 
@@ -217,7 +224,7 @@ def _models_identical(a, b):
 def test_array_holding_dataclasses_compare_by_identity():
     # comparing ndarray fields elementwise would raise "truth value of an
     # array is ambiguous"; these classes compare by identity instead
-    from quadconv import Dataset, FitResult, RegressorMatrix, SolveReport, TimeSeries
+    from quadconv import Dataset, FitResult, SolveReport, TimeSeries
 
     rng = np.random.default_rng(12)
     m1 = _random_model(rng, n=5, f=3)
@@ -226,12 +233,8 @@ def test_array_holding_dataclasses_compare_by_identity():
     assert (m1 == m2) is False
     assert (m1 == m1) is True
     assert m1 != m2
-    theta = to_weight_vector(m1)
-    assert (theta == WeightVector(theta.theta, theta.spec)) is False
     data = Dataset(np.ones((2, 3)), np.ones(2))
     assert (data == Dataset(data.inputs, data.labels)) is False
-    H = RegressorMatrix(np.ones((2, 9)), ConvSpec(3, 3), _RELU)
-    assert (H == RegressorMatrix(H.matrix, H.spec, H.params)) is False
     ts = TimeSeries({"u": [1.0, 2.0]})
     assert (ts == TimeSeries(ts.channels)) is False
     assert SolveReport.__eq__ is object.__eq__
@@ -240,7 +243,7 @@ def test_array_holding_dataclasses_compare_by_identity():
 
 def test_serialize_round_trip_zero_model():
     spec = ConvSpec(3, 2)
-    m = reconstruct(WeightVector(np.zeros(spec.n_weights), spec), _RELU)
+    m = reconstruct(np.zeros(spec.n_weights), spec, _RELU)
     back = deserialize(serialize(m))
     assert _models_identical(back, m)
 
@@ -274,6 +277,7 @@ def _bits(a):
 
 def test_serialize_round_trip_is_bit_exact_for_random_specs():
     rng = np.random.default_rng(14)
+    overflowed = 0
     shapes = [(1, 1), (2, 1), (2, 2), (7, 1), (7, 7)]
     shapes += [(n, int(rng.integers(1, n + 1))) for n in rng.integers(1, 40, size=195)]
     for n, f in shapes:
@@ -283,15 +287,20 @@ def test_serialize_round_trip_is_bit_exact_for_random_specs():
         b = float(rng.choice([-1.0, 1.0]) * 2.0 * np.sqrt(a * c) * np.exp(rng.uniform(0, 5)))
         if b * b - 4.0 * a * c < 0:
             b = 2.0 * b  # |b| = 2 sqrt(ac) can round below the discriminant's zero
-        # the derived trace zbar4 of extreme bands can overflow to inf
+        band = _random_doubles(rng, spec.band_size)
+        z2 = _random_doubles(rng, spec.n)
+        params = ActivationParams(a, b, c)
+        # the derived trace zbar4 of an extreme band can overflow, and such a
+        # model is refused
         with np.errstate(over="ignore"):
-            m = QuadraticModel(
-                _random_doubles(rng, spec.band_size),
-                _random_doubles(rng, spec.n),
-                spec,
-                ActivationParams(a, b, c),
-            )
-            back = deserialize(serialize(m))
+            overflows = not np.isfinite(band[: spec.n].sum())
+        if overflows:
+            with pytest.raises(NonFiniteInput, match="trace"):
+                QuadraticModel(band, z2, spec, params)
+            overflowed += 1
+            continue
+        m = QuadraticModel(band, z2, spec, params)
+        back = deserialize(serialize(m))
         assert back.spec == m.spec
         for field in ("zbar1_band", "zbar2", "zbar1"):
             np.testing.assert_array_equal(_bits(getattr(back, field)), _bits(getattr(m, field)))
@@ -299,6 +308,7 @@ def test_serialize_round_trip_is_bit_exact_for_random_specs():
             assert _bits(getattr(back.params, value)) == _bits(getattr(m.params, value))
         # zbar4 is not stored but derived again from the same band
         assert _bits(back.zbar4) == _bits(m.zbar4)
+    assert 0 < overflowed < len(shapes)
 
 
 def test_serialize_uses_17_significant_digits():
@@ -348,7 +358,7 @@ def test_deserialize_rejects_malformed_documents(mutation, fragment):
     import json
 
     spec = ConvSpec(2, 2)
-    m = reconstruct(WeightVector(np.arange(1.0, 6.0), spec), _RELU)
+    m = reconstruct(np.arange(1.0, 6.0), spec, _RELU)
     doc = json.loads(serialize(m))
     mutation(doc)
     with pytest.raises(MalformedModelFile, match=fragment):
@@ -356,7 +366,7 @@ def test_deserialize_rejects_malformed_documents(mutation, fragment):
 
 
 def test_deserialize_rejects_non_finite_numbers():
-    text = serialize(reconstruct(WeightVector(np.zeros(5), ConvSpec(2, 2)), _RELU))
+    text = serialize(reconstruct(np.zeros(5), ConvSpec(2, 2), _RELU))
     with pytest.raises(MalformedModelFile, match="non-finite|finite"):
         deserialize(text.replace('"a": 0.0937', '"a": NaN'))
     with pytest.raises(MalformedModelFile, match="finite"):
@@ -365,7 +375,7 @@ def test_deserialize_rejects_non_finite_numbers():
 
 def test_deserialize_optional_zbar4_checked_against_trace():
     spec = ConvSpec(2, 2)
-    m = reconstruct(WeightVector(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec), _RELU)
+    m = reconstruct(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec, _RELU)
     text = serialize(m)
     ok = text.rstrip().rstrip("}") + ', "zbar4": 3.0}\n'
     assert _models_identical(deserialize(ok), m)

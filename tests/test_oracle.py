@@ -6,21 +6,23 @@ from quadconv import (
     ConvSpec,
     Dataset,
     DimensionMismatch,
+    activation_eval,
+    fit,
+    predict,
+    predict_batch,
+    to_weight_vector,
+)
+from quadconv.oracle import (
     NeuronSet,
     PatchModelSet,
-    activation_eval,
     aggregate,
     dense_qnn_fit,
     eval_neuron_sum,
     eval_patch_model,
     extract_patches,
-    fit,
     induced_patch_models,
-    predict,
-    predict_batch,
     random_neuron_set,
     random_patch_model_set,
-    to_weight_vector,
 )
 
 _RELU = ActivationParams(0.0937, 0.5, 0.4688)
@@ -136,8 +138,8 @@ def test_dense_fit_matches_full_filter_pipeline():
     spec = ConvSpec(n, n)
     N = 3 * spec.n_weights
     data = Dataset(rng.uniform(-1, 1, size=(N, n)), rng.uniform(-1, 1, size=N))
-    pipeline_theta = to_weight_vector(fit(data, spec, _RELU).model).theta
-    oracle_theta = to_weight_vector(dense_qnn_fit(data, _RELU)).theta
+    pipeline_theta = to_weight_vector(fit(data, spec, _RELU).model)
+    oracle_theta = to_weight_vector(dense_qnn_fit(data, _RELU))
     diff = np.linalg.norm(pipeline_theta - oracle_theta)
     assert diff <= 1e-8 * max(1.0, np.linalg.norm(pipeline_theta))
 

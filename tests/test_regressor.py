@@ -9,7 +9,6 @@ from quadconv import (
     Dataset,
     DimensionMismatch,
     NonFiniteInput,
-    WeightVector,
     band_index_map,
     build_regressor,
     predict_batch,
@@ -19,7 +18,7 @@ from quadconv import (
 
 def _single_row(x, spec, params):
     data = Dataset(np.asarray(x, float)[None, :], np.zeros(1))
-    return build_regressor(data, spec, params).matrix[0]
+    return build_regressor(data, spec, params)[0]
 
 
 def test_zero_input_row_is_constant_block():
@@ -51,9 +50,9 @@ def test_rows_match_model_predictions():
         params = ActivationParams(*rng.uniform(0.1, 2.0, size=3))
         data = Dataset(rng.uniform(-2, 2, size=(6, n)), rng.uniform(-1, 1, size=6))
         H = build_regressor(data, spec, params)
-        theta = WeightVector(rng.uniform(-1, 1, size=spec.n_weights), spec)
-        model = reconstruct(theta, params)
-        via_row = H.matrix @ theta.theta
+        theta = rng.uniform(-1, 1, size=spec.n_weights)
+        model = reconstruct(theta, spec, params)
+        via_row = H @ theta
         via_model = predict_batch(model, data.inputs)
         np.testing.assert_allclose(via_row, via_model, rtol=1e-12, atol=1e-12)
 
@@ -65,7 +64,7 @@ def test_quadratic_block_decomposes_linearly_in_a_and_c():
     data = Dataset(rng.uniform(-1, 1, size=(5, 4)), np.zeros(5))
 
     def qblock(a, c):
-        return build_regressor(data, spec, ActivationParams(a, 0.7, c)).matrix[:, :q]
+        return build_regressor(data, spec, ActivationParams(a, 0.7, c))[:, :q]
 
     base_a = (qblock(2.0, 1.0) - qblock(1.0, 1.0)) / 1.0
     base_c = (qblock(1.0, 2.0) - qblock(1.0, 1.0)) / 1.0
@@ -81,8 +80,8 @@ def test_linear_block_scales_with_b():
     rng = np.random.default_rng(4)
     spec = ConvSpec(3, 2)
     data = Dataset(rng.uniform(-1, 1, size=(4, 3)), np.zeros(4))
-    h1 = build_regressor(data, spec, ActivationParams(1.0, 0.5, 1.0)).matrix
-    h2 = build_regressor(data, spec, ActivationParams(1.0, 1.5, 1.0)).matrix
+    h1 = build_regressor(data, spec, ActivationParams(1.0, 0.5, 1.0))
+    h2 = build_regressor(data, spec, ActivationParams(1.0, 1.5, 1.0))
     np.testing.assert_allclose(h2[:, -3:], 3.0 * h1[:, -3:], rtol=1e-14)
 
 
@@ -100,7 +99,7 @@ def test_assembly_matches_gathered_band_bit_for_bit():
         quad = params.a * (X[:, m.rows] * X[:, m.cols])
         quad[:, :n] += params.c
         expected = np.hstack([quad, params.b * X])
-        H = build_regressor(Dataset(X, np.zeros(X.shape[0])), spec, params).matrix
+        H = build_regressor(Dataset(X, np.zeros(X.shape[0])), spec, params)
         np.testing.assert_array_equal(H, expected)
 
 
@@ -111,7 +110,7 @@ def test_assembly_allocates_little_beyond_h():
     band_index_map(spec)  # cached; keep its allocation out of the measurement
     tracemalloc.start()
     try:
-        H = build_regressor(data, spec, ActivationParams(0.5, 1.0, 0.5)).matrix
+        H = build_regressor(data, spec, ActivationParams(0.5, 1.0, 0.5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -10,9 +10,7 @@ from quadconv import (
     DimensionMismatch,
     NegativeRegularizer,
     NonFiniteInput,
-    RegressorMatrix,
     SolveStrategy,
-    WeightVector,
     build_regressor,
     narx_window,
     solve_ls,
@@ -21,8 +19,6 @@ from quadconv import (
     synth_narx,
 )
 from quadconv import solver
-
-_PARAMS = ActivationParams(1.0, 1.0, 1.0)
 
 
 def _narx_system():
@@ -34,7 +30,7 @@ def _narx_system():
 
 def _lstsq(H, y):
     theta, _, rank, _ = np.linalg.lstsq(
-        H.matrix, y, rcond=np.finfo(float).eps * max(H.matrix.shape)
+        H, y, rcond=np.finfo(float).eps * max(H.shape)
     )
     return theta, rank
 
@@ -48,24 +44,30 @@ def _random_system(rng, n, f, n_samples=None):
 
 
 def test_identity_system_returns_labels():
-    spec = ConvSpec(2, 2)  # q + n = 5
-    H = RegressorMatrix(np.eye(5), spec, _PARAMS)
+    H = np.eye(5)
     y = np.array([3.0, -1.0, 0.5, 2.0, 4.0])
     rep = solve_ls(H, y)
-    np.testing.assert_allclose(rep.theta.theta, y, rtol=1e-12)
+    np.testing.assert_allclose(rep.theta, y, rtol=1e-12)
     assert rep.solve_strategy == SolveStrategy.CHOLESKY
     assert not rep.rank_deficient
     assert rep.residual_norm < 1e-12
+
+
+def test_reported_weights_are_read_only():
+    rep = solve_ls(np.eye(5), np.ones(5))
+    assert rep.theta.shape == (5,)
+    with pytest.raises(ValueError, match="read-only"):
+        rep.theta[0] = 0.0
 
 
 def test_rank_deficient_minimum_norm_solution():
     # features x in {-1, 0, 1} with a = c = 1, b = 0: the linear column is
     # zero, so the quadratic column [2, 1, 2] alone fits y = [1, 0, 1];
     # the stationary point of 2*(2t - 1)^2 + t^2 is t = 4/9
-    H = RegressorMatrix(np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), ConvSpec(1, 1), _PARAMS)
+    H = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     y = np.array([1.0, 0.0, 1.0])
     rep = solve_ls(H, y)
-    np.testing.assert_allclose(rep.theta.theta, [4.0 / 9.0, 0.0], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rep.theta, [4.0 / 9.0, 0.0], rtol=1e-12, atol=1e-15)
     assert rep.rank_deficient
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
 
@@ -73,23 +75,23 @@ def test_rank_deficient_minimum_norm_solution():
 def test_zero_labels_give_zero_weights():
     rng = np.random.default_rng(0)
     H, _ = _random_system(rng, 3, 2)
-    rep = solve_ls(H, np.zeros(H.n_rows))
-    np.testing.assert_array_equal(rep.theta.theta, np.zeros(H.n_cols))
+    rep = solve_ls(H, np.zeros(H.shape[0]))
+    np.testing.assert_array_equal(rep.theta, np.zeros(H.shape[1]))
     assert rep.residual_norm == 0.0
 
 
 def test_ridge_scalar_closed_form():
     # one active column: theta_1 = (2 + beta)^-1 * 2 = 0.5 at beta = 2
-    H = RegressorMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), ConvSpec(1, 1), _PARAMS)
+    H = np.array([[1.0, 0.0], [1.0, 0.0]])
     rep = solve_ridge(H, np.array([1.0, 1.0]), 2.0)
-    np.testing.assert_allclose(rep.theta.theta, [0.5, 0.0], rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(rep.theta, [0.5, 0.0], rtol=1e-14, atol=1e-15)
 
 
 def test_ridge_zero_equals_plain_ls():
     rng = np.random.default_rng(1)
     H, y = _random_system(rng, 4, 2)
-    a = solve_ls(H, y).theta.theta
-    b = solve_ridge(H, y, 0.0).theta.theta
+    a = solve_ls(H, y).theta
+    b = solve_ridge(H, y, 0.0).theta
     np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
@@ -98,32 +100,32 @@ def test_ridge_huge_beta_shrinkage_bound():
     H, y = _random_system(rng, 4, 3)
     beta = 1e12
     rep = solve_ridge(H, y, beta)
-    bound = np.linalg.norm(H.matrix.T @ y) / beta
-    assert np.linalg.norm(rep.theta.theta) <= bound * (1 + 1e-12)
+    bound = np.linalg.norm(H.T @ y) / beta
+    assert np.linalg.norm(rep.theta) <= bound * (1 + 1e-12)
 
 
 def test_ridge_rejects_negative_beta():
-    H = RegressorMatrix(np.eye(5), ConvSpec(2, 2), _PARAMS)
+    H = np.eye(5)
     with pytest.raises(NegativeRegularizer):
         solve_ridge(H, np.zeros(5), -0.5)
 
 
 def test_non_finite_inputs_rejected():
-    H = RegressorMatrix(np.eye(5), ConvSpec(2, 2), _PARAMS)
+    H = np.eye(5)
     y = np.zeros(5)
     with pytest.raises(NonFiniteInput):
         solve_ls(H, np.array([1.0, np.nan, 0, 0, 0]))
     bad = np.eye(5)
     bad[3, 3] = np.inf
     with pytest.raises(NonFiniteInput):
-        solve_ls(RegressorMatrix(bad, ConvSpec(2, 2), _PARAMS), y)
+        solve_ls(bad, y)
     for beta in (np.nan, np.inf):
         with pytest.raises(NonFiniteInput):
             solve_ridge(H, y, beta)
 
 
 def test_label_length_mismatch():
-    H = RegressorMatrix(np.eye(5), ConvSpec(2, 2), _PARAMS)
+    H = np.eye(5)
     with pytest.raises(DimensionMismatch):
         solve_ls(H, np.zeros(4))
 
@@ -135,8 +137,8 @@ def test_normal_equation_stationarity_full_rank():
         f = int(rng.integers(1, n + 1))
         H, y = _random_system(rng, n, f)
         rep = solve_ls(H, y)
-        g = H.matrix.T @ (y - H.matrix @ rep.theta.theta)
-        assert np.linalg.norm(g) <= 1e-8 * max(1.0, np.linalg.norm(H.matrix.T @ y))
+        g = H.T @ (y - H @ rep.theta)
+        assert np.linalg.norm(g) <= 1e-8 * max(1.0, np.linalg.norm(H.T @ y))
         assert not rep.rank_deficient
 
 
@@ -144,12 +146,12 @@ def test_perturbations_never_decrease_loss():
     rng = np.random.default_rng(6)
     H, y = _random_system(rng, 5, 3)
     rep = solve_ls(H, y)
-    theta = rep.theta.theta
-    loss0 = np.sum((H.matrix @ theta - y) ** 2)
+    theta = rep.theta
+    loss0 = np.sum((H @ theta - y) ** 2)
     for _ in range(100):
         d = rng.standard_normal(theta.size)
         d /= np.linalg.norm(d)
-        loss1 = np.sum((H.matrix @ (theta + 1e-3 * d) - y) ** 2)
+        loss1 = np.sum((H @ (theta + 1e-3 * d) - y) ** 2)
         assert loss1 >= loss0 - 1e-12
 
 
@@ -157,7 +159,7 @@ def test_ridge_norm_monotone_in_beta():
     rng = np.random.default_rng(7)
     H, y = _random_system(rng, 5, 2)
     norms = [
-        np.linalg.norm(solve_ridge(H, y, beta).theta.theta)
+        np.linalg.norm(solve_ridge(H, y, beta).theta)
         for beta in (0.0, 0.1, 1.0, 10.0, 100.0)
     ]
     for lo, hi in zip(norms, norms[1:]):
@@ -167,11 +169,10 @@ def test_ridge_norm_monotone_in_beta():
 def test_ridge_normal_equations_residual():
     rng = np.random.default_rng(8)
     H, y = _random_system(rng, 4, 4)
-    M = H.matrix
     for beta in (0.0, 0.1, 1.0, 10.0, 100.0):
         rep = solve_ridge(H, y, beta)
-        lhs = (M.T @ M + beta * np.eye(M.shape[1])) @ rep.theta.theta - M.T @ y
-        assert np.linalg.norm(lhs) <= 1e-8 * max(1.0, np.linalg.norm(M.T @ y))
+        lhs = (H.T @ H + beta * np.eye(H.shape[1])) @ rep.theta - H.T @ y
+        assert np.linalg.norm(lhs) <= 1e-8 * max(1.0, np.linalg.norm(H.T @ y))
         assert rep.normal_residual_norm == pytest.approx(np.linalg.norm(lhs), abs=1e-12)
 
 
@@ -197,17 +198,18 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
     assert rep.rank_deficient
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     reference, rank = _lstsq(H, y)
-    assert rank < H.n_cols
-    np.testing.assert_allclose(rep.theta.theta, reference, rtol=1e-8, atol=1e-10)
+    assert rank < H.shape[1]
+    np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-10)
 
 
-def test_weight_vector_validates_length():
-    with pytest.raises(DimensionMismatch):
-        WeightVector(np.zeros(4), ConvSpec(2, 2))
+@pytest.mark.parametrize("H", [np.ones(5), np.ones((5, 2, 2))], ids=["1-D", "3-D"])
+def test_regressor_must_be_two_dimensional(H):
+    with pytest.raises(DimensionMismatch, match="2-D"):
+        solve_ls(H, np.zeros(5))
 
 
 def _assert_same_report(a, b):
-    assert a.theta.theta.tobytes() == b.theta.theta.tobytes()
+    assert a.theta.tobytes() == b.theta.tobytes()
     assert (a.beta, a.residual_norm, a.normal_residual_norm) == (
         b.beta, b.residual_norm, b.normal_residual_norm
     )
@@ -264,26 +266,26 @@ def test_fallback_matches_lstsq_minimum_norm_on_short_systems(n_samples):
     rng = np.random.default_rng(12)
     H, y = _random_system(rng, 4, 2, n_samples=n_samples)
     rep = solve_path(H, y, [0.0])[0]
-    if n_samples < H.n_cols:
+    if n_samples < H.shape[1]:
         assert rep.rank_deficient
         assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     reference, _ = _lstsq(H, y)
-    np.testing.assert_allclose(rep.theta.theta, reference, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-12)
 
 
 def _assert_fallback_matches_svd_formulas(H, y, betas):
     # every beta takes the QR/SVD route; compare with the SVD of H itself
     reports = solve_path(H, y, betas)
-    U, s, Vt = np.linalg.svd(H.matrix, full_matrices=False)
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
     for beta, rep in zip(betas, reports):
         assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
-        assert rep.rank_deficient == (H.n_rows < H.n_cols)
+        assert rep.rank_deficient == (H.shape[0] < H.shape[1])
         if beta > 0:
             expected = Vt.T @ (s / (s * s + beta) * (U.T @ y))
         else:
             expected, _ = _lstsq(H, y)
-        np.testing.assert_allclose(rep.theta.theta, expected, rtol=1e-8, atol=1e-12)
-        residual = np.linalg.norm(y - H.matrix @ rep.theta.theta)
+        np.testing.assert_allclose(rep.theta, expected, rtol=1e-8, atol=1e-12)
+        residual = np.linalg.norm(y - H @ rep.theta)
         assert rep.residual_norm == pytest.approx(residual, rel=1e-12, abs=1e-14)
 
 
@@ -306,7 +308,7 @@ def test_forced_fallback_in_small_row_blocks(monkeypatch, n_samples, block_rows)
     monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
     rng = np.random.default_rng(13)
     H, y = _random_system(rng, 4, 2, n_samples=n_samples)
-    assert len(solver._row_blocks(n_samples, H.n_cols)) == -(-n_samples // block_rows)
+    assert len(solver._row_blocks(n_samples, H.shape[1])) == -(-n_samples // block_rows)
     _assert_fallback_matches_svd_formulas(H, y, [0.5, 3.0, 0.0])
 
 
@@ -319,9 +321,9 @@ def test_rank_deficient_fallback_in_small_row_blocks(monkeypatch, block_rows):
     assert blocked[0].rank_deficient
     assert blocked[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
     reference, _ = _lstsq(H, y)
-    np.testing.assert_allclose(blocked[0].theta.theta, reference, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(blocked[0].theta, reference, rtol=1e-8, atol=1e-10)
     # the Cholesky beta does not read the QR; only its residual walk is blocked
-    assert blocked[1].theta.theta.tobytes() == whole[1].theta.theta.tobytes()
+    assert blocked[1].theta.tobytes() == whole[1].theta.tobytes()
     assert blocked[1].residual_norm == pytest.approx(whole[1].residual_norm, rel=1e-12)
 
 
@@ -341,16 +343,15 @@ def test_forced_fallback_accuracy_on_scaled_and_offset_features(
     spec = ConvSpec(6, 3)
     X = rng.uniform(-1, 1, size=(500, spec.n)) * scale + offset
     H = build_regressor(Dataset(X, np.zeros(500)), spec, ActivationParams(0.0937, 0.5, 0.4688))
-    M = H.matrix
-    y = M @ rng.uniform(-1, 1, size=spec.n_weights)
+    y = H @ rng.uniform(-1, 1, size=spec.n_weights)
     y += 0.01 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
     rep = solve_ls(H, y)
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     assert not rep.rank_deficient
     reference, _ = _lstsq(H, y)
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(H, compute_uv=False)
     bound = np.finfo(float).eps * s[0] / s[-1]
-    error = np.linalg.norm(rep.theta.theta - reference) / np.linalg.norm(reference)
+    error = np.linalg.norm(rep.theta - reference) / np.linalg.norm(reference)
     assert error <= bound
 
 
@@ -368,7 +369,7 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     data = narx_window(synth_narx(13000, seed=9), "u", "y", 5)
     H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
-    assert len(solver._row_blocks(H.n_rows, H.n_cols)) >= 4
+    assert len(solver._row_blocks(H.shape[0], H.shape[1])) >= 4
     tracemalloc.start()
     try:
         reports = solve_path(H, data.labels, [0.0, 0.0])
@@ -376,21 +377,20 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert reports[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
-    assert peak <= H.matrix.nbytes / 2
-    assert svd_shapes == [(H.n_cols, H.n_cols)]
+    assert peak <= H.nbytes / 2
+    assert svd_shapes == [(H.shape[1], H.shape[1])]
 
 
 def test_non_finite_regressor_columns_are_named_by_the_gram_diagonal():
-    spec = ConvSpec(2, 2)
     big = np.eye(5)
     big[0, 1] = 1e200  # finite, but its square is not
     with pytest.raises(NonFiniteInput, match="overflows"):
-        solve_ls(RegressorMatrix(big, spec, _PARAMS), np.zeros(5))
+        solve_ls(big, np.zeros(5))
     for value in (np.nan, -np.inf):
         bad = np.eye(5)
         bad[2, 4] = value
         with pytest.raises(NonFiniteInput, match="regressor matrix contains non-finite"):
-            solve_ls(RegressorMatrix(bad, spec, _PARAMS), np.zeros(5))
+            solve_ls(bad, np.zeros(5))
 
 
 @pytest.mark.parametrize(
@@ -398,6 +398,6 @@ def test_non_finite_regressor_columns_are_named_by_the_gram_diagonal():
     [([], ValueError), ([0.0, -1.0], NegativeRegularizer), ([1.0, np.nan], NonFiniteInput)],
 )
 def test_solve_path_rejects_bad_beta_lists(betas, error):
-    H = RegressorMatrix(np.eye(5), ConvSpec(2, 2), _PARAMS)
+    H = np.eye(5)
     with pytest.raises(error):
         solve_path(H, np.zeros(5), betas)
