@@ -63,7 +63,7 @@ from .model import (
     to_weight_vector,
 )
 from .regressor import Dataset, build_regressor
-from .solver import SolveReport, SolveStrategy, solve_ls, solve_path, solve_ridge
+from .solver import SolveReport, SolveStrategy, solve_path, solve_ridge
 from .train import FitResult, fit, fit_path
 
 __version__ = "0.1.0"
@@ -109,7 +109,6 @@ __all__ = [
     "sensitivity_batch",
     "serialize",
     "series_to_csv",
-    "solve_ls",
     "solve_path",
     "solve_ridge",
     "split",

@@ -10,9 +10,9 @@ this one exits without a message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import itertools
-import math
 import os
 import stat
 import sys
@@ -31,19 +31,24 @@ from .dataio import (
     narx_window,
     split,
 )
-from .errors import (
-    DimensionMismatch,
-    InvalidActivation,
-    MalformedModelFile,
-    NegativeRegularizer,
-    QuadconvError,
-)
+from .errors import MalformedModelFile, QuadconvError
 from .model import deserialize, predict_batch, sensitivity_batch, serialize, to_weight_vector
+from .solver import _check_betas
 from .train import fit, fit_path
 from .verify import run_all_checks
 
 class _ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a library check's ValueError raised in the block as a config
+    error, in the library's words."""
+    try:
+        yield
+    except ValueError as e:
+        raise _ConfigError(str(e)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,11 +140,13 @@ def _check_mode_args(args):
         raise _ConfigError("window mode requires --label")
 
 
-def _windowed_dataset(args):
-    """Load the CSV and build the windowed dataset per the configured mode.
+def _train_test(args, split_spec):
+    """Load the CSV, window it per the configured mode and split it.
 
     The mode arguments are checked before the file is read, so a config
-    error is reported as one even when the data file is missing.
+    error is reported as one even when the data file is missing. Only the
+    (train, test) pair is returned: the full windowed dataset is freed
+    before the caller fits.
     """
     channels = _parse_channels(args.channels)
     _check_mode_args(args)
@@ -148,20 +155,18 @@ def _windowed_dataset(args):
         names = channels if channels is not None else ts.names
         if len(names) < 2:
             raise _ConfigError("narx mode needs an input and an output channel")
-        return narx_window(ts, names[0], names[1], args.d)
-    names = channels if channels is not None else [n for n in ts.names if n != args.label]
-    if not names:
-        raise _ConfigError("window mode needs a feature channel besides --label")
-    return multichannel_window(ts, names, args.r, args.label)
+        data = narx_window(ts, names[0], names[1], args.d)
+    else:
+        names = channels if channels is not None else [n for n in ts.names if n != args.label]
+        if not names:
+            raise _ConfigError("window mode needs a feature channel besides --label")
+        data = multichannel_window(ts, names, args.r, args.label)
+    return split(data, split_spec)
 
 
 def _train_config(args):
-    try:
-        params = validate_activation(args.a, args.b, args.c)
-        split_spec = SplitSpec(train_fraction=args.split_fraction)
-    except (InvalidActivation, ValueError) as e:
-        raise _ConfigError(str(e)) from None
-    return params, split_spec
+    with _config_errors():
+        return validate_activation(args.a, args.b, args.c), SplitSpec(args.split_fraction)
 
 
 def _beta_list(arg):
@@ -169,13 +174,8 @@ def _beta_list(arg):
         betas = [float(v) for v in arg.split(",") if v.strip() != ""]
     except ValueError:
         raise _ConfigError(f"cannot parse --beta list {arg!r}") from None
-    if not betas:
-        raise _ConfigError("--beta must contain at least one value")
-    if not all(math.isfinite(b) for b in betas):
-        raise _ConfigError("--beta values must be finite")
-    if any(b < 0 for b in betas):
-        raise _ConfigError("--beta values must be >= 0")
-    return betas
+    with _config_errors():
+        return _check_betas(betas)
 
 
 def _beta_path(base: str, beta: float, multiple: bool) -> Path:
@@ -199,18 +199,14 @@ def _check_parent_dir(path) -> None:
 def cmd_train(args) -> int:
     params, split_spec = _train_config(args)
     betas = _beta_list(args.beta)
-    if args.f < 1:
-        raise _ConfigError("--f must be >= 1")
     for beta in betas:
         _check_parent_dir(_beta_path(args.out, beta, len(betas) > 1))
     if args.metrics:
         _check_parent_dir(args.metrics)
 
-    data = _windowed_dataset(args)
-    if args.f > data.n_features:
-        raise _ConfigError(f"--f {args.f} exceeds the feature count n={data.n_features}")
-    spec = ConvSpec(data.n_features, args.f)
-    train_set, test_set = split(data, split_spec)
+    train_set, test_set = _train_test(args, split_spec)
+    with _config_errors():
+        spec = ConvSpec(train_set.n_features, args.f)
 
     rows = []
     for beta, result in zip(betas, fit_path(train_set, spec, params, betas)):
@@ -255,10 +251,6 @@ def _load_model(path: str):
 def cmd_predict(args) -> int:
     model = _load_model(args.model)
     X, y_true, _ = load_feature_csv(args.data)
-    if X.shape[1] != model.spec.n:
-        raise DimensionMismatch(
-            f"model expects n={model.spec.n} features, data has {X.shape[1]}"
-        )
     y_pred = predict_batch(model, X)
     if y_true is not None:
         _write_csv(args.out, ["index", "y_true", "y_pred"], zip(itertools.count(), y_true, y_pred))
@@ -272,10 +264,6 @@ def cmd_predict(args) -> int:
 def cmd_sensitivity(args) -> int:
     model = _load_model(args.model)
     X0, _, _ = load_feature_csv(args.x0)
-    if X0.shape[1] != model.spec.n:
-        raise DimensionMismatch(
-            f"model expects n={model.spec.n} features, x0 rows have {X0.shape[1]}"
-        )
     grads = sensitivity_batch(model, X0)
     summary = [("max_abs", *np.abs(grads).max(axis=0))] if args.summary else []
     rows = itertools.chain(((i, *row) for i, row in enumerate(grads)), summary)
@@ -307,23 +295,22 @@ def cmd_bench(args) -> int:
         f_values = [int(v) for v in args.f_list.split(",") if v.strip() != ""]
     except ValueError:
         raise _ConfigError(f"cannot parse --f-list {args.f_list!r}") from None
-    if not f_values or any(f < 1 for f in f_values):
-        raise _ConfigError("--f-list must contain integers >= 1")
+    if not f_values:
+        raise _ConfigError("--f-list must contain at least one value")
     if args.repeats < 1:
         raise _ConfigError("--repeats must be >= 1")
     _check_parent_dir(args.out)
 
-    data = _windowed_dataset(args)
-    n = data.n_features
-    if any(f > n for f in f_values):
-        raise _ConfigError(f"--f-list contains values above the feature count n={n}")
+    train_set, test_set = _train_test(args, split_spec)
+    n = train_set.n_features
     if n not in f_values:
         f_values.append(n)
-    train_set, test_set = split(data, split_spec)
+    with _config_errors():
+        specs = [ConvSpec(n, f) for f in f_values]
 
     rows = []
-    for f in f_values:
-        spec = ConvSpec(n, f)
+    for spec in specs:
+        f = spec.f
         best = None
         result = None
         for _ in range(args.repeats):
@@ -341,7 +328,7 @@ def cmd_bench(args) -> int:
 
     dense = {f: secs for _, f, _, _, secs in rows}[n]
     for method, f, _, _, secs in rows:
-        if f < n and secs > dense:
+        if method == "ls-cqnn" and secs > dense:
             print(
                 f"warning: ls-cqnn f={f} timed slower than the dense fit "
                 f"({secs:.6f}s vs {dense:.6f}s); timings on tiny problems are noisy",
@@ -366,7 +353,7 @@ def main(argv=None) -> int:
         # the exit flush of the unwritten buffer does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (_ConfigError, NegativeRegularizer) as e:
+    except _ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (QuadconvError, OSError) as e:

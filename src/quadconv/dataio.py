@@ -150,18 +150,11 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(v if isinstance(v, str) else format_float(v) for v in row) + "\n")
 
 
-def load_csv(path, schema=None) -> TimeSeries:
-    """Read named channels from a headered CSV file.
-
-    schema lists the channel names to extract; None takes every header
-    column in file order. Every column is parsed, selected or not.
-    """
+def load_csv(path) -> TimeSeries:
+    """Read every column of a headered CSV file as a channel, in header
+    order; windowing then picks channels by name."""
     names, table = _read_table(path)
-    wanted = names if schema is None else list(schema)
-    for name in wanted:
-        if name not in names:
-            raise MissingColumn(f"{path}: column {name!r} not in header {names}")
-    return TimeSeries({name: table[:, names.index(name)] for name in wanted})
+    return TimeSeries({name: table[:, j] for j, name in enumerate(names)})
 
 
 def load_feature_csv(path):

@@ -71,10 +71,6 @@ class QuadraticModel:
         object.__setattr__(self, "zbar1", Z)
         object.__setattr__(self, "zbar4", trace)
 
-    def zbar1_dense(self) -> np.ndarray:
-        """A writable copy of Zbar1 as a dense symmetric n x n matrix."""
-        return self.zbar1.copy()
-
     @classmethod
     def from_dense(cls, zbar1, zbar2, spec: ConvSpec, params: ActivationParams) -> "QuadraticModel":
         """Build from a dense Zbar1, which must be symmetric and exactly

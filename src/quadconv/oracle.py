@@ -187,15 +187,16 @@ def random_patch_model_set(spec: ConvSpec, params: ActivationParams, rng) -> Pat
     return PatchModelSet(z1, z2, params)
 
 
-def random_neuron_set(spec: ConvSpec, n_neurons: int, rng, unit_norm: bool = True) -> NeuronSet:
+def random_neuron_set(spec: ConvSpec, n_neurons: int, rng) -> NeuronSet:
+    """Unit-norm filters (uniform draws, normalized) and readout weights
+    i.i.d. uniform on [-1, 1]."""
     w = rng.uniform(-1.0, 1.0, size=(n_neurons, spec.f))
-    if unit_norm:
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    # resample rows that landed too close to the origin to normalize
+    while np.any(norms < 1e-6):
+        bad = norms[:, 0] < 1e-6
+        w[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), spec.f))
         norms = np.linalg.norm(w, axis=1, keepdims=True)
-        # resample rows that landed too close to the origin to normalize
-        while np.any(norms < 1e-6):
-            bad = norms[:, 0] < 1e-6
-            w[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), spec.f))
-            norms = np.linalg.norm(w, axis=1, keepdims=True)
-        w = w / norms
+    w = w / norms
     alpha = rng.uniform(-1.0, 1.0, size=(n_neurons, spec.patch_count))
     return NeuronSet(w, alpha)

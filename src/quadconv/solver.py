@@ -61,21 +61,15 @@ def _check_betas(betas) -> list[float]:
     return betas
 
 
-def solve_ls(H, y) -> SolveReport:
-    """Minimize ||H theta - y||^2 over the columns of the 2-D array H.
-
-    Returns the unique minimizer on full-rank systems; the minimum-norm
-    minimizer (with rank_deficient set) otherwise.
-    """
-    return _solve_path(H, y, [0.0])[0]
-
-
 def solve_ridge(H, y, beta: float) -> SolveReport:
-    """Minimize ||H theta - y||^2 + beta * theta' theta for beta >= 0.
+    """Minimize ||H theta - y||^2 + beta * theta' theta for beta >= 0 over
+    the columns of the 2-D array H.
 
-    At beta = 0 this is solve_ls. Note this penalty is a plain 2-norm on
-    the weight vector; it is not equivalent to trace-based regularization
-    of the constrained convex formulation except at beta = 0.
+    At beta = 0 this is plain least squares: the unique minimizer on
+    full-rank systems, the minimum-norm minimizer (with rank_deficient set)
+    otherwise. Note this penalty is a plain 2-norm on the weight vector;
+    it is not equivalent to trace-based regularization of the constrained
+    convex formulation except at beta = 0.
     """
     return _solve_path(H, y, _check_betas([beta]))[0]
 

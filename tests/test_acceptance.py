@@ -26,7 +26,6 @@ from quadconv import (
     predict_batch,
     reconstruct,
     sensitivity,
-    solve_ls,
     solve_ridge,
     split,
     synth_narx,
@@ -82,7 +81,7 @@ def test_criterion_2_neuron_sum_consistency():
         n = int(rng.integers(1, 17))
         f = int(rng.integers(1, n + 1))
         spec = ConvSpec(n, f)
-        ns = random_neuron_set(spec, int(rng.integers(1, 5)), rng, unit_norm=True)
+        ns = random_neuron_set(spec, int(rng.integers(1, 5)), rng)
         s = induced_patch_models(ns, _RELU)
         x = rng.uniform(-1, 1, size=n)
         direct = eval_neuron_sum(ns, _RELU, x)
@@ -106,7 +105,7 @@ def test_criterion_3_least_squares_optimality():
         N = 2 * spec.n_weights + int(rng.integers(0, 10))
         data = Dataset(rng.uniform(-1, 1, size=(N, n)), rng.uniform(-1, 1, size=N))
         H = build_regressor(data, spec, _RELU)
-        rep = solve_ls(H, data.labels)
+        rep = solve_ridge(H, data.labels, 0.0)
         g = H.T @ (data.labels - H @ rep.theta)
         worst_stat = max(
             worst_stat,
@@ -215,7 +214,7 @@ def test_criterion_7_ridge_behavior():
     data = Dataset(rng.uniform(-1, 1, size=(N, 6)), rng.uniform(-1, 1, size=N))
     H = build_regressor(data, spec, _RELU)
 
-    plain = solve_ls(H, data.labels).theta
+    plain = np.linalg.lstsq(H, data.labels, rcond=None)[0]
     at_zero = solve_ridge(H, data.labels, 0.0).theta
     zero_matches = np.linalg.norm(plain - at_zero) <= 1e-10 * max(1.0, np.linalg.norm(plain))
 
@@ -250,7 +249,7 @@ def test_criterion_8_robot_arm_reproduction():
             "robot-arm dataset not found; set QUADCONV_ROBOT_ARM_CSV or add "
             "data/robot_arm.csv (header u,y)"
         )
-    ts = load_csv(str(path), ["u", "y"])
+    ts = load_csv(str(path))
     data = narx_window(ts, "u", "y", 5)
     train_set, test_set = split(data, SplitSpec(0.5))
     result = fit(train_set, ConvSpec(data.n_features, 3), _RELU)

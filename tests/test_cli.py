@@ -1,13 +1,16 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadconv import (
+    ConvSpec,
     SplitSpec,
     deserialize,
     load_csv,
@@ -19,6 +22,7 @@ from quadconv import (
     synth_narx,
 )
 from quadconv.cli import main
+from quadconv.solver import _check_betas
 
 
 @pytest.fixture()
@@ -83,11 +87,33 @@ def test_train_beta_sweep_writes_one_model_per_beta(series_csv, tmp_path):
     assert len(metrics) == 5  # header + one row per beta
 
 
+def _library_message(check, *args):
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    return str(info.value)
+
+
 def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
-    assert main(_train_args(series_csv, tmp_path, **{"--f": "11"})) == 1  # f > n = 10
-    assert main(_train_args(series_csv, tmp_path, **{"--beta": "-1"})) == 1
-    assert main(_train_args(series_csv, tmp_path, **{"--beta": "nan"})) == 1
-    assert main(_train_args(series_csv, tmp_path, **{"--beta": "0,inf"})) == 1
+    # a rejected --f, --f-list or --beta prints one line in the library's words
+    def train(flag, value):
+        return _train_args(series_csv, tmp_path, **{flag: value})
+
+    bench = ["bench", "--data", series_csv, "--d", "5", "--out", str(tmp_path / "b.csv")]
+    rejected = [
+        (train("--f", "11"), ConvSpec, 10, 11),  # f > n = 10
+        (train("--f", "0"), ConvSpec, 10, 0),
+        (bench + ["--f-list", "3,11"], ConvSpec, 10, 11),
+        (bench + ["--f-list", "0"], ConvSpec, 10, 0),
+        (train("--beta", "-1"), _check_betas, [-1.0]),
+        (train("--beta", "nan"), _check_betas, [np.nan]),
+        (train("--beta", "0,inf"), _check_betas, [0.0, np.inf]),
+        (train("--beta", ","), _check_betas, []),
+    ]
+    for argv, check, *args in rejected:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"config error: {_library_message(check, *args)}\n"
+    assert list(tmp_path.iterdir()) == [Path(series_csv)]
     assert main(_train_args(series_csv, tmp_path, **{"--a": "-0.5"})) == 1
     assert main(_train_args(series_csv, tmp_path, **{"--d": None})) == 1
     assert main(["train", "--data", series_csv]) == 1  # missing required flags
@@ -108,6 +134,35 @@ def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
                  "--out", str(tmp_path / "b.csv")] + window_r1) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("config error:") for line in err)
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_windowed_dataset_is_freed_before_the_fit(series_csv, tmp_path, monkeypatch, command):
+    import quadconv.cli as cli
+
+    refs = []
+
+    def window(*args):
+        data = narx_window(*args)
+        refs.append(weakref.ref(data))
+        return data
+
+    def freed(fit):
+        def check(*args):
+            gc.collect()
+            assert refs and all(ref() is None for ref in refs)
+            return fit(*args)
+        return check
+
+    monkeypatch.setattr(cli, "narx_window", window)
+    monkeypatch.setattr(cli, "fit_path", freed(cli.fit_path))
+    monkeypatch.setattr(cli, "fit", freed(cli.fit))
+    if command == "train":
+        argv = _train_args(series_csv, tmp_path)
+    else:
+        argv = ["bench", "--data", series_csv, "--d", "5", "--f-list", "3",
+                "--out", str(tmp_path / "b.csv"), "--repeats", "1"]
+    assert main(argv) == 0
 
 
 def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
@@ -322,7 +377,7 @@ def test_predict_round_trip_reproduces_training_mse(series_csv, tmp_path, capsys
     header, row = (tmp_path / "metrics.csv").read_text().splitlines()
     reported = float(dict(zip(header.split(","), row.split(",")))["train_mse"])
 
-    ts = load_csv(series_csv, ["u", "y"])
+    ts = load_csv(series_csv)
     train_set, _ = split(narx_window(ts, "u", "y", 5), SplitSpec(0.5))
     features = tmp_path / "train_features.csv"
     dataset_to_csv(train_set, features)

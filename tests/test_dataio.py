@@ -7,7 +7,6 @@ from quadconv import (
     ConvSpec,
     Dataset,
     InsufficientData,
-    MissingColumn,
     ParseError,
     SplitSpec,
     TimeSeries,
@@ -34,7 +33,7 @@ def _write(path, text):
 
 def test_load_csv_long_series(tmp_path):
     lines = ["u,y"] + [f"{i * 0.5},{i * 0.25}" for i in range(1018)]
-    ts = load_csv(_write(tmp_path / "arm.csv", "\n".join(lines) + "\n"), ["u", "y"])
+    ts = load_csv(_write(tmp_path / "arm.csv", "\n".join(lines) + "\n"))
     assert ts.length == 1018
     assert ts.channels["u"][2] == 1.0
     assert ts.channels["y"][-1] == 1017 * 0.25
@@ -42,33 +41,28 @@ def test_load_csv_long_series(tmp_path):
 
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_csv(str(tmp_path / "nope.csv"), ["u"])
+        load_csv(str(tmp_path / "nope.csv"))
 
 
 def test_load_csv_empty_data_section(tmp_path):
     with pytest.raises(ParseError, match="no data rows"):
-        load_csv(_write(tmp_path / "empty.csv", "u,y\n"), ["u", "y"])
+        load_csv(_write(tmp_path / "empty.csv", "u,y\n"))
 
 
 def test_load_csv_reports_bad_cell_location(tmp_path):
     text = "u,y\n1.0,2.0\n1.5,oops\n"
     with pytest.raises(ParseError, match="row 3, column 'y'"):
-        load_csv(_write(tmp_path / "bad.csv", text), ["u", "y"])
+        load_csv(_write(tmp_path / "bad.csv", text))
 
 
 def test_load_csv_rejects_non_finite_cell(tmp_path):
     with pytest.raises(ParseError, match="non-finite"):
-        load_csv(_write(tmp_path / "inf.csv", "u\n1.0\ninf\n"), ["u"])
-
-
-def test_load_csv_missing_column(tmp_path):
-    with pytest.raises(MissingColumn, match="'z'"):
-        load_csv(_write(tmp_path / "cols.csv", "u,y\n1,2\n"), ["u", "z"])
+        load_csv(_write(tmp_path / "inf.csv", "u\n1.0\ninf\n"))
 
 
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(ParseError, match="row 3"):
-        load_csv(_write(tmp_path / "ragged.csv", "u,y\n1,2\n3\n"), ["u", "y"])
+        load_csv(_write(tmp_path / "ragged.csv", "u,y\n1,2\n3\n"))
 
 
 @pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
@@ -136,7 +130,7 @@ def test_load_csv_rejects_non_utf8(tmp_path):
 def test_load_csv_parses_unselected_columns(tmp_path):
     path = _write(tmp_path / "tag.csv", "u,y,tag\n1,2,a\n")
     with pytest.raises(ParseError, match="column 'tag'"):
-        load_csv(path, ["u", "y"])
+        load_csv(path)
 
 
 def test_load_feature_csv_layout(tmp_path):
@@ -150,8 +144,8 @@ def test_load_feature_csv_layout(tmp_path):
     assert X.flags["C_CONTIGUOUS"] and y is None
 
 
-def test_load_csv_default_schema_keeps_header_order(tmp_path):
-    ts = load_csv(_write(tmp_path / "all.csv", "b,a\n1,2\n3,4\n"), None)
+def test_load_csv_keeps_header_order(tmp_path):
+    ts = load_csv(_write(tmp_path / "all.csv", "b,a\n1,2\n3,4\n"))
     assert ts.names == ["b", "a"]
     np.testing.assert_array_equal(ts.channels["b"], [1.0, 3.0])
 
@@ -317,7 +311,7 @@ def test_series_csv_round_trip_is_lossless(tmp_path):
     ts = synth_narx(50, seed=1)
     path = tmp_path / "series.csv"
     series_to_csv(ts, path)
-    back = load_csv(str(path), ["u", "y"])
+    back = load_csv(str(path))
     np.testing.assert_array_equal(back.channels["u"], ts.channels["u"])
     np.testing.assert_array_equal(back.channels["y"], ts.channels["y"])
 

@@ -40,7 +40,7 @@ def test_reconstruct_zero_weights():
 def test_reconstruct_halves_off_diagonals():
     spec = ConvSpec(2, 2)
     m = reconstruct(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec, _RELU)
-    np.testing.assert_array_equal(m.zbar1_dense(), [[1.0, 2.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(m.zbar1, [[1.0, 2.0], [2.0, 2.0]])
     np.testing.assert_array_equal(m.zbar2, [5.0, 6.0])
     assert m.zbar4 == 3.0
 
@@ -48,7 +48,7 @@ def test_reconstruct_halves_off_diagonals():
 def test_reconstruct_diagonal_model():
     spec = ConvSpec(3, 1)
     m = reconstruct(np.arange(1.0, 7.0), spec, _RELU)
-    np.testing.assert_array_equal(m.zbar1_dense(), np.diag([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(m.zbar1, np.diag([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(m.zbar2, [4.0, 5.0, 6.0])
     assert m.zbar4 == 6.0
 
@@ -173,7 +173,7 @@ def test_band_structure_is_preserved():
     rng = np.random.default_rng(7)
     for _ in range(50):
         m = _random_model(rng)
-        Z = m.zbar1_dense()
+        Z = m.zbar1
         r, c = np.indices(Z.shape)
         assert np.all(Z[np.abs(r - c) >= m.spec.f] == 0.0)
         np.testing.assert_array_equal(Z, Z.T)
@@ -195,7 +195,7 @@ def test_trace_tie_holds_by_construction():
     rng = np.random.default_rng(9)
     for _ in range(20):
         m = _random_model(rng)
-        assert m.zbar4 == float(np.trace(m.zbar1_dense()))
+        assert m.zbar4 == float(np.trace(m.zbar1))
 
 
 def test_from_dense_rejects_out_of_band():
@@ -326,13 +326,10 @@ def test_serialize_rejects_non_finite_values():
             serialize(QuadraticModel(np.array(band), np.array(z2), spec, _RELU))
 
 
-def test_zbar1_is_read_only_and_dense_copy_is_not():
+def test_zbar1_is_read_only():
     m = _random_model(np.random.default_rng(11), n=5, f=2)
     with pytest.raises(ValueError):
         m.zbar1[0, 0] = 1.0
-    Z = m.zbar1_dense()
-    Z[0, 0] += 1.0
-    assert m.zbar1[0, 0] != Z[0, 0]
 
 
 def test_deserialize_reports_json_location():

@@ -62,7 +62,7 @@ def test_single_patch_equals_aggregated_model():
     s = random_patch_model_set(spec, _RELU, rng)
     x = rng.uniform(-1, 1, size=4)
     m = aggregate(s)
-    np.testing.assert_array_equal(m.zbar1_dense(), s.z1[0])
+    np.testing.assert_array_equal(m.zbar1, s.z1[0])
     np.testing.assert_array_equal(m.zbar2, s.z2[0])
     assert eval_patch_model(s, x) == pytest.approx(predict(m, x), rel=1e-12)
 
@@ -86,12 +86,12 @@ def test_aggregate_overlap_counts_identity_patches():
     spec = ConvSpec(5, 2)
     s = PatchModelSet(np.tile(np.eye(2), (4, 1, 1)), np.zeros((4, 2)), _RELU)
     m = aggregate(s)
-    np.testing.assert_array_equal(np.diag(m.zbar1_dense()), [1, 2, 2, 2, 1])
+    np.testing.assert_array_equal(np.diag(m.zbar1), [1, 2, 2, 2, 1])
 
     spec12 = ConvSpec(12, 5)
     s12 = PatchModelSet(np.tile(np.eye(5), (8, 1, 1)), np.zeros((8, 5)), _RELU)
     expected = [min(i + 1, 8, 12 - i, 5) for i in range(12)]
-    np.testing.assert_array_equal(np.diag(aggregate(s12).zbar1_dense()), expected)
+    np.testing.assert_array_equal(np.diag(aggregate(s12).zbar1), expected)
 
 
 def test_aggregate_trace_is_sum_of_patch_traces():
@@ -124,7 +124,7 @@ def test_neuron_sum_matches_induced_patch_models():
         n = int(rng.integers(1, 17))
         f = int(rng.integers(1, n + 1))
         spec = ConvSpec(n, f)
-        ns = random_neuron_set(spec, int(rng.integers(1, 5)), rng, unit_norm=True)
+        ns = random_neuron_set(spec, int(rng.integers(1, 5)), rng)
         s = induced_patch_models(ns, _RELU)
         x = rng.uniform(-1, 1, size=n)
         direct = eval_neuron_sum(ns, _RELU, x)

@@ -13,7 +13,6 @@ from quadconv import (
     SolveStrategy,
     build_regressor,
     narx_window,
-    solve_ls,
     solve_path,
     solve_ridge,
     synth_narx,
@@ -46,7 +45,7 @@ def _random_system(rng, n, f, n_samples=None):
 def test_identity_system_returns_labels():
     H = np.eye(5)
     y = np.array([3.0, -1.0, 0.5, 2.0, 4.0])
-    rep = solve_ls(H, y)
+    rep = solve_ridge(H, y, 0.0)
     np.testing.assert_allclose(rep.theta, y, rtol=1e-12)
     assert rep.solve_strategy == SolveStrategy.CHOLESKY
     assert not rep.rank_deficient
@@ -54,7 +53,7 @@ def test_identity_system_returns_labels():
 
 
 def test_reported_weights_are_read_only():
-    rep = solve_ls(np.eye(5), np.ones(5))
+    rep = solve_ridge(np.eye(5), np.ones(5), 0.0)
     assert rep.theta.shape == (5,)
     with pytest.raises(ValueError, match="read-only"):
         rep.theta[0] = 0.0
@@ -66,7 +65,7 @@ def test_rank_deficient_minimum_norm_solution():
     # the stationary point of 2*(2t - 1)^2 + t^2 is t = 4/9
     H = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     y = np.array([1.0, 0.0, 1.0])
-    rep = solve_ls(H, y)
+    rep = solve_ridge(H, y, 0.0)
     np.testing.assert_allclose(rep.theta, [4.0 / 9.0, 0.0], rtol=1e-12, atol=1e-15)
     assert rep.rank_deficient
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
@@ -75,7 +74,7 @@ def test_rank_deficient_minimum_norm_solution():
 def test_zero_labels_give_zero_weights():
     rng = np.random.default_rng(0)
     H, _ = _random_system(rng, 3, 2)
-    rep = solve_ls(H, np.zeros(H.shape[0]))
+    rep = solve_ridge(H, np.zeros(H.shape[0]), 0.0)
     np.testing.assert_array_equal(rep.theta, np.zeros(H.shape[1]))
     assert rep.residual_norm == 0.0
 
@@ -90,8 +89,8 @@ def test_ridge_scalar_closed_form():
 def test_ridge_zero_equals_plain_ls():
     rng = np.random.default_rng(1)
     H, y = _random_system(rng, 4, 2)
-    a = solve_ls(H, y).theta
-    b = solve_ridge(H, y, 0.0).theta
+    a = solve_ridge(H, y, 0.0).theta
+    b = np.linalg.lstsq(H, y, rcond=None)[0]
     np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
@@ -114,11 +113,11 @@ def test_non_finite_inputs_rejected():
     H = np.eye(5)
     y = np.zeros(5)
     with pytest.raises(NonFiniteInput):
-        solve_ls(H, np.array([1.0, np.nan, 0, 0, 0]))
+        solve_ridge(H, np.array([1.0, np.nan, 0, 0, 0]), 0.0)
     bad = np.eye(5)
     bad[3, 3] = np.inf
     with pytest.raises(NonFiniteInput):
-        solve_ls(bad, y)
+        solve_ridge(bad, y, 0.0)
     for beta in (np.nan, np.inf):
         with pytest.raises(NonFiniteInput):
             solve_ridge(H, y, beta)
@@ -127,7 +126,7 @@ def test_non_finite_inputs_rejected():
 def test_label_length_mismatch():
     H = np.eye(5)
     with pytest.raises(DimensionMismatch):
-        solve_ls(H, np.zeros(4))
+        solve_ridge(H, np.zeros(4), 0.0)
 
 
 def test_normal_equation_stationarity_full_rank():
@@ -136,7 +135,7 @@ def test_normal_equation_stationarity_full_rank():
         n = int(rng.integers(2, 9))
         f = int(rng.integers(1, n + 1))
         H, y = _random_system(rng, n, f)
-        rep = solve_ls(H, y)
+        rep = solve_ridge(H, y, 0.0)
         g = H.T @ (y - H @ rep.theta)
         assert np.linalg.norm(g) <= 1e-8 * max(1.0, np.linalg.norm(H.T @ y))
         assert not rep.rank_deficient
@@ -145,7 +144,7 @@ def test_normal_equation_stationarity_full_rank():
 def test_perturbations_never_decrease_loss():
     rng = np.random.default_rng(6)
     H, y = _random_system(rng, 5, 3)
-    rep = solve_ls(H, y)
+    rep = solve_ridge(H, y, 0.0)
     theta = rep.theta
     loss0 = np.sum((H @ theta - y) ** 2)
     for _ in range(100):
@@ -181,7 +180,7 @@ def test_underdetermined_system_flags_rank_deficiency():
     spec = ConvSpec(4, 2)
     data = Dataset(rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=3))
     H = build_regressor(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
-    rep = solve_ls(H, data.labels)
+    rep = solve_ridge(H, data.labels, 0.0)
     assert rep.rank_deficient
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     # exact interpolation is possible with more weights than samples
@@ -194,7 +193,7 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
     # even though it is singular, and the result must still be the flagged
     # minimum-norm solution rather than one polluted by null-space junk
     H, y = _narx_system()
-    rep = solve_ls(H, y)
+    rep = solve_ridge(H, y, 0.0)
     assert rep.rank_deficient
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     reference, rank = _lstsq(H, y)
@@ -205,7 +204,7 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
 @pytest.mark.parametrize("H", [np.ones(5), np.ones((5, 2, 2))], ids=["1-D", "3-D"])
 def test_regressor_must_be_two_dimensional(H):
     with pytest.raises(DimensionMismatch, match="2-D"):
-        solve_ls(H, np.zeros(5))
+        solve_ridge(H, np.zeros(5), 0.0)
 
 
 def _assert_same_report(a, b):
@@ -345,7 +344,7 @@ def test_forced_fallback_accuracy_on_scaled_and_offset_features(
     H = build_regressor(Dataset(X, np.zeros(500)), spec, ActivationParams(0.0937, 0.5, 0.4688))
     y = H @ rng.uniform(-1, 1, size=spec.n_weights)
     y += 0.01 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
-    rep = solve_ls(H, y)
+    rep = solve_ridge(H, y, 0.0)
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     assert not rep.rank_deficient
     reference, _ = _lstsq(H, y)
@@ -385,12 +384,12 @@ def test_non_finite_regressor_columns_are_named_by_the_gram_diagonal():
     big = np.eye(5)
     big[0, 1] = 1e200  # finite, but its square is not
     with pytest.raises(NonFiniteInput, match="overflows"):
-        solve_ls(big, np.zeros(5))
+        solve_ridge(big, np.zeros(5), 0.0)
     for value in (np.nan, -np.inf):
         bad = np.eye(5)
         bad[2, 4] = value
         with pytest.raises(NonFiniteInput, match="regressor matrix contains non-finite"):
-            solve_ls(bad, np.zeros(5))
+            solve_ridge(bad, np.zeros(5), 0.0)
 
 
 @pytest.mark.parametrize(
