@@ -145,8 +145,8 @@ def _train_test(args, split_spec):
 
     The mode arguments are checked before the file is read, so a config
     error is reported as one even when the data file is missing. Only the
-    (train, test) pair is returned: the full windowed dataset is freed
-    before the caller fits.
+    (train, test) pair is returned; both are row views of the one windowed
+    feature array, so windowing and splitting hold it once.
     """
     channels = _parse_channels(args.channels)
     _check_mode_args(args)

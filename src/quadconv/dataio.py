@@ -17,7 +17,7 @@ from .errors import (
     MissingColumn,
     ParseError,
 )
-from .regressor import Dataset
+from .regressor import Dataset, _dataset
 
 _SMOOTH = 5
 _PARSE_CELLS = 1 << 14  # cells per string-to-float conversion in _read_table
@@ -187,7 +187,9 @@ def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int)
     """Autoregressive windowing: the row for time t is
     [u_{t-d} .. u_{t-1}, y_{t-d} .. y_{t-1}] with label y_t.
 
-    Produces N = T - d rows with n = 2d features.
+    Produces N = T - d rows with n = 2d features. The feature array is
+    built once and the dataset keeps it, with its labels a view of the
+    output channel.
     """
     if d < 1:
         raise ValueError(f"delay d must be >= 1, got {d}")
@@ -198,7 +200,7 @@ def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int)
         raise InsufficientData(f"need more than d={d} samples, have {T}")
     uw = np.lib.stride_tricks.sliding_window_view(u, d)[: T - d]
     yw = np.lib.stride_tricks.sliding_window_view(y, d)[: T - d]
-    return Dataset(np.hstack([uw, yw]), y[d:])
+    return _dataset(np.hstack([uw, yw]), y[d:])
 
 
 def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) -> Dataset:
@@ -223,11 +225,12 @@ def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) ->
     rows = np.hstack([ch[: W * r].reshape(W, r) for ch in chans])
     starts = np.arange(W) * r
     labels = label[starts + r - 1] - label[starts]
-    return Dataset(rows, labels)
+    return _dataset(rows, labels)
 
 
 def split(data: Dataset, s: SplitSpec):
-    """Order-preserving sequential split into (train, test)."""
+    """Order-preserving sequential split into (train, test), two datasets
+    over row views of data's arrays: nothing is copied."""
     N = data.n_samples
     if N < 2:
         raise InsufficientData(f"need at least 2 samples to split, have {N}")
@@ -236,9 +239,8 @@ def split(data: Dataset, s: SplitSpec):
         raise InsufficientData(
             f"train_fraction {s.train_fraction} leaves an empty side for N={N}"
         )
-    train = Dataset(data.inputs[:k], data.labels[:k])
-    test = Dataset(data.inputs[k:], data.labels[k:])
-    return train, test
+    return (_dataset(data.inputs[:k], data.labels[:k]),
+            _dataset(data.inputs[k:], data.labels[k:]))
 
 
 def synth_narx(T: int, seed=0) -> TimeSeries:

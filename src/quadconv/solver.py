@@ -1,4 +1,13 @@
-"""Normal-equation and pseudoinverse solution of the training problem."""
+"""Normal-equation and pseudoinverse solution of the training problem.
+
+The solver reads the regressor H only in row blocks, by three walks: one
+accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
+falls back, and one gives every beta's residual norm. H is a held 2-D array,
+whose blocks are row views, or a row source: an object with shape (N, p)
+whose fill_rows(rows, out) writes H[rows] into out, an m x p array with
+contiguous columns, and returns out. A row source lets a fit assemble each
+block when a walk needs it, so no N x p array is ever held.
+"""
 
 from __future__ import annotations
 
@@ -14,12 +23,26 @@ from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
 # rounding level; otherwise fall through to the QR/SVD route.
 _CHOLESKY_ACCEPT = 1e-10
 
-# The QR fallback and the residual norms walk H in blocks of at least this
-# many rows, and of at least four triangles of the QR, so the triangle
-# stacked on each block stays a small share of it. Each QR step factors its
-# block by LAPACK's recursive blocked QR with panels this wide.
+# The Gram and residual walks take blocks of this many bytes: about 490
+# rows at p = 2155, where in-place dsyrk runs within 3% of its speed on
+# 1000-row blocks, and 4600 at p = 230, where a row source's buffer then
+# holds 2.5% of a 100k-row H.
+_WALK_BYTES = 1 << 23
+
+# The QR fallback walks H in blocks of at least this many rows, and of at
+# least four triangles of the QR, so the triangle stacked on each block
+# stays a small share of it. Each QR step factors its block by LAPACK's
+# recursive blocked QR with panels this wide.
 _BLOCK_ROWS = 4096
 _QR_PANEL = 64
+
+# Each walk calls one BLAS library only: the Gram and QR walks scipy's, the
+# residual walk numpy's. numpy and scipy each bundle their own OpenBLAS, with
+# its own thread pool, and a pool whose threads still spin after a call slows
+# the other's next call. A numpy H'y product between dsyrk calls made the
+# Gram walk 1.9x slower at p = 2155, and a numpy product with each stacked
+# block between dgeqrt calls made the QR walk 2.2x slower at p = 230.
+# Assembling a block uses no BLAS.
 
 
 class SolveStrategy(str, Enum):
@@ -32,10 +55,12 @@ class SolveReport:
     """Solution plus diagnostics of a single least-squares solve.
 
     `seconds` is the wall time this beta added to its sweep: the first beta
-    of a sweep also carries the shared Gram and the shared walk over H that
+    of a sweep also carries the shared Gram walk and the shared walk that
     computes every beta's residual norm, and the first beta that falls back
-    also carries the sweep's one QR/SVD. `theta` is read-only, one weight
-    per column of H, in the layout that model.reconstruct inverts.
+    also carries the sweep's one QR walk and SVD. When H comes from a row
+    source, these walks include assembling its blocks. `theta` is
+    read-only, one weight per column of H, in the layout that
+    model.reconstruct inverts.
     """
 
     theta: np.ndarray
@@ -63,7 +88,7 @@ def _check_betas(betas) -> list[float]:
 
 def solve_ridge(H, y, beta: float) -> SolveReport:
     """Minimize ||H theta - y||^2 + beta * theta' theta for beta >= 0 over
-    the columns of the 2-D array H.
+    the columns of H, a 2-D array or a row source (see the module docstring).
 
     At beta = 0 this is plain least squares: the unique minimizer on
     full-rank systems, the minimum-norm minimizer (with rank_deficient set)
@@ -77,12 +102,12 @@ def solve_ridge(H, y, beta: float) -> SolveReport:
 def solve_path(H, y, betas) -> list[SolveReport]:
     """solve_ridge for every beta of a sweep, one report per beta in order.
 
-    The Gram matrix H'H and H'y are formed once. Each beta factors
-    H'H + beta I by Cholesky; a beta whose factor is degenerate or fails
-    the residual check falls back to one QR of [H | y] shared by the whole
-    sweep, and one walk over H gives every beta's residual norm. Each
-    report's weights and diagnostics equal solve_ridge's for its beta bit
-    for bit.
+    The Gram matrix H'H and H'y are formed once, by one walk over H. Each
+    beta factors H'H + beta I by Cholesky; a beta whose factor is degenerate
+    or fails the residual check falls back to one QR of [H | y] shared by
+    the whole sweep, and one more walk gives every beta's residual norm. So
+    H is read twice, or three times when a beta falls back. Each report's
+    weights and diagnostics equal solve_ridge's for its beta bit for bit.
     """
     return _solve_path(H, y, _check_betas(betas))
 
@@ -94,27 +119,27 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     import scipy.linalg.lapack  # noqa: F401
 
     t = time.perf_counter()
-    M = np.asarray(H, dtype=float)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"regressor must be a 2-D array, got shape {M.shape}")
+    if not hasattr(H, "fill_rows"):
+        H = np.asarray(H, dtype=float)
+        if H.ndim != 2:
+            raise DimensionMismatch(f"regressor must be a 2-D array, got shape {H.shape}")
     y = np.asarray(y, dtype=float)
-    if y.shape != (M.shape[0],):
+    if y.shape != (H.shape[0],):
         raise DimensionMismatch(
-            f"labels must have shape ({M.shape[0]},), got {y.shape}"
+            f"labels must have shape ({H.shape[0]},), got {y.shape}"
         )
     if not np.isfinite(y).all():
         raise NonFiniteInput("labels contain non-finite values")
 
-    # a NaN or inf in column j makes A_jj = sum_i M_ij^2 non-finite, so the
+    A, rhs = _gram(H, y)
+    # a NaN or inf in column j makes A_jj = sum_i H_ij^2 non-finite, so the
     # Gram diagonal stands in for a scan of H
-    with np.errstate(invalid="ignore", over="ignore"):
-        A = M.T @ M
     gram_diagonal = A.diagonal().copy()
     if not np.isfinite(gram_diagonal).all():
-        if not np.isfinite(M).all():
+        blocks = _blocks(H, y, _walk_rows(H.shape[1]))
+        if not all(np.isfinite(block).all() for block, _ in blocks):
             raise NonFiniteInput("regressor matrix contains non-finite values")
         raise NonFiniteInput("H'H overflows: the regressor entries are too large")
-    rhs = M.T @ y
     scale = max(1.0, float(np.linalg.norm(rhs)))
     svd = None
     solved = []  # the fields of each beta's report but its residual norm
@@ -122,13 +147,13 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         # A holds H'H + beta I; its diagonal is rewritten from the saved
         # one, so every beta sees exactly the matrix a lone solve would
         np.fill_diagonal(A, gram_diagonal + beta)
-        theta = _cholesky(A, rhs, beta, scale, max(M.shape))
+        theta = _cholesky(A, rhs, beta, scale, max(H.shape))
         rank_deficient = False
         strategy = SolveStrategy.CHOLESKY
         if theta is None:
             if svd is None:
-                svd = _rank_revealing(M, y)
-            theta, rank_deficient = _pseudoinverse(*svd, beta, max(M.shape))
+                svd = _rank_revealing(H, y)
+            theta, rank_deficient = _pseudoinverse(*svd, beta, max(H.shape))
             strategy = SolveStrategy.PSEUDOINVERSE
         theta.setflags(write=False)
         normal_residual_norm = float(np.linalg.norm(A @ theta - rhs))
@@ -142,32 +167,83 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
             seconds=now - t,
         ))
         t = now
-    residual_norms = _residual_norms(M, y, [s["theta"] for s in solved])
+    residual_norms = _residual_norms(H, y, [s["theta"] for s in solved])
     # the shared walk counts towards the first beta, as the Gram does
     solved[0]["seconds"] += time.perf_counter() - t
     return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
 
 
+def _walk_rows(p):
+    """Rows per block of the Gram and residual walks over a p-column H."""
+    return max(1, _WALK_BYTES // (8 * p))
+
+
 def _block_rows(p):
-    """Rows per block of a p-column H."""
+    """Rows per block of the QR walk over a p-column H."""
     return max(_BLOCK_ROWS, 4 * (p + 1))
 
 
-def _row_blocks(N, p):
-    """Slices of consecutive rows that cover N rows of a p-column H."""
-    rows = _block_rows(p)
+def _slices(N, rows):
+    """Slices of consecutive blocks of `rows` rows that cover N rows."""
     return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
 
 
-def _residual_norms(M, y, thetas):
-    """||y - M theta|| for every theta, reading each row block of M once.
+def _row_blocks(N, p):
+    """The row slices of the QR walk over an N x p H."""
+    return _slices(N, _block_rows(p))
+
+
+def _blocks(H, y, rows):
+    """(H[r], y[r]) for consecutive row slices r of `rows` rows: views of a
+    held H, or blocks a row source writes into one buffer, which every block
+    reuses and which is freed when the walk ends."""
+    N, p = H.shape
+    if not hasattr(H, "fill_rows"):
+        for r in _slices(N, rows):
+            yield H[r], y[r]
+        return
+    buffer = np.empty(min(N, rows) * p)
+    for r in _slices(N, rows):
+        m = r.stop - r.start
+        yield H.fill_rows(r, buffer[: m * p].reshape((m, p), order="F")), y[r]
+
+
+def _gram(H, y):
+    """H'H and H'y, accumulated block by block in place by scipy's dsyrk
+    and dgemv.
+
+    Both read a block column-major, as a row source fills it; a C-ordered
+    row view is read as its transpose, and any other view is copied. dsyrk
+    sums a column-major block and its C-ordered twin alike, so a fit over a
+    row source forms the same bits as a solve on build_regressor's H.
+    """
+    from scipy.linalg.blas import dgemv, dsyrk
+
+    p = H.shape[1]
+    A = np.zeros((p, p), order="F")
+    rhs = np.zeros(p)
+    for block, labels in _blocks(H, y, _walk_rows(p)):
+        if block.flags.f_contiguous:
+            a, trans = block, 1
+        elif block.flags.c_contiguous:
+            a, trans = block.T, 0
+        else:
+            a, trans = np.asfortranarray(block), 1
+        A = dsyrk(1.0, a, beta=1.0, c=A, trans=trans, overwrite_c=1)
+        rhs = dgemv(1.0, a, labels, beta=1.0, y=rhs, trans=trans, overwrite_y=1)
+    # dsyrk fills the upper triangle; mirror it so A @ theta reads all of A
+    A += np.triu(A, 1).T
+    return A, rhs
+
+
+def _residual_norms(H, y, thetas):
+    """||y - H theta|| for every theta, from one walk over H.
 
     Each theta gets its own product per block, so its norm does not depend
     on which other thetas share the walk.
     """
     squares = np.zeros(len(thetas))
-    for rows in _row_blocks(*M.shape):
-        block, labels = M[rows], y[rows]
+    for block, labels in _blocks(H, y, _walk_rows(H.shape[1])):
         for i, theta in enumerate(thetas):
             r = labels - block @ theta
             squares[i] += r @ r
@@ -199,7 +275,7 @@ def _cholesky(A, rhs, beta, scale, size):
     return None
 
 
-def _rank_revealing(M, y):
+def _rank_revealing(H, y):
     """Singular values s, right singular vectors Vt and U'y of H, from a
     QR of [H | y] and an SVD of its small triangle.
 
@@ -208,11 +284,12 @@ def _rank_revealing(M, y):
     of the rows so far is stacked on the next block in one Fortran-ordered
     buffer, and the buffer is factored in place; the triangle of the stack
     is the triangle of all rows so far. Neither Q, an N-row copy of H nor
-    the N-row left factor U is formed.
+    the N-row left factor U is formed; a row source fills each block
+    straight into the buffer.
     """
     from scipy.linalg.lapack import dgeqrt
 
-    N, p = M.shape
+    N, p = H.shape
     width = p + 1
     buffer = np.empty((min(N, _block_rows(p)) + width) * width)
     R = np.zeros((0, width))
@@ -222,7 +299,10 @@ def _rank_revealing(M, y):
         # a contiguous m-row view, so the factorization works in place
         stack = buffer[: m * width].reshape((m, width), order="F")
         stack[:k] = R
-        stack[k:, :p] = M[rows]
+        if hasattr(H, "fill_rows"):
+            H.fill_rows(rows, stack[k:, :p])
+        else:
+            stack[k:, :p] = H[rows]
         stack[k:, p] = y[rows]
         qr, _, info = dgeqrt(min(_QR_PANEL, m, width), stack, overwrite_a=True)
         if info:

@@ -7,12 +7,21 @@ from dataclasses import dataclass
 
 from .core import ActivationParams, ConvSpec
 from .model import QuadraticModel, reconstruct
-from .regressor import Dataset, build_regressor
-from .solver import SolveReport, _check_betas, solve_path, solve_ridge
+from .regressor import Dataset, _RegressorRows, build_regressor
+from .solver import SolveReport, _check_betas, _walk_rows, solve_path, solve_ridge
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
+    """A trained model, its solve report and where the fit's time went.
+
+    `build_seconds` is the time spent assembling H before the solve. A fit
+    whose N rows fit in one block of the solver's walks builds H whole and
+    bills its assembly here; a longer fit never holds H: the solver's walks
+    assemble each block when they read it, so their assembly is part of
+    `solve_seconds` and `build_seconds` is 0.
+    """
+
     model: QuadraticModel
     report: SolveReport
     build_seconds: float
@@ -28,8 +37,9 @@ class FitResult:
 
 
 def fit_path(data: Dataset, spec: ConvSpec, params: ActivationParams, betas) -> list[FitResult]:
-    """Train one model per ridge weight from a single regressor assembly
-    and a single Gram matrix (see solve_path)."""
+    """Train one model per ridge weight from a single Gram matrix and at
+    most one QR (see solve_path). No N x (q + n) regressor is held unless
+    the N rows fit in one block of the solver's walks."""
     betas = _check_betas(betas)
     return _fit(data, spec, params, lambda H, y: solve_path(H, y, betas))
 
@@ -42,9 +52,12 @@ def fit(data: Dataset, spec: ConvSpec, params: ActivationParams, beta: float = 0
 
 
 def _fit(data, spec, params, solve):
-    t0 = time.perf_counter()
-    H = build_regressor(data, spec, params)
-    build_seconds = time.perf_counter() - t0
+    if data.n_samples <= _walk_rows(spec.n_weights):
+        t0 = time.perf_counter()
+        H = build_regressor(data, spec, params)
+        build_seconds = time.perf_counter() - t0
+    else:
+        H, build_seconds = _RegressorRows(data, spec, params), 0.0
     return [
         FitResult(reconstruct(report.theta, spec, params), report,
                   build_seconds if i == 0 else 0.0, report.seconds)

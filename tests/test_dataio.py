@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,37 @@ def test_split_rejects_degenerate_cases():
     small = Dataset(np.ones((3, 2)), np.ones(3))
     with pytest.raises(InsufficientData):
         split(small, SplitSpec(0.01))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_windowing_and_split_copy_no_features():
+    # windowing builds the feature array once and the dataset keeps it;
+    # split hands out read-only row views of it
+    ts = synth_narx(40000, seed=3)
+    data, peak = _traced_peak(lambda: narx_window(ts, "u", "y", 20))
+    X = data.inputs
+    assert peak <= 1.1 * X.nbytes
+    (train, test), peak = _traced_peak(lambda: split(data, SplitSpec(0.5)))
+    assert peak <= 0.01 * X.nbytes
+    assert np.shares_memory(train.inputs, X) and np.shares_memory(test.inputs, X)
+    assert not train.inputs.flags.writeable and not test.labels.flags.writeable
+
+
+def test_dataset_copies_the_callers_arrays():
+    X, y = np.ones((4, 2)), np.zeros(4)
+    data = Dataset(X, y)
+    assert not np.shares_memory(data.inputs, X) and not np.shares_memory(data.labels, y)
+    X[0, 0] = 5.0
+    assert data.inputs[0, 0] == 1.0
 
 
 def test_split_spec_validation():

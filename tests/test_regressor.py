@@ -14,6 +14,7 @@ from quadconv import (
     predict_batch,
     reconstruct,
 )
+from quadconv.regressor import _RegressorRows
 
 
 def _single_row(x, spec, params):
@@ -85,22 +86,50 @@ def test_linear_block_scales_with_b():
     np.testing.assert_allclose(h2[:, -3:], 3.0 * h1[:, -3:], rtol=1e-14)
 
 
-def test_assembly_matches_gathered_band_bit_for_bit():
-    # H assembled independently by gathering the band index map's (row, col)
-    # pairs; the in-place per-diagonal fill must reproduce it exactly
+def _assembly_cases():
+    # 24 geometries with random activations and 1 to 49 feature rows
     rng = np.random.default_rng(12)
     geometries = [(1, 1), (9, 1), (9, 9), (40, 5)]
     geometries += [(n, int(rng.integers(1, n + 1))) for n in rng.integers(1, 30, size=20)]
     for n, f in geometries:
-        spec = ConvSpec(n, f)
         params = ActivationParams(*rng.uniform(0.1, 2.0, size=3))
-        X = rng.standard_normal((int(rng.integers(1, 50)), n))
+        yield ConvSpec(n, f), params, rng.standard_normal((int(rng.integers(1, 50)), n))
+
+
+def test_assembly_matches_gathered_band_bit_for_bit():
+    # H assembled independently by gathering the band index map's (row, col)
+    # pairs; the in-place per-diagonal fill must reproduce it exactly
+    for spec, params, X in _assembly_cases():
+        n = spec.n
         m = band_index_map(spec)
         quad = params.a * (X[:, m.rows] * X[:, m.cols])
         quad[:, :n] += params.c
         expected = np.hstack([quad, params.b * X])
         H = build_regressor(Dataset(X, np.zeros(X.shape[0])), spec, params)
         np.testing.assert_array_equal(H, expected)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_row_blocks_match_build_regressor_bit_for_bit():
+    # the blocks a fit walks are the rows of the held H, whatever the block
+    # size; each is written into a column-major view with room to spare, as
+    # the QR walk's stacked buffer is
+    for spec, params, X in _assembly_cases():
+        data = Dataset(X, np.zeros(X.shape[0]))
+        H = build_regressor(data, spec, params)
+        source = _RegressorRows(data, spec, params)
+        N, p = H.shape
+        assert source.shape == (N, p)
+        for size in (1, 7, N):
+            for start in range(0, N, size):
+                rows = slice(start, min(N, start + size))
+                m = rows.stop - rows.start
+                out = np.full((m + 2, p + 1), np.nan, order="F")[2:, :p]
+                assert source.fill_rows(rows, out) is out
+                assert np.array_equal(_bits(out), _bits(H[rows]))
 
 
 def test_assembly_allocates_little_beyond_h():

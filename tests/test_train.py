@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,14 +8,19 @@ import quadconv.train
 from quadconv import (
     ActivationParams,
     ConvSpec,
+    Dataset,
     NegativeRegularizer,
     NonFiniteInput,
     SolveStrategy,
+    build_regressor,
     fit,
     fit_path,
     narx_window,
+    solve_ridge,
     synth_narx,
 )
+from quadconv import solver
+from quadconv.regressor import _RegressorRows
 
 _PARAMS = ActivationParams(0.0937, 0.5, 0.4688)
 
@@ -65,3 +73,83 @@ def test_fit_path_matches_per_beta_fits_and_splits_time():
     assert results[0].build_seconds > 0.0
     assert [r.build_seconds for r in results[1:]] == [0.0, 0.0]
     assert all(r.solve_seconds > 0.0 for r in results)
+
+
+def _walk_in_blocks(monkeypatch, data, spec, blocks):
+    # shrink the block sizes so the Gram, QR and residual walks each take
+    # `blocks` blocks of the data's rows
+    rows = -(-data.n_samples // blocks)
+    monkeypatch.setattr(solver, "_WALK_BYTES", 8 * spec.n_weights * rows)
+    monkeypatch.setattr(solver, "_block_rows", lambda p: rows)
+    assert len(solver._slices(data.n_samples, solver._walk_rows(spec.n_weights))) == blocks
+    assert len(solver._row_blocks(data.n_samples, spec.n_weights)) == blocks
+
+
+def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatch):
+    data, spec = _narx_data(), ConvSpec(10, 3)
+    _walk_in_blocks(monkeypatch, data, spec, 5)
+    H = build_regressor(data, spec, _PARAMS)
+    calls = _count_assembly(monkeypatch)
+    for beta, route in [(0.0, SolveStrategy.PSEUDOINVERSE), (1.0, SolveStrategy.CHOLESKY)]:
+        walked = fit(data, spec, _PARAMS, beta)
+        held = solve_ridge(H, data.labels, beta)
+        assert walked.report.solve_strategy == held.solve_strategy == route
+        assert walked.report.theta.tobytes() == held.theta.tobytes()
+        assert walked.report.normal_residual_norm == held.normal_residual_norm
+        assert walked.report.residual_norm == pytest.approx(held.residual_norm, rel=1e-12)
+        assert walked.build_seconds == 0.0
+    # a fit of several blocks never builds H whole
+    assert calls == []
+
+
+def _record_blocks_assembled(monkeypatch):
+    blocks = []
+    original = _RegressorRows.fill_rows
+
+    def recorded(self, rows, out):
+        blocks.append((rows.start, rows.stop))
+        return original(self, rows, out)
+
+    monkeypatch.setattr(_RegressorRows, "fill_rows", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("betas, walks", [([0.0, 1.0], 3), ([1.0, 10.0], 2)])
+def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_walk(
+    monkeypatch, betas, walks
+):
+    data, spec = narx_window(synth_narx(4000, seed=9), "u", "y", 5), ConvSpec(10, 3)
+    _walk_in_blocks(monkeypatch, data, spec, 4)
+    blocks = _record_blocks_assembled(monkeypatch)
+    tracemalloc.start()
+    try:
+        results = fit_path(data, spec, _PARAMS, betas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fallback = SolveStrategy.PSEUDOINVERSE in {r.report.solve_strategy for r in results}
+    assert fallback == (walks == 3)
+    assert peak <= 0.5 * data.n_samples * spec.n_weights * 8
+    # Gram and residual walks, and the QR walk when a beta falls back
+    counts = Counter(row for start, stop in blocks for row in range(start, stop))
+    assert len(counts) == data.n_samples
+    assert max(counts.values()) <= walks
+
+
+@pytest.mark.parametrize("blocks", [1, 4])  # H held whole, and walked
+def test_residual_norm_is_read_from_the_rows(monkeypatch, blocks):
+    # a near-exact fit: the residual is 1e-9 of the labels, far below what a
+    # residual formed from the Gram matrix can resolve
+    rng = np.random.default_rng(14)
+    spec = ConvSpec(6, 3)
+    X = rng.uniform(-1, 1, size=(800, spec.n))
+    H = build_regressor(Dataset(X, np.zeros(800)), spec, _PARAMS)
+    y = H @ rng.uniform(-1, 1, size=spec.n_weights)
+    y += 1e-9 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
+    data = Dataset(X, y)
+    _walk_in_blocks(monkeypatch, data, spec, blocks)
+    report = fit(data, spec, _PARAMS, 0.0).report
+    assert report.solve_strategy == SolveStrategy.CHOLESKY
+    residual = np.linalg.norm(y - H @ report.theta)
+    assert 1e-10 < residual / np.linalg.norm(y) < 1e-8
+    assert report.residual_norm == pytest.approx(residual, rel=1e-8)
