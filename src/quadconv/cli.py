@@ -32,7 +32,7 @@ from .dataio import (
     split,
 )
 from .errors import MalformedModelFile, QuadconvError
-from .model import deserialize, predict_batch, sensitivity_batch, serialize, to_weight_vector
+from .model import deserialize, predict_batch, sensitivity_batch, serialize
 from .solver import _check_betas
 from .train import fit, fit_path
 from .verify import run_all_checks
@@ -51,13 +51,6 @@ def _config_errors():
         raise _ConfigError(str(e)) from None
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # usage problems exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_common_train_args(p):
     p.add_argument("--data", required=True, help="input CSV with a header row")
     p.add_argument("--mode", choices=("narx", "window"), default="narx",
@@ -74,8 +67,9 @@ def _add_common_train_args(p):
                    help="sequential train fraction (default %(default)s)")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="quadconv", description=__doc__.splitlines()[0] if __doc__ else None)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="quadconv", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", parents=[], help="fit a banded quadratic model")
@@ -205,22 +199,26 @@ def cmd_train(args) -> int:
         _check_parent_dir(args.metrics)
 
     train_set, test_set = _train_test(args, split_spec)
+    n_train = train_set.n_samples
     with _config_errors():
         spec = ConvSpec(train_set.n_features, args.f)
 
     rows = []
     for beta, result in zip(betas, fit_path(train_set, spec, params, betas)):
-        if result.report.rank_deficient:
+        report = result.report
+        if report.rank_deficient:
             print(
                 f"warning: beta={beta:g} fit is rank deficient "
-                f"(route {result.report.solve_strategy.value}, "
-                f"{train_set.n_samples} training rows, {spec.n_weights} weights); "
+                f"(route {report.solve_strategy.value}, "
+                f"{n_train} training rows, {spec.n_weights} weights); "
                 "the training data do not determine every weight",
                 file=sys.stderr,
             )
-        train_mse = mse(predict_batch(result.model, train_set.inputs), train_set.labels)
+        # the solve measured the training residual; only the test rows are
+        # evaluated
+        train_mse = report.residual_norm ** 2 / n_train
         test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
-        theta_norm = float(np.linalg.norm(to_weight_vector(result.model)))
+        theta_norm = float(np.linalg.norm(report.theta))
         out_path = _beta_path(args.out, beta, len(betas) > 1)
         out_path.write_text(serialize(result.model), encoding="utf-8")
         rows.append((beta, train_mse, test_mse, result.train_seconds, theta_norm))
@@ -233,7 +231,7 @@ def cmd_train(args) -> int:
         header = ["beta", "f", "n", "n_train", "n_test", "train_mse", "test_mse",
                   "train_time_s", "theta_norm"]
         _write_csv(args.metrics, header, (
-            (beta, spec.f, spec.n, train_set.n_samples, test_set.n_samples, tr, te,
+            (beta, spec.f, spec.n, n_train, test_set.n_samples, tr, te,
              f"{secs:.6f}", norm)
             for beta, tr, te, secs, norm in rows
         ))
@@ -302,7 +300,7 @@ def cmd_bench(args) -> int:
     _check_parent_dir(args.out)
 
     train_set, test_set = _train_test(args, split_spec)
-    n = train_set.n_features
+    n_train, n = train_set.n_samples, train_set.n_features
     if n not in f_values:
         f_values.append(n)
     with _config_errors():
@@ -317,7 +315,7 @@ def cmd_bench(args) -> int:
             result = fit(train_set, spec, params, 0.0)
             best = result.train_seconds if best is None else min(best, result.train_seconds)
         method = "ls-qnn" if f == n else "ls-cqnn"
-        train_mse = mse(predict_batch(result.model, train_set.inputs), train_set.labels)
+        train_mse = result.report.residual_norm ** 2 / n_train
         test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
         rows.append((method, f, train_mse, test_mse, best))
 

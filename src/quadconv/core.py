@@ -39,10 +39,16 @@ RELU_MIMIC = ActivationParams(a=0.0937, b=0.5, c=0.4688)
 
 
 def validate_activation(a: float, b: float, c: float) -> ActivationParams:
-    """Return ActivationParams iff a > 0, c > 0 and b**2 - 4ac >= 0.
+    """Return ActivationParams iff a, b and c are finite, a > 0, c > 0 and
+    b**2 - 4ac >= 0.
 
     Raises InvalidActivation naming the violated condition otherwise.
     """
+    if not np.isfinite([a, b, c]).all():
+        # an infinite b would pass the discriminant check as inf >= 0
+        raise InvalidActivation(
+            f"activation coefficients must be finite, got (a, b, c) = ({a!r}, {b!r}, {c!r})"
+        )
     if not a > 0:
         raise InvalidActivation(f"quadratic coefficient a must be > 0, got {a!r}")
     if not c > 0:

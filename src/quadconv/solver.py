@@ -188,11 +188,6 @@ def _slices(N, rows):
     return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
 
 
-def _row_blocks(N, p):
-    """The row slices of the QR walk over an N x p H."""
-    return _slices(N, _block_rows(p))
-
-
 def _blocks(H, y, rows):
     """(H[r], y[r]) for consecutive row slices r of `rows` rows: views of a
     held H, or blocks a row source writes into one buffer, which every block
@@ -293,7 +288,7 @@ def _rank_revealing(H, y):
     width = p + 1
     buffer = np.empty((min(N, _block_rows(p)) + width) * width)
     R = np.zeros((0, width))
-    for rows in _row_blocks(N, p):
+    for rows in _slices(N, _block_rows(p)):
         k = len(R)
         m = k + rows.stop - rows.start
         # a contiguous m-row view, so the factorization works in place

@@ -13,27 +13,22 @@ from .solver import SolveReport, _check_betas, _walk_rows, solve_path, solve_rid
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """A trained model, its solve report and where the fit's time went.
+    """A trained model, its solve report and the time its fit took.
 
-    `build_seconds` is the time spent assembling H before the solve. A fit
-    whose N rows fit in one block of the solver's walks builds H whole and
-    bills its assembly here; a longer fit never holds H: the solver's walks
-    assemble each block when they read it, so their assembly is part of
-    `solve_seconds` and `build_seconds` is 0.
+    The report holds what the solve measured: report.residual_norm ** 2 / N
+    is the mean squared error over the N training rows.
+
+    `train_seconds` is regressor assembly plus solve, never file I/O:
+    `report.seconds`, plus on the first result the time spent building H
+    whole when the N rows fit in one block of the solver's walks. A longer
+    fit assembles each block inside the walks, so `report.seconds` already
+    holds it. In a sweep the shared work counts towards the first beta, so
+    the sweep's train_seconds sum to its fit time.
     """
 
     model: QuadraticModel
     report: SolveReport
-    build_seconds: float
-    solve_seconds: float
-
-    @property
-    def train_seconds(self) -> float:
-        """Regressor assembly plus solve; file I/O is never included.
-
-        In a sweep the shared assembly and Gram count towards the first
-        beta, so the sweep's train_seconds sum to its fit time."""
-        return self.build_seconds + self.solve_seconds
+    train_seconds: float
 
 
 def fit_path(data: Dataset, spec: ConvSpec, params: ActivationParams, betas) -> list[FitResult]:
@@ -60,6 +55,6 @@ def _fit(data, spec, params, solve):
         H, build_seconds = _RegressorRows(data, spec, params), 0.0
     return [
         FitResult(reconstruct(report.theta, spec, params), report,
-                  build_seconds if i == 0 else 0.0, report.seconds)
+                  report.seconds + (build_seconds if i == 0 else 0.0))
         for i, report in enumerate(solve(H, data.labels))
     ]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from quadconv import (
+    RELU_MIMIC,
     ConvSpec,
     SplitSpec,
     deserialize,
@@ -17,9 +18,11 @@ from quadconv import (
     load_feature_csv,
     narx_window,
     dataset_to_csv,
+    predict_batch,
     series_to_csv,
     split,
     synth_narx,
+    validate_activation,
 )
 from quadconv.cli import main
 from quadconv.solver import _check_betas
@@ -94,11 +97,13 @@ def _library_message(check, *args):
 
 
 def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
-    # a rejected --f, --f-list or --beta prints one line in the library's words
+    # a rejected --f, --f-list, --beta or activation prints one line in the
+    # library's words
     def train(flag, value):
         return _train_args(series_csv, tmp_path, **{flag: value})
 
     bench = ["bench", "--data", series_csv, "--d", "5", "--out", str(tmp_path / "b.csv")]
+    a, c = RELU_MIMIC.a, RELU_MIMIC.c
     rejected = [
         (train("--f", "11"), ConvSpec, 10, 11),  # f > n = 10
         (train("--f", "0"), ConvSpec, 10, 0),
@@ -108,6 +113,9 @@ def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
         (train("--beta", "nan"), _check_betas, [np.nan]),
         (train("--beta", "0,inf"), _check_betas, [0.0, np.inf]),
         (train("--beta", ","), _check_betas, []),
+        # an infinite b would pass the discriminant check as inf >= 0
+        (train("--beta", "0") + ["--b=inf"], validate_activation, a, np.inf, c),
+        (train("--beta", "0") + ["--b=-inf"], validate_activation, a, -np.inf, c),
     ]
     for argv, check, *args in rejected:
         capsys.readouterr()
@@ -116,7 +124,11 @@ def test_train_config_errors_exit_1(series_csv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [Path(series_csv)]
     assert main(_train_args(series_csv, tmp_path, **{"--a": "-0.5"})) == 1
     assert main(_train_args(series_csv, tmp_path, **{"--d": None})) == 1
+    capsys.readouterr()
     assert main(["train", "--data", series_csv]) == 1  # missing required flags
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: quadconv train ")
+    assert err[-1].startswith("quadconv train: error: the following arguments are required: --f")
     # window mode with r = 1: a block's first and last sample coincide, so
     # every label would be 0
     window_r1 = ["--mode", "window", "--r", "1", "--label", "y", "--channels", "u"]
@@ -163,6 +175,28 @@ def test_windowed_dataset_is_freed_before_the_fit(series_csv, tmp_path, monkeypa
         argv = ["bench", "--data", series_csv, "--d", "5", "--f-list", "3",
                 "--out", str(tmp_path / "b.csv"), "--repeats", "1"]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_only_the_test_rows_are_evaluated(series_csv, tmp_path, monkeypatch, command):
+    # the training error comes from the solve's residual norm, so each fit
+    # evaluates its model once, on the 298 test rows
+    import quadconv.cli as cli
+
+    rows = []
+
+    def recorded(model, X):
+        rows.append(len(X))
+        return predict_batch(model, X)
+
+    monkeypatch.setattr(cli, "predict_batch", recorded)
+    if command == "train":
+        argv, fits = _train_args(series_csv, tmp_path, **{"--beta": "0,1,10"}), 3
+    else:
+        argv, fits = ["bench", "--data", series_csv, "--d", "5", "--f-list", "3",
+                      "--out", str(tmp_path / "b.csv"), "--repeats", "1"], 2  # f = 3, 10
+    assert main(argv) == 0
+    assert rows == [298] * fits
 
 
 def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):

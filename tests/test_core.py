@@ -34,6 +34,11 @@ def test_validate_activation_boundary_discriminant():
         (-1.0, 3.0, 1.0, "a must be"),
         (1.0, 3.0, 0.0, "c must be"),
         (1.0, 3.0, -2.0, "c must be"),
+        # an infinite b makes the discriminant +inf, which is >= 0
+        (1.0, float("inf"), 1.0, "must be finite"),
+        (1.0, float("-inf"), 1.0, "must be finite"),
+        (float("nan"), 1.0, 1.0, "must be finite"),
+        (1.0, 3.0, float("inf"), "must be finite"),
     ],
 )
 def test_validate_activation_rejections(a, b, c, fragment):

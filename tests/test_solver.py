@@ -307,7 +307,8 @@ def test_forced_fallback_in_small_row_blocks(monkeypatch, n_samples, block_rows)
     monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
     rng = np.random.default_rng(13)
     H, y = _random_system(rng, 4, 2, n_samples=n_samples)
-    assert len(solver._row_blocks(n_samples, H.shape[1])) == -(-n_samples // block_rows)
+    blocks = solver._slices(n_samples, solver._block_rows(H.shape[1]))
+    assert len(blocks) == -(-n_samples // block_rows)
     _assert_fallback_matches_svd_formulas(H, y, [0.5, 3.0, 0.0])
 
 
@@ -368,7 +369,7 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     data = narx_window(synth_narx(13000, seed=9), "u", "y", 5)
     H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
-    assert len(solver._row_blocks(H.shape[0], H.shape[1])) >= 4
+    assert len(solver._slices(H.shape[0], solver._block_rows(H.shape[1]))) >= 4
     tracemalloc.start()
     try:
         reports = solve_path(H, data.labels, [0.0, 0.0])
