@@ -31,7 +31,7 @@ from .dataio import (
     narx_window,
     split,
 )
-from .errors import MalformedModelFile, QuadconvError
+from .errors import MalformedModelFile, NonFiniteInput, QuadconvError
 from .model import deserialize, predict_batch, sensitivity_batch, serialize
 from .solver import _check_betas
 from .train import fit, fit_path
@@ -217,7 +217,8 @@ def cmd_train(args) -> int:
         # the solve measured the training residual; only the test rows are
         # evaluated
         train_mse = report.residual_norm ** 2 / n_train
-        test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
+        y_test = _evaluate(predict_batch, result.model, test_set.inputs, "test prediction")
+        test_mse = mse(y_test, test_set.labels)
         theta_norm = float(np.linalg.norm(report.theta))
         out_path = _beta_path(args.out, beta, len(betas) > 1)
         out_path.write_text(serialize(result.model), encoding="utf-8")
@@ -246,10 +247,21 @@ def _load_model(path: str):
     return deserialize(text)
 
 
+def _evaluate(kernel, model, X, what: str):
+    """kernel(model, X); an overflow raises NonFiniteInput naming the first
+    row whose output is not finite, so no inf or nan is written."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel(model, X)
+    finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"{what} at index {np.argmin(finite)} is not finite: it overflows")
+    return out
+
+
 def cmd_predict(args) -> int:
     model = _load_model(args.model)
     X, y_true, _ = load_feature_csv(args.data)
-    y_pred = predict_batch(model, X)
+    y_pred = _evaluate(predict_batch, model, X, "prediction")
     if y_true is not None:
         _write_csv(args.out, ["index", "y_true", "y_pred"], zip(itertools.count(), y_true, y_pred))
         print(f"mse={mse(y_pred, y_true):.17g} rows={len(y_pred)} out={args.out}")
@@ -262,7 +274,7 @@ def cmd_predict(args) -> int:
 def cmd_sensitivity(args) -> int:
     model = _load_model(args.model)
     X0, _, _ = load_feature_csv(args.x0)
-    grads = sensitivity_batch(model, X0)
+    grads = _evaluate(sensitivity_batch, model, X0, "gradient")
     summary = [("max_abs", *np.abs(grads).max(axis=0))] if args.summary else []
     rows = itertools.chain(((i, *row) for i, row in enumerate(grads)), summary)
     _write_csv(args.out, ["index"] + [f"g{i + 1}" for i in range(model.spec.n)], rows)
@@ -271,13 +283,10 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise _ConfigError("--seed must be >= 0")
-    if args.instances < 0:
-        raise _ConfigError("--instances must be >= 0")
+    with _config_errors():
+        results = run_all_checks(args.seed, args.instances)
     if args.instances == 0:
         print("warning: 0 instances requested; all suites pass vacuously")
-    results = run_all_checks(args.seed, args.instances)
     for r in results:
         print(r.line())
     if all(r.passed for r in results):
@@ -316,7 +325,8 @@ def cmd_bench(args) -> int:
             best = result.train_seconds if best is None else min(best, result.train_seconds)
         method = "ls-qnn" if f == n else "ls-cqnn"
         train_mse = result.report.residual_norm ** 2 / n_train
-        test_mse = mse(predict_batch(result.model, test_set.inputs), test_set.labels)
+        y_test = _evaluate(predict_batch, result.model, test_set.inputs, "test prediction")
+        test_mse = mse(y_test, test_set.labels)
         rows.append((method, f, train_mse, test_mse, best))
 
     _write_csv(args.out, ["method", "f", "train_mse", "test_mse", "train_time_s"],

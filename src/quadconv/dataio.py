@@ -280,9 +280,11 @@ def synth_narx(T: int, seed=0) -> TimeSeries:
 
 
 def mse(predictions, targets) -> float:
-    """Mean over samples of the squared error."""
+    """Mean over samples of the squared error; inf, without a warning,
+    when a squared error overflows."""
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(targets, dtype=float)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    return float(np.mean((p - t) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.mean((p - t) ** 2))

@@ -170,10 +170,12 @@ def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:
 def serialize(model: QuadraticModel) -> str:
     """Render the model as JSON with 17-significant-digit numbers, which
     round-trip float64 exactly. Zbar4 is derived on load and not stored.
-    Raises ValueError if any number is non-finite, which JSON cannot carry.
+    Raises InvalidActivation for an activation that deserialize would
+    refuse, and ValueError for a non-finite weight, which JSON cannot carry.
     """
     p = model.params
-    if not np.isfinite(np.concatenate([model.zbar1_band, model.zbar2, [p.a, p.b, p.c]])).all():
+    validate_activation(p.a, p.b, p.c)
+    if not np.isfinite(np.concatenate([model.zbar1_band, model.zbar2])).all():
         raise ValueError("cannot serialize non-finite value")
     band = ", ".join(map(format_float, model.zbar1_band))
     z2 = ", ".join(map(format_float, model.zbar2))

@@ -2,11 +2,12 @@
 
 The solver reads the regressor H only in row blocks, by three walks: one
 accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
-falls back, and one gives every beta's residual norm. H is a held 2-D array,
-whose blocks are row views, or a row source: an object with shape (N, p)
-whose fill_rows(rows, out) writes H[rows] into out, an m x p array with
-contiguous columns, and returns out. A row source lets a fit assemble each
-block when a walk needs it, so no N x p array is ever held.
+falls back, and one gives every beta's residual norm. H is a held 2-D array
+of any memory order or a row source: an object with shape (N, p) whose
+fill_rows(rows, out) writes H[rows] into out, an m x p array with contiguous
+columns, and returns out. A row source lets a fit assemble each block when a
+walk needs it, so no N x p array is ever held. Every walk reads blocks with
+contiguous columns, so each report depends only on the values of H.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     if not np.isfinite(gram_diagonal).all():
         blocks = _blocks(H, y, _walk_rows(H.shape[1]))
         if not all(np.isfinite(block).all() for block, _ in blocks):
-            raise NonFiniteInput("regressor matrix contains non-finite values")
+            raise NonFiniteInput(
+                "regressor matrix contains non-finite values; if the features "
+                "are finite, a product of two of them overflowed"
+            )
         raise NonFiniteInput("H'H overflows: the regressor entries are too large")
     scale = max(1.0, float(np.linalg.norm(rhs)))
     svd = None
@@ -189,43 +193,30 @@ def _slices(N, rows):
 
 
 def _blocks(H, y, rows):
-    """(H[r], y[r]) for consecutive row slices r of `rows` rows: views of a
-    held H, or blocks a row source writes into one buffer, which every block
-    reuses and which is freed when the walk ends."""
+    """(H[r], y[r]) for consecutive row slices r of `rows` rows, each block
+    with contiguous columns: a held H's rows, copied unless they are already
+    (as in build_regressor's one-block H), or rows a row source writes into
+    one buffer, which every block reuses and which is freed when the walk
+    ends."""
     N, p = H.shape
-    if not hasattr(H, "fill_rows"):
-        for r in _slices(N, rows):
-            yield H[r], y[r]
-        return
-    buffer = np.empty(min(N, rows) * p)
+    buffer = np.empty(min(N, rows) * p) if hasattr(H, "fill_rows") else None
     for r in _slices(N, rows):
         m = r.stop - r.start
-        yield H.fill_rows(r, buffer[: m * p].reshape((m, p), order="F")), y[r]
+        out = None if buffer is None else buffer[: m * p].reshape((m, p), order="F")
+        yield np.asfortranarray(H[r] if out is None else H.fill_rows(r, out)), y[r]
 
 
 def _gram(H, y):
     """H'H and H'y, accumulated block by block in place by scipy's dsyrk
-    and dgemv.
-
-    Both read a block column-major, as a row source fills it; a C-ordered
-    row view is read as its transpose, and any other view is copied. dsyrk
-    sums a column-major block and its C-ordered twin alike, so a fit over a
-    row source forms the same bits as a solve on build_regressor's H.
-    """
+    and dgemv, each reading the column-major blocks of _blocks."""
     from scipy.linalg.blas import dgemv, dsyrk
 
     p = H.shape[1]
     A = np.zeros((p, p), order="F")
     rhs = np.zeros(p)
     for block, labels in _blocks(H, y, _walk_rows(p)):
-        if block.flags.f_contiguous:
-            a, trans = block, 1
-        elif block.flags.c_contiguous:
-            a, trans = block.T, 0
-        else:
-            a, trans = np.asfortranarray(block), 1
-        A = dsyrk(1.0, a, beta=1.0, c=A, trans=trans, overwrite_c=1)
-        rhs = dgemv(1.0, a, labels, beta=1.0, y=rhs, trans=trans, overwrite_y=1)
+        A = dsyrk(1.0, block, beta=1.0, c=A, trans=1, overwrite_c=1)
+        rhs = dgemv(1.0, block, labels, beta=1.0, y=rhs, trans=1, overwrite_y=1)
     # dsyrk fills the upper triangle; mirror it so A @ theta reads all of A
     A += np.triu(A, 1).T
     return A, rhs

@@ -2,7 +2,8 @@
 
 Each suite draws its own deterministic generator from (seed, suite index),
 runs a number of random instances, and reports the worst observed error
-against a fixed tolerance.
+against a fixed tolerance. One loop, _run, owns those rules; a suite
+supplies only the error of one instance.
 """
 
 from __future__ import annotations
@@ -64,108 +65,96 @@ def _rel(err: float, ref: float) -> float:
     return abs(err) / max(1.0, abs(ref))
 
 
-def patch_aggregation_suite(seed: int, instances: int) -> SuiteResult:
+def _run(name, index, tolerance, instance, seed, instances) -> SuiteResult:
+    """Fold `instances` draws of instance(rng) into one result, rng being
+    the suite's generator from (seed, index). instance returns its error and
+    the note of a check besides the tolerance that it failed, or ""."""
+    rng = np.random.default_rng([seed, index])
+    worst, failure = 0.0, ""
+    for _ in range(instances):
+        error, note = instance(rng)
+        # np.max, unlike max, keeps a nan error, which then fails the suite
+        worst = float(np.max([worst, error]))
+        failure = failure or note
+    passed = worst <= tolerance and not failure
+    note = failure or ("" if instances else "no instances: vacuous pass")
+    return SuiteResult(name, instances, worst, tolerance, passed, note)
+
+
+def _patch_aggregation(rng):
     """Per-patch evaluation must equal the prediction of the aggregated
     banded model."""
-    rng = np.random.default_rng([seed, 1])
-    tol = 1e-10
-    worst = 0.0
-    for _ in range(instances):
-        spec = _random_spec(rng)
-        params = random_activation(rng)
-        s = random_patch_model_set(spec, params, rng)
-        x = rng.uniform(-1.0, 1.0, size=spec.n)
-        direct = eval_patch_model(s, x)
-        via_model = predict(aggregate(s), x)
-        worst = max(worst, _rel(direct - via_model, direct))
-    return SuiteResult(
-        "patch-aggregation equivalence", instances, worst, tol, worst <= tol,
-        "" if instances else "no instances: vacuous pass",
-    )
+    spec = _random_spec(rng)
+    params = random_activation(rng)
+    s = random_patch_model_set(spec, params, rng)
+    x = rng.uniform(-1.0, 1.0, size=spec.n)
+    direct = eval_patch_model(s, x)
+    return _rel(direct - predict(aggregate(s), x), direct), ""
 
 
-def neuron_sum_suite(seed: int, instances: int) -> SuiteResult:
+def _neuron_sum(rng):
     """The explicit neuron double sum must match its induced patch-level
     parametrization (unit-norm filters keep the trace tie)."""
-    rng = np.random.default_rng([seed, 2])
-    tol = 1e-10
-    worst = 0.0
-    for _ in range(instances):
-        spec = _random_spec(rng)
-        params = random_activation(rng)
-        ns = random_neuron_set(spec, int(rng.integers(1, 5)), rng)
-        s = induced_patch_models(ns, params)
-        x = rng.uniform(-1.0, 1.0, size=spec.n)
-        direct = eval_neuron_sum(ns, params, x)
-        worst = max(worst, _rel(direct - eval_patch_model(s, x), direct))
-        worst = max(worst, _rel(direct - predict(aggregate(s), x), direct))
-    return SuiteResult(
-        "neuron-sum consistency", instances, worst, tol, worst <= tol,
-        "" if instances else "no instances: vacuous pass",
-    )
+    spec = _random_spec(rng)
+    params = random_activation(rng)
+    ns = random_neuron_set(spec, int(rng.integers(1, 5)), rng)
+    s = induced_patch_models(ns, params)
+    x = rng.uniform(-1.0, 1.0, size=spec.n)
+    direct = eval_neuron_sum(ns, params, x)
+    errors = (direct - eval_patch_model(s, x), direct - predict(aggregate(s), x))
+    return np.max([_rel(e, direct) for e in errors]), ""
 
 
-def gradient_suite(seed: int, instances: int) -> SuiteResult:
+def _gradient(rng):
     """Closed-form sensitivity against central finite differences."""
-    rng = np.random.default_rng([seed, 3])
-    tol = 1e-6
     step = 1e-5
-    worst = 0.0
-    for _ in range(instances):
-        spec = _random_spec(rng)
-        params = random_activation(rng)
-        m = reconstruct(rng.uniform(-1.0, 1.0, size=spec.n_weights), spec, params)
-        x0 = rng.uniform(-1.0, 1.0, size=spec.n)
-        g = sensitivity(m, x0)
-        g_fd = np.empty_like(g)
-        for i in range(spec.n):
-            e = np.zeros(spec.n)
-            e[i] = step
-            g_fd[i] = (predict(m, x0 + e) - predict(m, x0 - e)) / (2.0 * step)
-        worst = max(worst, float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g))))
-    return SuiteResult(
-        "sensitivity gradient check", instances, worst, tol, worst <= tol,
-        "" if instances else "no instances: vacuous pass",
-    )
+    spec = _random_spec(rng)
+    params = random_activation(rng)
+    m = reconstruct(rng.uniform(-1.0, 1.0, size=spec.n_weights), spec, params)
+    x0 = rng.uniform(-1.0, 1.0, size=spec.n)
+    g = sensitivity(m, x0)
+    g_fd = np.empty_like(g)
+    for i in range(spec.n):
+        e = np.zeros(spec.n)
+        e[i] = step
+        g_fd[i] = (predict(m, x0 + e) - predict(m, x0 - e)) / (2.0 * step)
+    return _rel(np.linalg.norm(g - g_fd), np.linalg.norm(g)), ""
 
 
-def ls_optimality_suite(seed: int, instances: int) -> SuiteResult:
-    """Stationarity of the solved weights, plus 20 random perturbations per
-    system that must not decrease the loss by more than rounding."""
-    rng = np.random.default_rng([seed, 4])
-    tol = 1e-8
-    worst = 0.0
-    perturbation_ok = True
-    for _ in range(instances):
-        spec = _random_spec(rng, max_n=8)
-        params = random_activation(rng)
-        N = 2 * spec.n_weights + int(rng.integers(0, 8))
-        data = Dataset(rng.uniform(-1, 1, size=(N, spec.n)), rng.uniform(-1, 1, size=N))
-        H = build_regressor(data, spec, params)
-        rep = solve_ridge(H, data.labels, 0.0)
-        g = H.T @ (data.labels - H @ rep.theta)
-        ref = np.linalg.norm(H.T @ data.labels)
-        worst = max(worst, float(np.linalg.norm(g)) / max(1.0, float(ref)))
+def _ls_optimality(rng):
+    """Stationarity of the solved weights, plus 20 random perturbations
+    that must not decrease the loss by more than rounding."""
+    spec = _random_spec(rng, max_n=8)
+    params = random_activation(rng)
+    N = 2 * spec.n_weights + int(rng.integers(0, 8))
+    data = Dataset(rng.uniform(-1, 1, size=(N, spec.n)), rng.uniform(-1, 1, size=N))
+    H = build_regressor(data, spec, params)
+    rep = solve_ridge(H, data.labels, 0.0)
+    g = H.T @ (data.labels - H @ rep.theta)
+    error = _rel(np.linalg.norm(g), np.linalg.norm(H.T @ data.labels))
 
-        loss0 = float(np.sum((H @ rep.theta - data.labels) ** 2))
-        for _ in range(20):
-            d = rng.standard_normal(spec.n_weights)
-            d /= np.linalg.norm(d)
-            loss1 = float(np.sum((H @ (rep.theta + 1e-3 * d) - data.labels) ** 2))
-            if loss1 < loss0 - 1e-12:
-                perturbation_ok = False
-    passed = worst <= tol and perturbation_ok
-    note = "" if instances else "no instances: vacuous pass"
-    if not perturbation_ok:
-        note = "a perturbation decreased the loss"
-    return SuiteResult("least-squares optimality", instances, worst, tol, passed, note)
+    loss0 = float(np.sum((H @ rep.theta - data.labels) ** 2))
+    note = ""
+    # no early exit: the next instance's draws must not depend on this one
+    for _ in range(20):
+        d = rng.standard_normal(spec.n_weights)
+        d /= np.linalg.norm(d)
+        loss1 = float(np.sum((H @ (rep.theta + 1e-3 * d) - data.labels) ** 2))
+        if loss1 < loss0 - 1e-12:
+            note = "a perturbation decreased the loss"
+    return error, note
 
 
 def run_all_checks(seed: int, instances: int) -> list[SuiteResult]:
-    """Run every suite; the costlier least-squares suite is capped at 25."""
+    """Run every suite; the costlier least-squares suite is capped at 25
+    instances. Raises ValueError on a negative seed or instance count."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if instances < 0:
+        raise ValueError(f"instances must be >= 0, got {instances}")
     return [
-        patch_aggregation_suite(seed, instances),
-        neuron_sum_suite(seed, instances),
-        gradient_suite(seed, instances),
-        ls_optimality_suite(seed, min(instances, 25)),
+        _run("patch-aggregation equivalence", 1, 1e-10, _patch_aggregation, seed, instances),
+        _run("neuron-sum consistency", 2, 1e-10, _neuron_sum, seed, instances),
+        _run("sensitivity gradient check", 3, 1e-6, _gradient, seed, instances),
+        _run("least-squares optimality", 4, 1e-8, _ls_optimality, seed, min(instances, 25)),
     ]

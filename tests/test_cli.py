@@ -241,7 +241,27 @@ def scored(tmp_path_factory):
     doc = json.loads((root / "model.json").read_text())
     doc["zbar1_band"][: doc["n"]] = [1.7e308] * doc["n"]
     (root / "overflow.json").write_text(json.dumps(doc))
+    # finite inputs whose regressor entries, predictions or gradients
+    # overflow float64
+    rng = np.random.default_rng(0)
+    _write_rows(root / "huge_series.csv", ["u", "y"],
+                np.column_stack([rng.uniform(-1, 1, 200) * 1e160, rng.uniform(-1, 1, 200)]))
+    ts = synth_narx(200, seed=2)
+    u = ts.channels["u"] * np.where(np.arange(200) < 150, 1.0, 1e160)
+    _write_rows(root / "huge_test_rows.csv", ["u", "y"], np.column_stack([u, ts.channels["y"]]))
+    X, y, names = load_feature_csv(str(root / "features.csv"))
+    X[4] *= 1e200
+    _write_rows(root / "huge_row.csv", names + ["y"], np.column_stack([X, y]))
+    doc = json.loads((root / "model.json").read_text())
+    doc["zbar1_band"] = [100 * v for v in doc["zbar1_band"]]
+    (root / "model_x100.json").write_text(json.dumps(doc))
+    _write_rows(root / "max_x0.csv", names, np.full((1, len(names)), 1.7e308))
     return root
+
+
+def _write_rows(path, header, rows):
+    lines = [",".join(header)] + [",".join(map(repr, map(float, row))) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -278,6 +298,23 @@ def scored(tmp_path_factory):
         pytest.param(["predict", "--model", "{root}/overflow.json",
                       "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
                      2, "data error: the trace of Zbar1", id="predict-model-trace-overflows"),
+        # finite inputs on which the regressor, a prediction or a gradient
+        # overflows: one line, no warning and no output file
+        pytest.param(_TRAIN + ["--data", "{root}/huge_series.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: regressor matrix contains non-finite values; "
+                     "if the features are finite, a product of two of them overflowed",
+                     id="train-regressor-overflows"),
+        pytest.param(_TRAIN + ["--data", "{root}/huge_test_rows.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: test prediction at index 50 is not finite",
+                     id="train-test-prediction-overflows"),
+        pytest.param(["predict", "--model", "{root}/model.json",
+                      "--data", "{root}/huge_row.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: prediction at index 4 is not finite",
+                     id="predict-output-overflows"),
+        pytest.param(["sensitivity", "--model", "{root}/model_x100.json",
+                      "--x0", "{root}/max_x0.csv", "--out", "{tmp}/g.csv"],
+                     2, "data error: gradient at index 0 is not finite",
+                     id="sensitivity-output-overflows"),
         # non-UTF-8 bytes in a CSV and in a model file
         pytest.param(_TRAIN + ["--data", "{root}/latin1.bin", "--out", "{tmp}/m.json"],
                      2, "data error: {root}/latin1.bin: not UTF-8", id="train-data-not-utf8"),
@@ -433,6 +470,19 @@ def test_predict_round_trip_reproduces_training_mse(series_csv, tmp_path, capsys
         [(float(r.split(",")[1]) - float(r.split(",")[2])) ** 2 for r in lines[1:]]
     )
     assert abs(recomputed - reported) <= 1e-12 * max(1.0, reported)
+
+
+def test_predict_reports_an_overflowing_mse_as_inf(scored, tmp_path, capsys):
+    # the prediction on row 4 is finite, but its squared error is not
+    X, y, names = load_feature_csv(str(scored / "features.csv"))
+    X[4] *= 1e80
+    _write_rows(tmp_path / "f.csv", names + ["y"], np.column_stack([X, y]))
+    argv = ["predict", "--model", str(scored / "model.json"), "--data", str(tmp_path / "f.csv"),
+            "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("mse=inf rows=197 ")
+    assert captured.err == ""
 
 
 def test_predict_zero_row_gives_constant_term(series_csv, tmp_path):

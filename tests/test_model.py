@@ -5,6 +5,7 @@ from quadconv import (
     ActivationParams,
     ConvSpec,
     DimensionMismatch,
+    InvalidActivation,
     MalformedModelFile,
     NonFiniteInput,
     QuadraticModel,
@@ -324,6 +325,13 @@ def test_serialize_rejects_non_finite_values():
     for band, z2 in [([1.0, np.nan], [0.0, 0.0]), ([1.0, 1.0], [np.inf, 0.0])]:
         with pytest.raises(ValueError, match="non-finite"):
             serialize(QuadraticModel(np.array(band), np.array(z2), spec, _RELU))
+
+
+def test_serialize_refuses_an_activation_that_deserialize_would():
+    # b**2 - 4ac = -3: a model can hold it, a model file cannot
+    m = reconstruct(np.arange(1.0, 9.0), ConvSpec(3, 2), ActivationParams(1, 1, 1))
+    with pytest.raises(InvalidActivation, match="discriminant"):
+        serialize(m)
 
 
 def test_zbar1_is_read_only():

@@ -235,6 +235,24 @@ def test_solve_path_full_rank_sweep_matches_per_beta_solves():
         _assert_same_report(rep, solve_ridge(H, y, beta))
 
 
+@pytest.mark.parametrize("walk_rows", [None, 37], ids=["one-block", "37-row-blocks"])
+def test_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
+    H, y = _narx_system()
+    if walk_rows is not None:
+        monkeypatch.setattr(solver, "_WALK_BYTES", 8 * H.shape[1] * walk_rows)
+    assert len(solver._slices(len(y), solver._walk_rows(H.shape[1]))) == (
+        1 if walk_rows is None else -(-len(y) // walk_rows)
+    )
+    betas = [0.0, 1.0]
+    column_major = solve_path(H, y, betas)
+    row_major = solve_path(np.ascontiguousarray(H), y, betas)
+    assert [r.solve_strategy for r in column_major] == [
+        SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY
+    ]
+    for a, b in zip(column_major, row_major):
+        _assert_same_report(a, b)
+
+
 def _count_rank_revealing(monkeypatch):
     calls = []
     original = solver._rank_revealing

@@ -102,7 +102,7 @@ def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatc
         assert walked.report.solve_strategy == held.solve_strategy == route
         assert walked.report.theta.tobytes() == held.theta.tobytes()
         assert walked.report.normal_residual_norm == held.normal_residual_norm
-        assert walked.report.residual_norm == pytest.approx(held.residual_norm, rel=1e-12)
+        assert walked.report.residual_norm == held.residual_norm
         # the walks assemble H inside the solve, so its clock is the fit's
         assert walked.train_seconds == walked.report.seconds
     # a fit of several blocks never builds H whole
