@@ -139,8 +139,8 @@ def _train_test(args, split_spec):
 
     The mode arguments are checked before the file is read, so a config
     error is reported as one even when the data file is missing. Only the
-    (train, test) pair is returned; both are row views of the one windowed
-    feature array, so windowing and splitting hold it once.
+    (train, test) pair is returned; both read their feature rows in blocks
+    from windows over the series' channels, so no feature array is held.
     """
     channels = _parse_channels(args.channels)
     _check_mode_args(args)
@@ -217,7 +217,7 @@ def cmd_train(args) -> int:
         # the solve measured the training residual; only the test rows are
         # evaluated
         train_mse = report.residual_norm ** 2 / n_train
-        y_test = _evaluate(predict_batch, result.model, test_set.inputs, "test prediction")
+        y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
         test_mse = mse(y_test, test_set.labels)
         theta_norm = float(np.linalg.norm(report.theta))
         out_path = _beta_path(args.out, beta, len(betas) > 1)
@@ -248,7 +248,8 @@ def _load_model(path: str):
 
 
 def _evaluate(kernel, model, X, what: str):
-    """kernel(model, X); an overflow raises NonFiniteInput naming the first
+    """kernel(model, X), which walks the rows of X (an array or a dataset's
+    features) in blocks; an overflow raises NonFiniteInput naming the first
     row whose output is not finite, so no inf or nan is written."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernel(model, X)
@@ -325,7 +326,7 @@ def cmd_bench(args) -> int:
             best = result.train_seconds if best is None else min(best, result.train_seconds)
         method = "ls-qnn" if f == n else "ls-cqnn"
         train_mse = result.report.residual_norm ** 2 / n_train
-        y_test = _evaluate(predict_batch, result.model, test_set.inputs, "test prediction")
+        y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
         test_mse = mse(y_test, test_set.labels)
         rows.append((method, f, train_mse, test_mse, best))
 

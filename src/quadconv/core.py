@@ -163,6 +163,42 @@ def vecf(x, spec: ConvSpec) -> np.ndarray:
     return band_products(x[None, :], spec, np.empty((1, spec.band_size)))[0]
 
 
+# The solver's Gram and residual walks over H and the model's walks over
+# feature rows take blocks of this many bytes: about 490 rows of H at p =
+# 2155, where in-place dsyrk runs within 3% of its speed on 1000-row
+# blocks, and 4600 at p = 230, where a row source's buffer then holds 2.5%
+# of a 100k-row H.
+_WALK_BYTES = 1 << 23
+
+
+def _walk_rows(width: int) -> int:
+    """Rows per block of a walk that holds `width` floats per row."""
+    return max(1, _WALK_BYTES // (8 * width))
+
+
+def _slices(N: int, rows: int) -> list[slice]:
+    """Slices of consecutive blocks of `rows` rows that cover N rows."""
+    return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
+
+
+class _WindowRows:
+    """Feature rows laid side by side from row windows of a series: row i
+    is the concatenation of row i of every part, a read-only 2-D view
+    (such as a sliding window) of a channel.
+
+    A feature-row source, as a held 2-D array is one: `shape` is (N, n) and
+    rows[r] builds the rows of the slice r as a new array, so the N x n
+    features are never held.
+    """
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self.shape = (len(self.parts[0]), sum(p.shape[1] for p in self.parts))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.hstack([p[rows] for p in self.parts])
+
+
 def format_float(v) -> str:
     """Text for a float with 17 significant digits, which round-trips
     float64 exactly. Non-finite values format as 'nan'/'inf'; writers that

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import format_float
+from .core import _WindowRows, format_float
 from .errors import (
     ChannelMissing,
     InsufficientData,
     MissingColumn,
+    NonFiniteInput,
     ParseError,
 )
 from .regressor import Dataset, _dataset
@@ -83,7 +84,46 @@ def _read_table(path):
 
     Every data cell is an unquoted decimal number, parsed with float()
     semantics. Blank lines are skipped; error messages count file lines.
+
+    np.loadtxt parses the lines after the header without holding a Python
+    string per cell. It reads a subset of float() syntax (not 1_0 or
+    non-ASCII digits, say), and it reads one-field lines as a one-column
+    table, so a file it rejects, or whose table is empty, narrower or wider
+    than the header or not finite, is read again by _read_table_exactly,
+    which accepts every float() cell and words the errors.
     """
+    # warnings is loaded with numpy: the import only binds the name
+    import warnings
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            names = _header_names(fh.readline().removesuffix("\n"))
+            with warnings.catch_warnings():
+                # loadtxt warns on a file with no data rows, which the
+                # exact reader then refuses
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:  # a cell loadtxt cannot read, or a UnicodeDecodeError
+        table = None
+    if (
+        table is None
+        or len(set(names)) != len(names)
+        or table.shape[1] != len(names)
+        or len(table) == 0
+        or not np.isfinite(table).all()
+    ):
+        return _read_table_exactly(path)
+    return names, table
+
+
+def _header_names(line):
+    return [h.strip() for h in next(csv.reader([line]))]
+
+
+def _read_table_exactly(path):
+    """_read_table by float() on every cell, for the files np.loadtxt
+    rejects or reads differently: the table, or the ParseError that names
+    the first bad line."""
     with open(path, encoding="utf-8") as fh:
         try:
             # not str.splitlines, which also breaks at \x0c, \x1c and \u2028
@@ -92,7 +132,7 @@ def _read_table(path):
             raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     if lines == [""]:
         raise ParseError(f"{path}: empty file (missing header row)")
-    names = [h.strip() for h in next(csv.reader(lines[:1]))]
+    names = _header_names(lines[0])
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate column names in header: {names}")
     data = [line for line in lines[1:] if line]
@@ -187,9 +227,10 @@ def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int)
     """Autoregressive windowing: the row for time t is
     [u_{t-d} .. u_{t-1}, y_{t-d} .. y_{t-1}] with label y_t.
 
-    Produces N = T - d rows with n = 2d features. The feature array is
-    built once and the dataset keeps it, with its labels a view of the
-    output channel.
+    Produces N = T - d rows with n = 2d features. The dataset's features
+    are sliding windows over the two channels, so each block of rows is
+    built when it is read and no N x n array is allocated; its labels are a
+    view of the output channel.
     """
     if d < 1:
         raise ValueError(f"delay d must be >= 1, got {d}")
@@ -198,16 +239,16 @@ def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int)
     T = ts.length
     if T <= d:
         raise InsufficientData(f"need more than d={d} samples, have {T}")
-    uw = np.lib.stride_tricks.sliding_window_view(u, d)[: T - d]
-    yw = np.lib.stride_tricks.sliding_window_view(y, d)[: T - d]
-    return _dataset(np.hstack([uw, yw]), y[d:])
+    windows = [np.lib.stride_tricks.sliding_window_view(c, d)[: T - d] for c in (u, y)]
+    return _dataset(_WindowRows(windows), y[d:])
 
 
 def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) -> Dataset:
     """Block windowing for multi-rate data: each row concatenates r
     consecutive samples from every listed channel in order (n = r * len
     (channels)); blocks do not overlap. The label of a block is the change
-    in the label channel from the block's first to its last sample.
+    in the label channel from the block's first to its last sample. As in
+    narx_window, the features are views of the channels, read in blocks.
 
     One call produces one single-output dataset; problems with several
     label channels (latitude and longitude, say) take one call per label.
@@ -222,15 +263,20 @@ def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) ->
     W = ts.length // r
     if W < 1:
         raise InsufficientData(f"need at least r={r} samples, have {ts.length}")
-    rows = np.hstack([ch[: W * r].reshape(W, r) for ch in chans])
-    starts = np.arange(W) * r
-    labels = label[starts + r - 1] - label[starts]
-    return _dataset(rows, labels)
+    with np.errstate(over="ignore"):
+        labels = label[r - 1 : W * r : r] - label[: W * r : r]
+    if not np.isfinite(labels).all():
+        raise NonFiniteInput(
+            f"label channel {label_channel!r}: the change over a block of r={r} "
+            "samples overflows"
+        )
+    return _dataset(_WindowRows([ch[: W * r].reshape(W, r) for ch in chans]), labels)
 
 
 def split(data: Dataset, s: SplitSpec):
     """Order-preserving sequential split into (train, test), two datasets
-    over row views of data's arrays: nothing is copied."""
+    over the same rows as data: row views of a held inputs array, or the
+    same channel windows offset to each side. Nothing is copied."""
     N = data.n_samples
     if N < 2:
         raise InsufficientData(f"need at least 2 samples to split, have {N}")
@@ -239,8 +285,16 @@ def split(data: Dataset, s: SplitSpec):
         raise InsufficientData(
             f"train_fraction {s.train_fraction} leaves an empty side for N={N}"
         )
-    return (_dataset(data.inputs[:k], data.labels[:k]),
-            _dataset(data.inputs[k:], data.labels[k:]))
+    X, y = data.features, data.labels
+    return tuple(_dataset(_row_view(X, r), y[r]) for r in (slice(0, k), slice(k, N)))
+
+
+def _row_view(features, rows: slice):
+    """The rows of a slice of a feature-row source, as a source of the same
+    kind that shares its memory."""
+    if isinstance(features, _WindowRows):
+        return _WindowRows(p[rows] for p in features.parts)
+    return features[rows]
 
 
 def synth_narx(T: int, seed=0) -> TimeSeries:

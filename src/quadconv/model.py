@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ActivationParams, ConvSpec, band_index_map, format_float, validate_activation
+from .core import _slices, _walk_rows, _WindowRows
 from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile, NonFiniteInput
 
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
@@ -114,20 +115,39 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # The evaluation kernel. Both maps read the same product X @ Zbar1:
 #   output   a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4
 #   gradient 2a * X Zbar1 + b * Zbar2
-# The single-row entry points call these on a one-row matrix. BLAS may
-# round a one-row product (gemv) differently from a many-row one (gemm), so
-# the two entry points agree to rounding, not bit for bit.
+# Each walks the rows of X in blocks sized by the solver's walk rule for the
+# two m x n arrays a block holds: its rows of X, read from a feature-row
+# source or viewed in a held array, and their product with Zbar1. The
+# single-row entry points call these on a one-row matrix. BLAS may round a
+# one-row product (gemv) differently from a many-row one (gemm), and a
+# product's rounding may depend on the rows beside it, so the entry points,
+# and one row evaluated alone or within a block, agree to rounding, not bit
+# for bit.
 
 
-def _predict_rows(model: QuadraticModel, X: np.ndarray) -> np.ndarray:
+def _block_slices(model: QuadraticModel, N: int) -> list[slice]:
+    return _slices(N, _walk_rows(2 * model.spec.n))
+
+
+def _predict_rows(model: QuadraticModel, X) -> np.ndarray:
     p = model.params
-    XZ = X @ model.zbar1
-    return p.a * np.einsum("ij,ij->i", X, XZ) + p.b * (X @ model.zbar2) + p.c * model.zbar4
+    out = np.empty(X.shape[0])
+    for r in _block_slices(model, X.shape[0]):
+        block = X[r]
+        XZ = block @ model.zbar1
+        out[r] = (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
+                  + p.c * model.zbar4)
+    return out
 
 
-def _sensitivity_rows(model: QuadraticModel, X: np.ndarray) -> np.ndarray:
+def _sensitivity_rows(model: QuadraticModel, X) -> np.ndarray:
     p = model.params
-    return 2.0 * p.a * (X @ model.zbar1) + p.b * model.zbar2
+    out = np.empty(X.shape)
+    for r in _block_slices(model, X.shape[0]):
+        grad = np.matmul(X[r], model.zbar1, out=out[r])
+        grad *= 2.0 * p.a
+        grad += p.b * model.zbar2
+    return out
 
 
 def _as_row(model: QuadraticModel, x) -> np.ndarray:
@@ -137,9 +157,10 @@ def _as_row(model: QuadraticModel, x) -> np.ndarray:
     return x[None, :]
 
 
-def _as_rows(model: QuadraticModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.spec.n:
+def _as_rows(model: QuadraticModel, X):
+    if not isinstance(X, _WindowRows):
+        X = np.asarray(X, dtype=float)
+    if len(X.shape) != 2 or X.shape[1] != model.spec.n:
         raise DimensionMismatch(
             f"expected rows of length {model.spec.n}, got shape {X.shape}"
         )
@@ -152,7 +173,8 @@ def predict(model: QuadraticModel, x) -> float:
 
 
 def predict_batch(model: QuadraticModel, X) -> np.ndarray:
-    """Vectorized predict over rows of X."""
+    """Vectorized predict over the rows of X, a 2-D array or the features
+    of a Dataset."""
     return _predict_rows(model, _as_rows(model, X))
 
 
@@ -163,7 +185,8 @@ def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
 
 
 def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:
-    """Vectorized sensitivity over rows of X0."""
+    """Vectorized sensitivity over the rows of X0, a 2-D array or the
+    features of a Dataset."""
     return _sensitivity_rows(model, _as_rows(model, X0))
 
 

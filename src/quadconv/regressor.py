@@ -2,59 +2,76 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ActivationParams, ConvSpec, band_products
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    """N feature rows of equal length n with N scalar labels."""
+    """N feature rows of equal length n with N scalar labels.
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    `features` holds the rows as a feature-row source: an object with
+    shape (N, n) whose features[r] is the rows of the slice r as an array.
+    A dataset built from arrays holds its read-only inputs array, which is
+    one; a dataset windowed from a series holds a _WindowRows, which builds
+    each block of rows from the series' channels when it is read. The fit
+    and the CLI read the features in blocks, so they never hold N x n
+    floats; `inputs` gives them whole.
+    """
 
-    def __post_init__(self):
-        X = np.array(self.inputs, dtype=float, copy=True)
-        y = np.array(self.labels, dtype=float, copy=True)
+    def __init__(self, inputs, labels):
+        X = np.array(inputs, dtype=float, copy=True)
+        y = np.array(labels, dtype=float, copy=True)
         _adopt(self, X, y, scan=(X, y))
 
     @property
+    def inputs(self) -> np.ndarray:
+        """The N x n feature array, read-only; a windowed dataset builds it
+        on first access and holds it from then on."""
+        if not isinstance(self.features, np.ndarray):
+            X = self.features[0 : self.n_samples]
+            X.setflags(write=False)
+            self.features = X
+        return self.features
+
+    @property
     def n_samples(self) -> int:
-        return self.inputs.shape[0]
+        return self.features.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.inputs.shape[1]
+        return self.features.shape[1]
 
 
-def _adopt(data, X, y, scan):
-    """Check the shapes of (X, y) and that the arrays in scan are finite,
-    make both read-only and store them in data, which shares their memory."""
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
+def _adopt(data, features, y, scan):
+    """Check the shapes of (features, y) and that the arrays in scan are
+    finite, make y and a held features array read-only and store both in
+    data, which shares their memory."""
+    shape = features.shape
+    if len(shape) != 2 or shape[0] < 1:
+        raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {shape}")
+    if y.shape != (shape[0],):
         raise DimensionMismatch(
-            f"labels must have shape ({X.shape[0]},), got {y.shape}"
+            f"labels must have shape ({shape[0]},), got {y.shape}"
         )
     if not all(np.isfinite(a).all() for a in scan):
         raise NonFiniteInput("dataset contains non-finite values")
-    X.setflags(write=False)
+    if isinstance(features, np.ndarray):
+        features.setflags(write=False)
     y.setflags(write=False)
-    object.__setattr__(data, "inputs", X)
-    object.__setattr__(data, "labels", y)
+    data.features = features
+    data.labels = y
 
 
-def _dataset(inputs: np.ndarray, labels: np.ndarray) -> Dataset:
-    """A Dataset over float arrays that no caller can write, without
-    copying them: arrays the caller has just built, or row views of another
-    Dataset's. The inputs must be finite already, as values gathered from a
+def _dataset(features, labels: np.ndarray) -> Dataset:
+    """A Dataset over features and float labels that no caller can write,
+    without copying them: arrays the caller has just built, row views of
+    another Dataset's, or a _WindowRows over a series' read-only channels.
+    The features must be finite already, as values gathered from a
     validated series or dataset are; the labels are checked."""
     data = object.__new__(Dataset)
-    _adopt(data, inputs, labels, scan=(labels,))
+    _adopt(data, features, labels, scan=(labels,))
     return data
 
 
@@ -86,7 +103,7 @@ class _RegressorRows:
                 f"dataset has {data.n_features} features but spec.n = {spec.n}"
             )
         self.shape = (data.n_samples, spec.n_weights)
-        self._inputs, self._spec, self._params = data.inputs, spec, params
+        self._features, self._spec, self._params = data.features, spec, params
 
     def fill_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """Write H[rows] into out, an m x (q + n) array whose columns are
@@ -101,7 +118,7 @@ class _RegressorRows:
         that overflows is left as inf or nan without a warning: the solver
         finds it from the Gram diagonal and reports it.
         """
-        X = np.asfortranarray(self._inputs[rows])
+        X = np.asfortranarray(self._features[rows])
         n, q = self._spec.n, self._spec.band_size
         with np.errstate(over="ignore", invalid="ignore"):
             quad = band_products(X, self._spec, out[:, :q])

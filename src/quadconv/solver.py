@@ -18,17 +18,12 @@ from enum import Enum
 
 import numpy as np
 
+from .core import _slices, _walk_rows
 from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
 
 # Accept the Cholesky solution only when the normal-equation residual is at
 # rounding level; otherwise fall through to the QR/SVD route.
 _CHOLESKY_ACCEPT = 1e-10
-
-# The Gram and residual walks take blocks of this many bytes: about 490
-# rows at p = 2155, where in-place dsyrk runs within 3% of its speed on
-# 1000-row blocks, and 4600 at p = 230, where a row source's buffer then
-# holds 2.5% of a 100k-row H.
-_WALK_BYTES = 1 << 23
 
 # The QR fallback walks H in blocks of at least this many rows, and of at
 # least four triangles of the QR, so the triangle stacked on each block
@@ -131,6 +126,11 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         )
     if not np.isfinite(y).all():
         raise NonFiniteInput("labels contain non-finite values")
+    # finite labels whose squares sum past the float range would make the
+    # acceptance scale and every residual norm infinite
+    with np.errstate(over="ignore"):
+        if not np.isfinite(y @ y):
+            raise NonFiniteInput("labels are too large: the sum of their squares overflows")
 
     A, rhs = _gram(H, y)
     # a NaN or inf in column j makes A_jj = sum_i H_ij^2 non-finite, so the
@@ -177,19 +177,9 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
 
 
-def _walk_rows(p):
-    """Rows per block of the Gram and residual walks over a p-column H."""
-    return max(1, _WALK_BYTES // (8 * p))
-
-
 def _block_rows(p):
     """Rows per block of the QR walk over a p-column H."""
     return max(_BLOCK_ROWS, 4 * (p + 1))
-
-
-def _slices(N, rows):
-    """Slices of consecutive blocks of `rows` rows that cover N rows."""
-    return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
 
 
 def _blocks(H, y, rows):

@@ -5,10 +5,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import ActivationParams, ConvSpec
+from .core import ActivationParams, ConvSpec, _walk_rows
 from .model import QuadraticModel, reconstruct
 from .regressor import Dataset, _RegressorRows, build_regressor
-from .solver import SolveReport, _check_betas, _walk_rows, solve_path, solve_ridge
+from .solver import SolveReport, _check_betas, solve_path, solve_ridge
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,7 +186,7 @@ def test_only_the_test_rows_are_evaluated(series_csv, tmp_path, monkeypatch, com
     rows = []
 
     def recorded(model, X):
-        rows.append(len(X))
+        rows.append(X.shape[0])
         return predict_batch(model, X)
 
     monkeypatch.setattr(cli, "predict_batch", recorded)
@@ -224,6 +224,7 @@ def test_train_data_errors_exit_2(series_csv, tmp_path):
 # ridge keeps these noise-free fits full rank, so they print no warning
 _TRAIN = ["train", "--d", "3", "--f", "2", "--beta", "1"]
 _WINDOW = ["train", "--mode", "window", "--r", "2", "--label", "y", "--f", "1"]
+_LAT = ["train", "--mode", "window", "--r", "2", "--label", "lat", "--f", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +257,14 @@ def scored(tmp_path_factory):
     doc["zbar1_band"] = [100 * v for v in doc["zbar1_band"]]
     (root / "model_x100.json").write_text(json.dumps(doc))
     _write_rows(root / "max_x0.csv", names, np.full((1, len(names)), 1.7e308))
+    # finite labels whose squares overflow, and a label channel whose
+    # change over a block overflows
+    sign = np.where(np.arange(400) % 2 == 0, 1.0, -1.0)
+    u = rng.uniform(-1, 1, 400)
+    _write_rows(root / "huge_labels.csv", ["u", "lat"],
+                np.column_stack([u, sign * rng.uniform(0.5, 1.0, 400) * 1e300]))
+    _write_rows(root / "label_change_overflows.csv", ["u", "lat"],
+                np.column_stack([u, sign * 1.7e308]))
     return root
 
 
@@ -315,6 +324,12 @@ def _write_rows(path, header, rows):
                       "--x0", "{root}/max_x0.csv", "--out", "{tmp}/g.csv"],
                      2, "data error: gradient at index 0 is not finite",
                      id="sensitivity-output-overflows"),
+        pytest.param(_LAT + ["--data", "{root}/huge_labels.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: labels are too large: the sum of their squares overflows",
+                     id="train-labels-overflow"),
+        pytest.param(_LAT + ["--data", "{root}/label_change_overflows.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: label channel 'lat': the change over a block of r=2 "
+                     "samples overflows", id="window-label-change-overflows"),
         # non-UTF-8 bytes in a CSV and in a model file
         pytest.param(_TRAIN + ["--data", "{root}/latin1.bin", "--out", "{tmp}/m.json"],
                      2, "data error: {root}/latin1.bin: not UTF-8", id="train-data-not-utf8"),

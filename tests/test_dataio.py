@@ -14,6 +14,7 @@ from quadconv import (
     TimeSeries,
     dataset_to_csv,
     fit,
+    fit_path,
     load_csv,
     load_feature_csv,
     mse,
@@ -24,7 +25,8 @@ from quadconv import (
     split,
     synth_narx,
 )
-from quadconv import dataio
+from quadconv import core, dataio, solver
+from quadconv.core import RELU_MIMIC, _slices, _WindowRows
 from quadconv.dataio import _read_table, _write_csv
 
 
@@ -67,10 +69,14 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(_write(tmp_path / "ragged.csv", "u,y\n1,2\n3\n"))
 
 
+def _fail(*args, **kwargs):
+    raise ValueError("forced")
+
+
 @pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
 @pytest.mark.parametrize("seed", range(5))
 def test_write_read_round_trip_is_bit_exact(tmp_path, monkeypatch, seed, block_cells):
-    # small blocks make the reader convert the file in several pieces
+    # small blocks make the exact reader convert the file in several pieces
     monkeypatch.setattr(dataio, "_PARSE_CELLS", block_cells)
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 40)), 1 if seed == 0 else int(rng.integers(1, 9)))
@@ -79,27 +85,39 @@ def test_write_read_round_trip_is_bit_exact(tmp_path, monkeypatch, seed, block_c
     names = [f"c{j}" for j in range(shape[1])]
     path = tmp_path / "t.csv"
     _write_csv(path, names, table)
-    back_names, back = _read_table(path)
-    assert back_names == names
-    assert back.shape == shape
-    np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))
+    # loadtxt reads the file without the exact reader, and the exact reader
+    # reads it alone when loadtxt fails
+    for module, name in ((dataio, "_read_table_exactly"), (dataio.np, "loadtxt")):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, _fail)
+            back_names, back = _read_table(path)
+        assert back_names == names
+        assert back.shape == shape
+        np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))
 
 
 def test_read_table_matches_float_per_cell(tmp_path):
-    cells = ["1_000", " 2 ", "+3", ".5", "5.", "1E3", "-0", "\x0c7", "1e-320", "0012"]
+    # loadtxt rejects 1_000 and non-ASCII digits, which float() reads
+    cells = ["1_000", " 2 ", "+3", ".5", "5.", "1E3", "-0", "\x0c7", "1e-320", "0012",
+             "\uff11", "\u0663"]
     path = _write(tmp_path / "forms.csv", "a,b\n" + "\n".join(
         f"{x},{y}" for x, y in zip(cells[::2], cells[1::2])) + "\n")
     _, table = _read_table(path)
     expected = np.array([float(c) for c in cells])
     np.testing.assert_array_equal(table.ravel().view(np.int64), expected.view(np.int64))
+    # both readers parse "infinity"; neither accepts it
+    with pytest.raises(ParseError, match="row 3, column 'b': non-finite value 'infinity'"):
+        _read_table(_write(tmp_path / "inf.csv", "a,b\n1,2\n3,infinity\n"))
 
 
 def test_load_csv_crlf_and_blank_lines(tmp_path):
     path = tmp_path / "crlf.csv"
-    path.write_bytes(b"u,y\r\n1,2\r\n\r\n3,4\r\n\n5,6")
-    ts = load_csv(str(path))
-    np.testing.assert_array_equal(ts.channels["u"], [1.0, 3.0, 5.0])
-    np.testing.assert_array_equal(ts.channels["y"], [2.0, 4.0, 6.0])
+    # a byte order mark stays part of the first column's name
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"u,y\r\n1,2\r\n\r\n3,4\r\n\n5,6")
+        u, y = load_csv(str(path)).channels.values()
+        np.testing.assert_array_equal(u, [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(y, [2.0, 4.0, 6.0])
 
 
 @pytest.mark.parametrize(
@@ -112,6 +130,8 @@ def test_load_csv_crlf_and_blank_lines(tmp_path):
         ("u,y\n1,2\n   \n", "row 3: expected 2 fields, got 1"),
         ("u,y\n1,2,3\n4\n", "row 2: expected 2 fields, got 3"),  # total count fits
         ('u,y\n1,"2.5"\n', "row 2, column 'y': cannot parse '\"2.5\"'"),  # quoted cell
+        ("u,y\n1\n2\n", "row 2: expected 2 fields, got 1"),  # loadtxt reads one column
+        ("\ufeffu,y\n1,2\n3,x\n", "row 3, column 'y'"),  # byte order mark
     ],
 )
 def test_load_csv_bad_cell_location_counts_file_lines(tmp_path, text, where):
@@ -279,16 +299,81 @@ def _traced_peak(call):
 
 
 def test_windowing_and_split_copy_no_features():
-    # windowing builds the feature array once and the dataset keeps it;
-    # split hands out read-only row views of it
+    # windowing and splitting build no feature array: each side's features
+    # and labels are read-only views of the series' channels
     ts = synth_narx(40000, seed=3)
+    x_bytes = 8 * (ts.length - 20) * 40
     data, peak = _traced_peak(lambda: narx_window(ts, "u", "y", 20))
-    X = data.inputs
-    assert peak <= 1.1 * X.nbytes
+    assert peak <= 0.01 * x_bytes
     (train, test), peak = _traced_peak(lambda: split(data, SplitSpec(0.5)))
-    assert peak <= 0.01 * X.nbytes
-    assert np.shares_memory(train.inputs, X) and np.shares_memory(test.inputs, X)
-    assert not train.inputs.flags.writeable and not test.labels.flags.writeable
+    assert peak <= 0.01 * x_bytes
+    for side in (train, test):
+        u_rows, y_rows = side.features.parts
+        assert np.shares_memory(u_rows, ts.channels["u"])
+        assert np.shares_memory(y_rows, ts.channels["y"])
+        assert np.shares_memory(side.labels, ts.channels["y"])
+        assert not u_rows.flags.writeable and not side.labels.flags.writeable
+        assert not side.inputs.flags.writeable
+
+
+def _narx_reference(ts, d):
+    u, y = ts.channels["u"], ts.channels["y"]
+    times = range(d, ts.length)
+    return np.array([np.concatenate([u[t - d : t], y[t - d : t]]) for t in times]), y[d:]
+
+
+def _block_reference(ts, names, r, label):
+    blocks = range(ts.length // r)
+    rows = [np.concatenate([ts.channels[c][i * r : (i + 1) * r] for c in names]) for i in blocks]
+    p = ts.channels[label]
+    return np.array(rows), np.array([p[i * r + r - 1] - p[i * r] for i in blocks])
+
+
+@pytest.mark.parametrize("window", ["narx", "multichannel"])
+def test_window_row_blocks_equal_the_materialized_rows(window):
+    ts = synth_narx(103, seed=5)
+    if window == "narx":
+        data, (rows, labels) = narx_window(ts, "u", "y", 4), _narx_reference(ts, 4)
+    else:
+        data = multichannel_window(ts, ["y", "u"], 3, "u")
+        rows, labels = _block_reference(ts, ["y", "u"], 3, "u")
+    assert data.features.shape == rows.shape
+    train, test = split(data, SplitSpec(0.4))
+    k = train.n_samples
+    assert train.labels.tobytes() == labels[:k].tobytes()
+    assert test.labels.tobytes() == labels[k:].tobytes()
+    for side, expected in ((train, rows[:k]), (test, rows[k:])):
+        N = side.n_samples
+        assert N % 8  # so the last 8-row block is partial
+        # 8-row and one-row blocks, from the first row of each side of the
+        # split to its last
+        for size in (8, 1):
+            blocks = [side.features[r] for r in _slices(N, size)]
+            assert np.vstack(blocks).tobytes() == expected.tobytes()
+        assert side.inputs.tobytes() == expected.tobytes()
+    assert data.inputs.tobytes() == rows.tobytes()
+
+
+def test_window_split_fit_and_evaluation_hold_no_feature_array(monkeypatch):
+    # blocks small beside the features, as the solver's and the model's
+    # walks take them on a long series
+    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first fit would)
+
+    monkeypatch.setattr(core, "_WALK_BYTES", 1 << 18)
+    monkeypatch.setattr(solver, "_block_rows", lambda p: 512)
+    ts = synth_narx(40000, seed=3)
+    x_bytes = 8 * (ts.length - 10) * 20
+
+    def pipeline():
+        train, test = split(narx_window(ts, "u", "y", 10), SplitSpec(0.5))
+        results = fit_path(train, ConvSpec(20, 3), RELU_MIMIC, [0.0, 1.0])
+        return test, [predict_batch(r.model, test.features) for r in results]
+
+    (test, predictions), peak = _traced_peak(pipeline)
+    assert peak <= 0.2 * x_bytes
+    assert isinstance(test.features, _WindowRows)
+    # the beta = 0 fit represents the noise-free series exactly
+    assert mse(predictions[0], test.labels) < 1e-20
 
 
 def test_dataset_copies_the_callers_arrays():

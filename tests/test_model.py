@@ -18,6 +18,7 @@ from quadconv import (
     serialize,
     to_weight_vector,
 )
+from quadconv import core
 
 _RELU = ActivationParams(0.0937, 0.5, 0.4688)
 
@@ -114,13 +115,16 @@ def _sensitivity_rounding_bound(m, X):
 
 # The original geometry, then n = 1, f = 1 and f = n.
 @pytest.mark.parametrize("n,f", [(6, 4), (1, 1), (6, 1), (8, 8)])
-def test_predict_batch_matches_scalar(n, f):
+def test_predict_batch_matches_scalar(monkeypatch, n, f):
     rng = np.random.default_rng(2)
     m = _random_model(rng, n=n, f=f)
     X = rng.uniform(-1, 1, size=(8, n))
-    batch = predict_batch(m, X)
     singles = np.array([predict(m, x) for x in X])
-    assert np.all(np.abs(batch - singles) <= _predict_rounding_bound(m, X))
+    # one block, then blocks of 3 rows, the last one partial
+    for walk_bytes in (core._WALK_BYTES, 3 * 16 * n):
+        monkeypatch.setattr(core, "_WALK_BYTES", walk_bytes)
+        batch = predict_batch(m, X)
+        assert np.all(np.abs(batch - singles) <= _predict_rounding_bound(m, X))
 
 
 def test_predict_rejects_wrong_length():
@@ -161,13 +165,16 @@ def test_sensitivity_matches_central_differences():
 
 
 @pytest.mark.parametrize("n,f", [(7, 3), (1, 1), (7, 1), (7, 7)])
-def test_sensitivity_batch_matches_scalar(n, f):
+def test_sensitivity_batch_matches_scalar(monkeypatch, n, f):
     rng = np.random.default_rng(6)
     m = _random_model(rng, n=n, f=f)
     X0 = rng.uniform(-1, 1, size=(5, n))
-    batch = sensitivity_batch(m, X0)
     singles = np.array([sensitivity(m, x) for x in X0])
-    assert np.all(np.abs(batch - singles) <= _sensitivity_rounding_bound(m, X0))
+    # one block, then blocks of 3 rows, the last one partial
+    for walk_bytes in (core._WALK_BYTES, 3 * 16 * n):
+        monkeypatch.setattr(core, "_WALK_BYTES", walk_bytes)
+        batch = sensitivity_batch(m, X0)
+        assert np.all(np.abs(batch - singles) <= _sensitivity_rounding_bound(m, X0))
 
 
 def test_band_structure_is_preserved():

@@ -17,7 +17,7 @@ from quadconv import (
     solve_ridge,
     synth_narx,
 )
-from quadconv import solver
+from quadconv import core, solver
 
 
 def _narx_system():
@@ -239,7 +239,7 @@ def test_solve_path_full_rank_sweep_matches_per_beta_solves():
 def test_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
     H, y = _narx_system()
     if walk_rows is not None:
-        monkeypatch.setattr(solver, "_WALK_BYTES", 8 * H.shape[1] * walk_rows)
+        monkeypatch.setattr(core, "_WALK_BYTES", 8 * H.shape[1] * walk_rows)
     assert len(solver._slices(len(y), solver._walk_rows(H.shape[1]))) == (
         1 if walk_rows is None else -(-len(y) // walk_rows)
     )

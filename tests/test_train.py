@@ -20,7 +20,7 @@ from quadconv import (
     solve_ridge,
     synth_narx,
 )
-from quadconv import solver
+from quadconv import core, solver
 from quadconv.regressor import _RegressorRows
 
 _PARAMS = ActivationParams(0.0937, 0.5, 0.4688)
@@ -85,7 +85,7 @@ def _walk_in_blocks(monkeypatch, data, spec, blocks):
     # shrink the block sizes so the Gram, QR and residual walks each take
     # `blocks` blocks of the data's rows
     rows = -(-data.n_samples // blocks)
-    monkeypatch.setattr(solver, "_WALK_BYTES", 8 * spec.n_weights * rows)
+    monkeypatch.setattr(core, "_WALK_BYTES", 8 * spec.n_weights * rows)
     monkeypatch.setattr(solver, "_block_rows", lambda p: rows)
     assert len(solver._slices(data.n_samples, solver._walk_rows(spec.n_weights))) == blocks
     assert len(solver._slices(data.n_samples, solver._block_rows(spec.n_weights))) == blocks
@@ -125,6 +125,8 @@ def _record_blocks_assembled(monkeypatch):
 def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_walk(
     monkeypatch, betas, walks
 ):
+    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first fit would)
+
     data, spec = narx_window(synth_narx(4000, seed=9), "u", "y", 5), ConvSpec(10, 3)
     _walk_in_blocks(monkeypatch, data, spec, 4)
     blocks = _record_blocks_assembled(monkeypatch)
