@@ -181,12 +181,18 @@ def _slices(N: int, rows: int) -> list[slice]:
     return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
 
 
+# A feature-row source is what a Dataset holds and the fit and the model
+# kernels read: an object with shape (N, n) whose source[r] is the rows of
+# the slice r as an array. There are two kinds, a held read-only 2-D array
+# and a _WindowRows; the helpers below are the only code that tells them
+# apart.
+
+
 class _WindowRows:
     """Feature rows laid side by side from row windows of a series: row i
     is the concatenation of row i of every part, a read-only 2-D view
     (such as a sliding window) of a channel.
 
-    A feature-row source, as a held 2-D array is one: `shape` is (N, n) and
     rows[r] builds the rows of the slice r as a new array, so the N x n
     features are never held.
     """
@@ -197,6 +203,32 @@ class _WindowRows:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return np.hstack([p[rows] for p in self.parts])
+
+    def view(self, rows: slice) -> "_WindowRows":
+        """The rows of a slice, as windows over the same channels."""
+        return _WindowRows(p[rows] for p in self.parts)
+
+
+def _row_source(X):
+    """Caller input as a feature-row source: a _WindowRows as it is,
+    anything else as a float array (not copied if it is one)."""
+    return X if isinstance(X, _WindowRows) else np.asarray(X, dtype=float)
+
+
+def _row_view(source, rows: slice):
+    """The rows of a slice of a source, as a source of the same kind that
+    shares its memory."""
+    return source.view(rows) if isinstance(source, _WindowRows) else source[rows]
+
+
+def _held_rows(source) -> np.ndarray:
+    """Every row of a source as one read-only array: a held array as it
+    is, or the rows of a _WindowRows built into a new one."""
+    if not isinstance(source, _WindowRows):
+        return source
+    X = source[0 : source.shape[0]]
+    X.setflags(write=False)
+    return X
 
 
 def format_float(v) -> str:

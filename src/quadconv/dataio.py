@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _WindowRows, format_float
+from .core import _row_view, _WindowRows, format_float
 from .errors import (
     ChannelMissing,
     InsufficientData,
@@ -84,46 +84,7 @@ def _read_table(path):
 
     Every data cell is an unquoted decimal number, parsed with float()
     semantics. Blank lines are skipped; error messages count file lines.
-
-    np.loadtxt parses the lines after the header without holding a Python
-    string per cell. It reads a subset of float() syntax (not 1_0 or
-    non-ASCII digits, say), and it reads one-field lines as a one-column
-    table, so a file it rejects, or whose table is empty, narrower or wider
-    than the header or not finite, is read again by _read_table_exactly,
-    which accepts every float() cell and words the errors.
     """
-    # warnings is loaded with numpy: the import only binds the name
-    import warnings
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            names = _header_names(fh.readline().removesuffix("\n"))
-            with warnings.catch_warnings():
-                # loadtxt warns on a file with no data rows, which the
-                # exact reader then refuses
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
-    except ValueError:  # a cell loadtxt cannot read, or a UnicodeDecodeError
-        table = None
-    if (
-        table is None
-        or len(set(names)) != len(names)
-        or table.shape[1] != len(names)
-        or len(table) == 0
-        or not np.isfinite(table).all()
-    ):
-        return _read_table_exactly(path)
-    return names, table
-
-
-def _header_names(line):
-    return [h.strip() for h in next(csv.reader([line]))]
-
-
-def _read_table_exactly(path):
-    """_read_table by float() on every cell, for the files np.loadtxt
-    rejects or reads differently: the table, or the ParseError that names
-    the first bad line."""
     with open(path, encoding="utf-8") as fh:
         try:
             # not str.splitlines, which also breaks at \x0c, \x1c and \u2028
@@ -132,7 +93,7 @@ def _read_table_exactly(path):
             raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     if lines == [""]:
         raise ParseError(f"{path}: empty file (missing header row)")
-    names = _header_names(lines[0])
+    names = [h.strip() for h in next(csv.reader(lines[:1]))]
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate column names in header: {names}")
     data = [line for line in lines[1:] if line]
@@ -287,14 +248,6 @@ def split(data: Dataset, s: SplitSpec):
         )
     X, y = data.features, data.labels
     return tuple(_dataset(_row_view(X, r), y[r]) for r in (slice(0, k), slice(k, N)))
-
-
-def _row_view(features, rows: slice):
-    """The rows of a slice of a feature-row source, as a source of the same
-    kind that shares its memory."""
-    if isinstance(features, _WindowRows):
-        return _WindowRows(p[rows] for p in features.parts)
-    return features[rows]
 
 
 def synth_narx(T: int, seed=0) -> TimeSeries:

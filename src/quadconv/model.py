@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ActivationParams, ConvSpec, band_index_map, format_float, validate_activation
-from .core import _slices, _walk_rows, _WindowRows
+from .core import _row_source, _slices, _walk_rows
 from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile, NonFiniteInput
 
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
@@ -158,8 +158,7 @@ def _as_row(model: QuadraticModel, x) -> np.ndarray:
 
 
 def _as_rows(model: QuadraticModel, X):
-    if not isinstance(X, _WindowRows):
-        X = np.asarray(X, dtype=float)
+    X = _row_source(X)
     if len(X.shape) != 2 or X.shape[1] != model.spec.n:
         raise DimensionMismatch(
             f"expected rows of length {model.spec.n}, got shape {X.shape}"

@@ -2,37 +2,40 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .core import ActivationParams, ConvSpec, band_products
+from .core import ActivationParams, ConvSpec, _held_rows, band_products
 from .errors import DimensionMismatch, NonFiniteInput
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
     """N feature rows of equal length n with N scalar labels.
 
-    `features` holds the rows as a feature-row source: an object with
-    shape (N, n) whose features[r] is the rows of the slice r as an array.
-    A dataset built from arrays holds its read-only inputs array, which is
-    one; a dataset windowed from a series holds a _WindowRows, which builds
-    each block of rows from the series' channels when it is read. The fit
-    and the CLI read the features in blocks, so they never hold N x n
-    floats; `inputs` gives them whole.
+    `features` holds the rows as a feature-row source (see core): a
+    dataset built from arrays holds its read-only inputs array, and one
+    windowed from a series holds a _WindowRows, which builds each block of
+    rows from the series' channels when it is read. The fit and the CLI
+    read the features in blocks, so they never hold N x n floats; `inputs`
+    gives them whole.
     """
+
+    features: object
+    labels: np.ndarray
 
     def __init__(self, inputs, labels):
         X = np.array(inputs, dtype=float, copy=True)
         y = np.array(labels, dtype=float, copy=True)
+        X.setflags(write=False)
         _adopt(self, X, y, scan=(X, y))
 
     @property
     def inputs(self) -> np.ndarray:
         """The N x n feature array, read-only; a windowed dataset builds it
         on first access and holds it from then on."""
-        if not isinstance(self.features, np.ndarray):
-            X = self.features[0 : self.n_samples]
-            X.setflags(write=False)
-            self.features = X
+        object.__setattr__(self, "features", _held_rows(self.features))
         return self.features
 
     @property
@@ -46,8 +49,8 @@ class Dataset:
 
 def _adopt(data, features, y, scan):
     """Check the shapes of (features, y) and that the arrays in scan are
-    finite, make y and a held features array read-only and store both in
-    data, which shares their memory."""
+    finite, make y read-only and store both in data, which shares their
+    memory."""
     shape = features.shape
     if len(shape) != 2 or shape[0] < 1:
         raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {shape}")
@@ -57,17 +60,15 @@ def _adopt(data, features, y, scan):
         )
     if not all(np.isfinite(a).all() for a in scan):
         raise NonFiniteInput("dataset contains non-finite values")
-    if isinstance(features, np.ndarray):
-        features.setflags(write=False)
     y.setflags(write=False)
-    data.features = features
-    data.labels = y
+    object.__setattr__(data, "features", features)
+    object.__setattr__(data, "labels", y)
 
 
 def _dataset(features, labels: np.ndarray) -> Dataset:
-    """A Dataset over features and float labels that no caller can write,
-    without copying them: arrays the caller has just built, row views of
-    another Dataset's, or a _WindowRows over a series' read-only channels.
+    """A Dataset over a read-only feature-row source and float labels that
+    no caller can write, without copying them: row views of another
+    Dataset's features, or a _WindowRows over a series' read-only channels.
     The features must be finite already, as values gathered from a
     validated series or dataset are; the labels are checked."""
     data = object.__new__(Dataset)

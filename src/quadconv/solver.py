@@ -144,7 +144,12 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
                 "are finite, a product of two of them overflowed"
             )
         raise NonFiniteInput("H'H overflows: the regressor entries are too large")
-    scale = max(1.0, float(np.linalg.norm(rhs)))
+    # H'y can overflow in norm where y'y does not: each entry sums up to N
+    # label-sized terms, and the acceptance test needs a finite scale
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(rhs)))
+    if not np.isfinite(scale):
+        raise NonFiniteInput("the norm of H'y overflows: the labels are too large")
     svd = None
     solved = []  # the fields of each beta's report but its residual norm
     for beta in betas:

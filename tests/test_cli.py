@@ -265,6 +265,10 @@ def scored(tmp_path_factory):
                 np.column_stack([u, sign * rng.uniform(0.5, 1.0, 400) * 1e300]))
     _write_rows(root / "label_change_overflows.csv", ["u", "lat"],
                 np.column_stack([u, sign * 1.7e308]))
+    # same-sign labels whose squares sum to a finite value, but whose
+    # products with constant features sum past the float range in H'y
+    _write_rows(root / "huge_gram_labels.csv", ["u", "lat"],
+                np.column_stack([np.ones(400), np.where(sign > 0, 0.0, 5e152)]))
     return root
 
 
@@ -327,6 +331,9 @@ def _write_rows(path, header, rows):
         pytest.param(_LAT + ["--data", "{root}/huge_labels.csv", "--out", "{tmp}/m.json"],
                      2, "data error: labels are too large: the sum of their squares overflows",
                      id="train-labels-overflow"),
+        pytest.param(_LAT + ["--data", "{root}/huge_gram_labels.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: the norm of H'y overflows: the labels are too large",
+                     id="train-labels-overflow-in-h-y"),
         pytest.param(_LAT + ["--data", "{root}/label_change_overflows.csv", "--out", "{tmp}/m.json"],
                      2, "data error: label channel 'lat': the change over a block of r=2 "
                      "samples overflows", id="window-label-change-overflows"),

@@ -69,14 +69,10 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(_write(tmp_path / "ragged.csv", "u,y\n1,2\n3\n"))
 
 
-def _fail(*args, **kwargs):
-    raise ValueError("forced")
-
-
 @pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
 @pytest.mark.parametrize("seed", range(5))
 def test_write_read_round_trip_is_bit_exact(tmp_path, monkeypatch, seed, block_cells):
-    # small blocks make the exact reader convert the file in several pieces
+    # small blocks make the reader convert the file in several pieces
     monkeypatch.setattr(dataio, "_PARSE_CELLS", block_cells)
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 40)), 1 if seed == 0 else int(rng.integers(1, 9)))
@@ -85,19 +81,14 @@ def test_write_read_round_trip_is_bit_exact(tmp_path, monkeypatch, seed, block_c
     names = [f"c{j}" for j in range(shape[1])]
     path = tmp_path / "t.csv"
     _write_csv(path, names, table)
-    # loadtxt reads the file without the exact reader, and the exact reader
-    # reads it alone when loadtxt fails
-    for module, name in ((dataio, "_read_table_exactly"), (dataio.np, "loadtxt")):
-        with monkeypatch.context() as m:
-            m.setattr(module, name, _fail)
-            back_names, back = _read_table(path)
-        assert back_names == names
-        assert back.shape == shape
-        np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))
+    back_names, back = _read_table(path)
+    assert back_names == names
+    assert back.shape == shape
+    np.testing.assert_array_equal(back.view(np.int64), table.view(np.int64))
 
 
 def test_read_table_matches_float_per_cell(tmp_path):
-    # loadtxt rejects 1_000 and non-ASCII digits, which float() reads
+    # float() reads underscores and non-ASCII digits
     cells = ["1_000", " 2 ", "+3", ".5", "5.", "1E3", "-0", "\x0c7", "1e-320", "0012",
              "\uff11", "\u0663"]
     path = _write(tmp_path / "forms.csv", "a,b\n" + "\n".join(
@@ -105,7 +96,7 @@ def test_read_table_matches_float_per_cell(tmp_path):
     _, table = _read_table(path)
     expected = np.array([float(c) for c in cells])
     np.testing.assert_array_equal(table.ravel().view(np.int64), expected.view(np.int64))
-    # both readers parse "infinity"; neither accepts it
+    # float() parses "infinity", which the reader refuses
     with pytest.raises(ParseError, match="row 3, column 'b': non-finite value 'infinity'"):
         _read_table(_write(tmp_path / "inf.csv", "a,b\n1,2\n3,infinity\n"))
 
@@ -130,7 +121,7 @@ def test_load_csv_crlf_and_blank_lines(tmp_path):
         ("u,y\n1,2\n   \n", "row 3: expected 2 fields, got 1"),
         ("u,y\n1,2,3\n4\n", "row 2: expected 2 fields, got 3"),  # total count fits
         ('u,y\n1,"2.5"\n', "row 2, column 'y': cannot parse '\"2.5\"'"),  # quoted cell
-        ("u,y\n1\n2\n", "row 2: expected 2 fields, got 1"),  # loadtxt reads one column
+        ("u,y\n1\n2\n", "row 2: expected 2 fields, got 1"),  # one field a line
         ("\ufeffu,y\n1,2\n3,x\n", "row 3, column 'y'"),  # byte order mark
     ],
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,9 @@ from quadconv import (
     band_index_map,
     build_regressor,
     predict_batch,
+    narx_window,
     reconstruct,
+    synth_narx,
 )
 from quadconv.regressor import _RegressorRows
 
@@ -164,6 +167,15 @@ def test_dataset_validation():
 
 
 def test_dataset_is_read_only():
-    data = Dataset(np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        data.inputs[0, 0] = 5.0
+    windowed = narx_window(synth_narx(40, seed=0), "u", "y", 3)
+    for data in (Dataset(np.ones((2, 2)), np.zeros(2)), windowed):
+        for name in ("features", "labels", "inputs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(data, name, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            data.inputs[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            data.labels[0] = 5.0
+    # the windowed dataset built its inputs once and holds them
+    assert windowed.features is windowed.inputs
+    assert windowed.inputs.shape == (37, 6)

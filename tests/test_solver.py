@@ -123,6 +123,14 @@ def test_non_finite_inputs_rejected():
             solve_ridge(H, y, beta)
 
 
+def test_labels_whose_h_y_norm_overflows_are_rejected():
+    # y'y = 100 L^2 is finite, but ||H'y||^2 = 2 (100 L)^2 is not
+    H, y = np.ones((100, 2)), np.full(100, 5e152)
+    assert np.isfinite(y @ y)
+    with pytest.raises(NonFiniteInput, match="the norm of H'y overflows"):
+        solve_ridge(H, y, 0.0)
+
+
 def test_label_length_mismatch():
     H = np.eye(5)
     with pytest.raises(DimensionMismatch):
