@@ -214,11 +214,7 @@ def cmd_train(args) -> int:
                 "the training data do not determine every weight",
                 file=sys.stderr,
             )
-        # the solve measured the training residual; only the test rows are
-        # evaluated
-        train_mse = report.residual_norm ** 2 / n_train
-        y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
-        test_mse = mse(y_test, test_set.labels)
+        train_mse, test_mse = _scores(result, n_train, test_set)
         theta_norm = float(np.linalg.norm(report.theta))
         out_path = _beta_path(args.out, beta, len(betas) > 1)
         out_path.write_text(serialize(result.model), encoding="utf-8")
@@ -257,6 +253,14 @@ def _evaluate(kernel, model, X, what: str):
     if not finite.all():
         raise NonFiniteInput(f"{what} at index {np.argmin(finite)} is not finite: it overflows")
     return out
+
+
+def _scores(result, n_train: int, test_set):
+    """(train_mse, test_mse) of a fit on n_train rows. The solve measured
+    the training residual, so only the test rows are evaluated."""
+    train_mse = result.report.residual_norm ** 2 / n_train
+    y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
+    return train_mse, mse(y_test, test_set.labels)
 
 
 def cmd_predict(args) -> int:
@@ -325,10 +329,7 @@ def cmd_bench(args) -> int:
             result = fit(train_set, spec, params, 0.0)
             best = result.train_seconds if best is None else min(best, result.train_seconds)
         method = "ls-qnn" if f == n else "ls-cqnn"
-        train_mse = result.report.residual_norm ** 2 / n_train
-        y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
-        test_mse = mse(y_test, test_set.labels)
-        rows.append((method, f, train_mse, test_mse, best))
+        rows.append((method, f, *_scores(result, n_train, test_set), best))
 
     _write_csv(args.out, ["method", "f", "train_mse", "test_mse", "train_time_s"],
                ((method, f, tr, te, f"{secs:.6f}") for method, f, tr, te, secs in rows))

@@ -181,20 +181,22 @@ def _slices(N: int, rows: int) -> list[slice]:
     return [slice(start, min(N, start + rows)) for start in range(0, N, rows)]
 
 
-# A feature-row source is what a Dataset holds and the fit and the model
-# kernels read: an object with shape (N, n) whose source[r] is the rows of
-# the slice r as an array. There are two kinds, a held read-only 2-D array
-# and a _WindowRows; the helpers below are the only code that tells them
-# apart.
+# A row source is an object with shape (N, p) whose fill_rows(rows, out)
+# writes the rows of the slice rows into out, an m x p array of either
+# memory order (a view with room to spare around it, too), and returns out.
+# The solver walks row sources. A _Rows is the row source of feature rows,
+# which a Dataset holds and the model's batch kernels read; the regressor's
+# is regressor._RegressorRows, which assembles H[rows] when a walk reads it.
 
 
-class _WindowRows:
-    """Feature rows laid side by side from row windows of a series: row i
-    is the concatenation of row i of every part, a read-only 2-D view
-    (such as a sliding window) of a channel.
+class _Rows:
+    """Rows laid side by side from read-only 2-D parts: row i is the
+    concatenation of row i of every part. A held inputs array is the single
+    part of its _Rows; a windowed dataset's parts are sliding or block
+    windows over a series' channels, so its N x n features are never held.
 
-    rows[r] builds the rows of the slice r as a new array, so the N x n
-    features are never held.
+    rows[r] is the part's own rows when there is one part, and a new
+    C-ordered array that fill_rows builds when there are several.
     """
 
     def __init__(self, parts):
@@ -202,32 +204,34 @@ class _WindowRows:
         self.shape = (len(self.parts[0]), sum(p.shape[1] for p in self.parts))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return np.hstack([p[rows] for p in self.parts])
+        first = self.parts[0][rows]
+        if len(self.parts) == 1:
+            return first
+        return self.fill_rows(rows, np.empty((len(first), self.shape[1])))
 
-    def view(self, rows: slice) -> "_WindowRows":
-        """The rows of a slice, as windows over the same channels."""
-        return _WindowRows(p[rows] for p in self.parts)
+    def fill_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Write the rows of the slice rows into out and return out."""
+        stop = 0
+        for part in self.parts:
+            start, stop = stop, stop + part.shape[1]
+            out[:, start:stop] = part[rows]
+        return out
+
+    def view(self, rows: slice) -> "_Rows":
+        """The rows of a slice, as a _Rows that shares this one's memory."""
+        return _Rows(p[rows] for p in self.parts)
 
 
-def _row_source(X):
-    """Caller input as a feature-row source: a _WindowRows as it is,
-    anything else as a float array (not copied if it is one)."""
-    return X if isinstance(X, _WindowRows) else np.asarray(X, dtype=float)
-
-
-def _row_view(source, rows: slice):
-    """The rows of a slice of a source, as a source of the same kind that
-    shares its memory."""
-    return source.view(rows) if isinstance(source, _WindowRows) else source[rows]
-
-
-def _held_rows(source) -> np.ndarray:
-    """Every row of a source as one read-only array: a held array as it
-    is, or the rows of a _WindowRows built into a new one."""
-    if not isinstance(source, _WindowRows):
-        return source
-    X = source[0 : source.shape[0]]
-    X.setflags(write=False)
+def _row_source(X, n: int) -> _Rows:
+    """Caller input to the model's batch kernels as a _Rows of width n: a
+    _Rows as it is, anything else as one float array (not copied if it is
+    one). Raises DimensionMismatch for any other shape."""
+    if not isinstance(X, _Rows):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 2:
+            X = _Rows([X])
+    if len(X.shape) != 2 or X.shape[1] != n:
+        raise DimensionMismatch(f"expected rows of length {n}, got shape {X.shape}")
     return X
 
 

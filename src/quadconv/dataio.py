@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _row_view, _WindowRows, format_float
+from .core import _Rows, format_float
 from .errors import (
     ChannelMissing,
     InsufficientData,
@@ -18,7 +18,7 @@ from .errors import (
     NonFiniteInput,
     ParseError,
 )
-from .regressor import Dataset, _dataset
+from .regressor import Dataset
 
 _SMOOTH = 5
 _PARSE_CELLS = 1 << 14  # cells per string-to-float conversion in _read_table
@@ -83,9 +83,10 @@ def _read_table(path):
     """Parse a headered CSV into its column names and one N x C float array.
 
     Every data cell is an unquoted decimal number, parsed with float()
-    semantics. Blank lines are skipped; error messages count file lines.
+    semantics. Blank lines are skipped; error messages count file lines. A
+    byte order mark, as spreadsheets write one, is not part of the header.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             # not str.splitlines, which also breaks at \x0c, \x1c and \u2028
             lines = fh.read().split("\n")
@@ -201,7 +202,7 @@ def narx_window(ts: TimeSeries, input_channel: str, output_channel: str, d: int)
     if T <= d:
         raise InsufficientData(f"need more than d={d} samples, have {T}")
     windows = [np.lib.stride_tricks.sliding_window_view(c, d)[: T - d] for c in (u, y)]
-    return _dataset(_WindowRows(windows), y[d:])
+    return Dataset(_Rows(windows), y[d:])
 
 
 def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) -> Dataset:
@@ -231,7 +232,7 @@ def multichannel_window(ts: TimeSeries, channels, r: int, label_channel: str) ->
             f"label channel {label_channel!r}: the change over a block of r={r} "
             "samples overflows"
         )
-    return _dataset(_WindowRows([ch[: W * r].reshape(W, r) for ch in chans]), labels)
+    return Dataset(_Rows([ch[: W * r].reshape(W, r) for ch in chans]), labels)
 
 
 def split(data: Dataset, s: SplitSpec):
@@ -247,7 +248,7 @@ def split(data: Dataset, s: SplitSpec):
             f"train_fraction {s.train_fraction} leaves an empty side for N={N}"
         )
     X, y = data.features, data.labels
-    return tuple(_dataset(_row_view(X, r), y[r]) for r in (slice(0, k), slice(k, N)))
+    return tuple(Dataset(X.view(r), y[r]) for r in (slice(0, k), slice(k, N)))
 
 
 def synth_narx(T: int, seed=0) -> TimeSeries:

@@ -116,8 +116,8 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 #   output   a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4
 #   gradient 2a * X Zbar1 + b * Zbar2
 # Each walks the rows of X in blocks sized by the solver's walk rule for the
-# two m x n arrays a block holds: its rows of X, read from a feature-row
-# source or viewed in a held array, and their product with Zbar1. The
+# two m x n arrays a block holds: its rows of X, a view of a held array or a
+# block built from windows (see core._Rows), and their product with Zbar1. The
 # single-row entry points call these on a one-row matrix. BLAS may round a
 # one-row product (gemv) differently from a many-row one (gemm), and a
 # product's rounding may depend on the rows beside it, so the entry points,
@@ -157,15 +157,6 @@ def _as_row(model: QuadraticModel, x) -> np.ndarray:
     return x[None, :]
 
 
-def _as_rows(model: QuadraticModel, X):
-    X = _row_source(X)
-    if len(X.shape) != 2 or X.shape[1] != model.spec.n:
-        raise DimensionMismatch(
-            f"expected rows of length {model.spec.n}, got shape {X.shape}"
-        )
-    return X
-
-
 def predict(model: QuadraticModel, x) -> float:
     """Evaluate a * x' Zbar1 x + b * Zbar2' x + c * Zbar4 at one input."""
     return float(_predict_rows(model, _as_row(model, x))[0])
@@ -174,7 +165,7 @@ def predict(model: QuadraticModel, x) -> float:
 def predict_batch(model: QuadraticModel, X) -> np.ndarray:
     """Vectorized predict over the rows of X, a 2-D array or the features
     of a Dataset."""
-    return _predict_rows(model, _as_rows(model, X))
+    return _predict_rows(model, _row_source(X, model.spec.n))
 
 
 def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
@@ -186,7 +177,7 @@ def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
 def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:
     """Vectorized sensitivity over the rows of X0, a 2-D array or the
     features of a Dataset."""
-    return _sensitivity_rows(model, _as_rows(model, X0))
+    return _sensitivity_rows(model, _row_source(X0, model.spec.n))
 
 
 def serialize(model: QuadraticModel) -> str:

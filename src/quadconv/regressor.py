@@ -6,37 +6,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationParams, ConvSpec, _held_rows, band_products
+from .core import ActivationParams, ConvSpec, _Rows, band_products
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """N feature rows of equal length n with N scalar labels.
 
-    `features` holds the rows as a feature-row source (see core): a
-    dataset built from arrays holds its read-only inputs array, and one
-    windowed from a series holds a _WindowRows, which builds each block of
-    rows from the series' channels when it is read. The fit and the CLI
-    read the features in blocks, so they never hold N x n floats; `inputs`
-    gives them whole.
+    `features` holds the rows as a core._Rows. Dataset(inputs, labels)
+    copies the caller's arrays, checks that they are finite and holds the
+    read-only inputs as the single part of its rows. Windowing and split
+    pass a _Rows instead, of windows over a series' channels or of row
+    views of another Dataset, with a view of the labels; the dataset adopts
+    both without a copy, and checks only the labels, since the rows are
+    read-only and finite already. The fit and the CLI read the features in
+    blocks, so a windowed dataset never holds N x n floats; `inputs` gives
+    them whole.
     """
 
-    features: object
+    features: _Rows
     labels: np.ndarray
 
-    def __init__(self, inputs, labels):
-        X = np.array(inputs, dtype=float, copy=True)
-        y = np.array(labels, dtype=float, copy=True)
-        X.setflags(write=False)
-        _adopt(self, X, y, scan=(X, y))
+    def __post_init__(self):
+        X, y = self.features, self.labels
+        adopt = isinstance(X, _Rows)
+        if not adopt:
+            X = np.array(X, dtype=float, copy=True)
+            y = np.array(y, dtype=float, copy=True)
+        if len(X.shape) != 2 or X.shape[0] < 1:
+            raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {X.shape}")
+        if y.shape != (X.shape[0],):
+            raise DimensionMismatch(f"labels must have shape ({X.shape[0]},), got {y.shape}")
+        if not (np.isfinite(y).all() and (adopt or np.isfinite(X).all())):
+            raise NonFiniteInput("dataset contains non-finite values")
+        if not adopt:
+            X.setflags(write=False)
+            X = _Rows([X])
+        y.setflags(write=False)
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "labels", y)
 
     @property
     def inputs(self) -> np.ndarray:
         """The N x n feature array, read-only; a windowed dataset builds it
         on first access and holds it from then on."""
-        object.__setattr__(self, "features", _held_rows(self.features))
-        return self.features
+        if len(self.features.parts) > 1:
+            X = self.features[0 : self.n_samples]
+            X.setflags(write=False)
+            object.__setattr__(self, "features", _Rows([X]))
+        return self.features.parts[0]
 
     @property
     def n_samples(self) -> int:
@@ -45,35 +64,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-
-def _adopt(data, features, y, scan):
-    """Check the shapes of (features, y) and that the arrays in scan are
-    finite, make y read-only and store both in data, which shares their
-    memory."""
-    shape = features.shape
-    if len(shape) != 2 or shape[0] < 1:
-        raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {shape}")
-    if y.shape != (shape[0],):
-        raise DimensionMismatch(
-            f"labels must have shape ({shape[0]},), got {y.shape}"
-        )
-    if not all(np.isfinite(a).all() for a in scan):
-        raise NonFiniteInput("dataset contains non-finite values")
-    y.setflags(write=False)
-    object.__setattr__(data, "features", features)
-    object.__setattr__(data, "labels", y)
-
-
-def _dataset(features, labels: np.ndarray) -> Dataset:
-    """A Dataset over a read-only feature-row source and float labels that
-    no caller can write, without copying them: row views of another
-    Dataset's features, or a _WindowRows over a series' read-only channels.
-    The features must be finite already, as values gathered from a
-    validated series or dataset are; the labels are checked."""
-    data = object.__new__(Dataset)
-    _adopt(data, features, labels, scan=(labels,))
-    return data
 
 
 def build_regressor(data: Dataset, spec: ConvSpec, params: ActivationParams) -> np.ndarray:
@@ -92,7 +82,7 @@ def build_regressor(data: Dataset, spec: ConvSpec, params: ActivationParams) -> 
 
 class _RegressorRows:
     """The H of build_regressor(data, spec, params), never held whole: a
-    row source for the solver, which walks it in row blocks.
+    row source (see core) for the solver, which walks it in row blocks.
 
     fill_rows(rows, out) writes H[rows] into out, so the fit holds the
     solver's block buffers rather than N x (q + n) floats.
@@ -107,11 +97,11 @@ class _RegressorRows:
         self._features, self._spec, self._params = data.features, spec, params
 
     def fill_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Write H[rows] into out, an m x (q + n) array whose columns are
-        contiguous, and return out.
+        """Write H[rows] into out, an m x (q + n) array, column-major as the
+        solver's walks pass it, and return out.
 
-        The feature rows are first copied column-major (m x n, small beside
-        out), so every band product, scaling and shift reads and writes one
+        The feature rows are first written column-major, in one m x n copy
+        small beside out, so every band product, scaling and shift reads and writes one
         contiguous column at a time: 2.2-2.5x faster than filling C-ordered
         rows on blocks of the benchmark's geometries (p = 230 and 2155).
         The arithmetic per entry is the same whatever the block, so any row
@@ -119,8 +109,8 @@ class _RegressorRows:
         that overflows is left as inf or nan without a warning: the solver
         finds it from the Gram diagonal and reports it.
         """
-        X = np.asfortranarray(self._features[rows])
         n, q = self._spec.n, self._spec.band_size
+        X = self._features.fill_rows(rows, np.empty((len(out), n), order="F"))
         with np.errstate(over="ignore", invalid="ignore"):
             quad = band_products(X, self._spec, out[:, :q])
             quad *= self._params.a

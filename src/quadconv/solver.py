@@ -3,10 +3,9 @@
 The solver reads the regressor H only in row blocks, by three walks: one
 accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
 falls back, and one gives every beta's residual norm. H is a held 2-D array
-of any memory order or a row source: an object with shape (N, p) whose
-fill_rows(rows, out) writes H[rows] into out, an m x p array with contiguous
-columns, and returns out. A row source lets a fit assemble each block when a
-walk needs it, so no N x p array is ever held. Every walk reads blocks with
+of any memory order or a row source (see core), which lets a fit assemble
+each block when a walk needs it, so no N x p array is ever held; a held H
+is read as the row source core._Rows([H]). Every walk reads blocks with
 contiguous columns, so each report depends only on the values of H.
 """
 
@@ -18,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _slices, _walk_rows
+from .core import _Rows, _slices, _walk_rows
 from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
 
 # Accept the Cholesky solution only when the normal-equation residual is at
@@ -119,6 +118,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         H = np.asarray(H, dtype=float)
         if H.ndim != 2:
             raise DimensionMismatch(f"regressor must be a 2-D array, got shape {H.shape}")
+        H = _Rows([H])
     y = np.asarray(y, dtype=float)
     if y.shape != (H.shape[0],):
         raise DimensionMismatch(
@@ -189,16 +189,21 @@ def _block_rows(p):
 
 def _blocks(H, y, rows):
     """(H[r], y[r]) for consecutive row slices r of `rows` rows, each block
-    with contiguous columns: a held H's rows, copied unless they are already
-    (as in build_regressor's one-block H), or rows a row source writes into
+    column-major: a held H's rows in place when they are already (as in
+    build_regressor's one-block H), else rows that fill_rows writes into
     one buffer, which every block reuses and which is freed when the walk
     ends."""
     N, p = H.shape
-    buffer = np.empty(min(N, rows) * p) if hasattr(H, "fill_rows") else None
+    held = H.parts[0] if isinstance(H, _Rows) and len(H.parts) == 1 else None
+    buffer = None
     for r in _slices(N, rows):
         m = r.stop - r.start
-        out = None if buffer is None else buffer[: m * p].reshape((m, p), order="F")
-        yield np.asfortranarray(H[r] if out is None else H.fill_rows(r, out)), y[r]
+        block = None if held is None else held[r]
+        if block is None or not block.flags.f_contiguous:
+            if buffer is None:
+                buffer = np.empty(min(N, rows) * p)
+            block = H.fill_rows(r, buffer[: m * p].reshape((m, p), order="F"))
+        yield block, y[r]
 
 
 def _gram(H, y):
@@ -265,7 +270,7 @@ def _rank_revealing(H, y):
     of the rows so far is stacked on the next block in one Fortran-ordered
     buffer, and the buffer is factored in place; the triangle of the stack
     is the triangle of all rows so far. Neither Q, an N-row copy of H nor
-    the N-row left factor U is formed; a row source fills each block
+    the N-row left factor U is formed; fill_rows writes each block
     straight into the buffer.
     """
     from scipy.linalg.lapack import dgeqrt
@@ -280,10 +285,7 @@ def _rank_revealing(H, y):
         # a contiguous m-row view, so the factorization works in place
         stack = buffer[: m * width].reshape((m, width), order="F")
         stack[:k] = R
-        if hasattr(H, "fill_rows"):
-            H.fill_rows(rows, stack[k:, :p])
-        else:
-            stack[k:, :p] = H[rows]
+        H.fill_rows(rows, stack[k:, :p])
         stack[k:, p] = y[rows]
         qr, _, info = dgeqrt(min(_QR_PANEL, m, width), stack, overwrite_a=True)
         if info:

@@ -26,7 +26,7 @@ from quadconv import (
     synth_narx,
 )
 from quadconv import core, dataio, solver
-from quadconv.core import RELU_MIMIC, _slices, _WindowRows
+from quadconv.core import RELU_MIMIC, _Rows, _slices
 from quadconv.dataio import _read_table, _write_csv
 
 
@@ -103,10 +103,12 @@ def test_read_table_matches_float_per_cell(tmp_path):
 
 def test_load_csv_crlf_and_blank_lines(tmp_path):
     path = tmp_path / "crlf.csv"
-    # a byte order mark stays part of the first column's name
+    # a byte order mark is not part of the first column's name
     for bom in (b"", b"\xef\xbb\xbf"):
         path.write_bytes(bom + b"u,y\r\n1,2\r\n\r\n3,4\r\n\n5,6")
-        u, y = load_csv(str(path)).channels.values()
+        ts = load_csv(str(path))
+        assert ts.names == ["u", "y"]
+        u, y = ts.channels.values()
         np.testing.assert_array_equal(u, [1.0, 3.0, 5.0])
         np.testing.assert_array_equal(y, [2.0, 4.0, 6.0])
 
@@ -320,14 +322,15 @@ def _block_reference(ts, names, r, label):
     return np.array(rows), np.array([p[i * r + r - 1] - p[i * r] for i in blocks])
 
 
-@pytest.mark.parametrize("window", ["narx", "multichannel"])
+@pytest.mark.parametrize("window", ["narx", "multichannel", "array"])
 def test_window_row_blocks_equal_the_materialized_rows(window):
     ts = synth_narx(103, seed=5)
-    if window == "narx":
-        data, (rows, labels) = narx_window(ts, "u", "y", 4), _narx_reference(ts, 4)
-    else:
+    if window == "multichannel":
         data = multichannel_window(ts, ["y", "u"], 3, "u")
         rows, labels = _block_reference(ts, ["y", "u"], 3, "u")
+    else:
+        rows, labels = _narx_reference(ts, 4)
+        data = narx_window(ts, "u", "y", 4) if window == "narx" else Dataset(rows, labels)
     assert data.features.shape == rows.shape
     train, test = split(data, SplitSpec(0.4))
     k = train.n_samples
@@ -341,6 +344,18 @@ def test_window_row_blocks_equal_the_materialized_rows(window):
         for size in (8, 1):
             blocks = [side.features[r] for r in _slices(N, size)]
             assert np.vstack(blocks).tobytes() == expected.tobytes()
+            # fill_rows writes the same rows into an out of either order
+            # with room to spare around it, as the solver's QR stack is
+            for order in "CF":
+                for r in _slices(N, size):
+                    room = np.full((r.stop - r.start + 2, rows.shape[1] + 1), np.nan, order=order)
+                    out = room[2:, :-1]
+                    assert side.features.fill_rows(r, out) is out
+                    assert out.tobytes() == expected[r].tobytes()
+                    assert np.isnan(room[:2]).all() and np.isnan(room[:, -1]).all()
+        if window == "array":
+            # each side's rows are views of the dataset's inputs, not copies
+            assert all(np.shares_memory(side.features[r], data.inputs) for r in _slices(N, 8))
         assert side.inputs.tobytes() == expected.tobytes()
     assert data.inputs.tobytes() == rows.tobytes()
 
@@ -362,7 +377,7 @@ def test_window_split_fit_and_evaluation_hold_no_feature_array(monkeypatch):
 
     (test, predictions), peak = _traced_peak(pipeline)
     assert peak <= 0.2 * x_bytes
-    assert isinstance(test.features, _WindowRows)
+    assert isinstance(test.features, _Rows) and len(test.features.parts) == 2
     # the beta = 0 fit represents the noise-free series exactly
     assert mse(predictions[0], test.labels) < 1e-20
 

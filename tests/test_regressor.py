@@ -177,5 +177,6 @@ def test_dataset_is_read_only():
         with pytest.raises(ValueError):
             data.labels[0] = 5.0
     # the windowed dataset built its inputs once and holds them
-    assert windowed.features is windowed.inputs
+    X = windowed.inputs
+    assert windowed.inputs is X and windowed.features.parts[0] is X
     assert windowed.inputs.shape == (37, 6)

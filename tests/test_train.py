@@ -138,7 +138,10 @@ def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_w
         tracemalloc.stop()
     fallback = SolveStrategy.PSEUDOINVERSE in {r.report.solve_strategy for r in results}
     assert fallback == (walks == 3)
-    assert peak <= 0.5 * data.n_samples * spec.n_weights * 8
+    # the QR walk's buffer sets the peak when a beta falls back; otherwise
+    # the Gram and residual walks' buffers and one feature block do
+    bound = 0.5 if fallback else 0.37
+    assert peak <= bound * data.n_samples * spec.n_weights * 8
     # Gram and residual walks, and the QR walk when a beta falls back
     counts = Counter(row for start, stop in blocks for row in range(start, stop))
     assert len(counts) == data.n_samples
