@@ -109,119 +109,101 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_channels(arg):
-    if arg is None:
-        return None
-    names = [c.strip() for c in arg.split(",") if c.strip()]
-    if not names:
+def _comma_list(flag, text, convert):
+    """The items of a comma-separated list flag, each passed through
+    `convert`; blank items are skipped."""
+    try:
+        return [convert(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise _ConfigError(f"cannot parse {flag} {text!r}") from None
+
+
+def _series_config(args):
+    """(activation, split, channel names or None) of `train` and `bench`,
+    with the mode arguments checked, before any file is read."""
+    with _config_errors():
+        params, split_spec = validate_activation(args.a, args.b, args.c), SplitSpec(args.split_fraction)
+    channels = None if args.channels is None else _comma_list("--channels", args.channels, str.strip)
+    if channels == []:
         raise _ConfigError("--channels must name at least one channel")
-    return names
-
-
-def _check_mode_args(args):
-    if args.mode == "narx":
-        if args.d is None:
-            raise _ConfigError("narx mode requires --d")
-        if args.d < 1:
-            raise _ConfigError("--d must be >= 1")
-        return
-    if args.r is None:
-        raise _ConfigError("window mode requires --r")
-    if args.r < 2:
+    # each mode flag is required by its mode and refused by the other,
+    # which would ignore it
+    for flag, mode in (("d", "narx"), ("r", "window"), ("label", "window")):
+        given = getattr(args, flag) is not None
+        if given and mode != args.mode:
+            raise _ConfigError(f"--{flag} does not apply to --mode {args.mode}")
+        if not given and mode == args.mode:
+            raise _ConfigError(f"{mode} mode requires --{flag}")
+    if args.mode == "narx" and args.d < 1:
+        raise _ConfigError("--d must be >= 1")
+    if args.mode == "window" and args.r < 2:
         # a block's label is its last sample minus its first
         raise _ConfigError("--r must be >= 2 (with r = 1 every label is 0)")
-    if args.label is None:
-        raise _ConfigError("window mode requires --label")
+    return params, split_spec, channels
 
 
-def _train_test(args, split_spec):
-    """Load the CSV, window it per the configured mode and split it.
+def _check_outputs(paths) -> None:
+    """Fail as writing `paths` would, before any input is read and so before
+    the fit: two outputs with one path are a config error, and a path that
+    is a directory, or whose parent is not one, raises the write's OSError."""
+    seen = set()
+    for path in map(str, paths):
+        key = os.path.realpath(path)
+        if key in seen:
+            raise _ConfigError(f"two outputs would be written to {path}")
+        seen.add(key)
+        try:
+            parent_mode = os.stat(Path(path).parent).st_mode
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, path) from None
+        code = (errno.ENOTDIR if not stat.S_ISDIR(parent_mode)
+                else errno.EISDIR if os.path.isdir(path) else None)
+        if code is not None:
+            raise OSError(code, os.strerror(code), path)
 
-    The mode arguments are checked before the file is read, so a config
-    error is reported as one even when the data file is missing. Only the
-    (train, test) pair is returned; both read their feature rows in blocks
-    from windows over the series' channels, so no feature array is held.
-    """
-    channels = _parse_channels(args.channels)
-    _check_mode_args(args)
+
+def _train_test(args, channels, split_spec):
+    """Load the CSV, window it per the configured mode and split it. Only
+    the (train, test) pair is returned; both read their feature rows in
+    blocks from windows over the series' channels, so no feature array is
+    held."""
     ts = load_csv(args.data)
     if args.mode == "narx":
-        names = channels if channels is not None else ts.names
+        names = channels or ts.names
         if len(names) < 2:
             raise _ConfigError("narx mode needs an input and an output channel")
         data = narx_window(ts, names[0], names[1], args.d)
     else:
-        names = channels if channels is not None else [n for n in ts.names if n != args.label]
+        names = channels or [n for n in ts.names if n != args.label]
         if not names:
             raise _ConfigError("window mode needs a feature channel besides --label")
         data = multichannel_window(ts, names, args.r, args.label)
     return split(data, split_spec)
 
 
-def _train_config(args):
-    with _config_errors():
-        return validate_activation(args.a, args.b, args.c), SplitSpec(args.split_fraction)
-
-
-def _beta_list(arg):
-    try:
-        betas = [float(v) for v in arg.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _ConfigError(f"cannot parse --beta list {arg!r}") from None
-    with _config_errors():
-        return _check_betas(betas)
-
-
-def _beta_path(base: str, beta: float, multiple: bool) -> Path:
-    path = Path(base)
-    if not multiple:
-        return path
-    return path.with_name(f"{path.stem}_beta{beta:g}{path.suffix or '.json'}")
-
-
-def _check_parent_dir(path) -> None:
-    """Raise the OSError that writing `path` would, when its parent is not
-    an existing directory, so a bad output path fails before the fit."""
-    try:
-        mode = os.stat(Path(path).parent).st_mode
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, str(path)) from None
-    if not stat.S_ISDIR(mode):
-        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
-
-
 def cmd_train(args) -> int:
-    params, split_spec = _train_config(args)
-    betas = _beta_list(args.beta)
-    for beta in betas:
-        _check_parent_dir(_beta_path(args.out, beta, len(betas) > 1))
-    if args.metrics:
-        _check_parent_dir(args.metrics)
+    params, split_spec, channels = _series_config(args)
+    with _config_errors():
+        betas = _check_betas(_comma_list("--beta", args.beta, float))
+    out = Path(args.out)
+    model_paths = [out] if len(betas) == 1 else [
+        out.with_name(f"{out.stem}_beta{beta:g}{out.suffix or '.json'}") for beta in betas]
+    _check_outputs(model_paths + ([args.metrics] if args.metrics else []))
 
-    train_set, test_set = _train_test(args, split_spec)
+    train_set, test_set = _train_test(args, channels, split_spec)
     n_train = train_set.n_samples
     with _config_errors():
         spec = ConvSpec(train_set.n_features, args.f)
 
     rows = []
-    for beta, result in zip(betas, fit_path(train_set, spec, params, betas)):
-        report = result.report
-        if report.rank_deficient:
-            print(
-                f"warning: beta={beta:g} fit is rank deficient "
-                f"(route {report.solve_strategy.value}, "
-                f"{n_train} training rows, {spec.n_weights} weights); "
-                "the training data do not determine every weight",
-                file=sys.stderr,
-            )
+    for beta, path, result in zip(betas, model_paths, fit_path(train_set, spec, params, betas)):
         train_mse, test_mse = _scores(result, n_train, test_set)
-        theta_norm = float(np.linalg.norm(report.theta))
-        out_path = _beta_path(args.out, beta, len(betas) > 1)
-        out_path.write_text(serialize(result.model), encoding="utf-8")
+        theta_norm = float(np.linalg.norm(result.report.theta))
+        path.write_text(serialize(result.model), encoding="utf-8")
         rows.append((beta, train_mse, test_mse, result.train_seconds, theta_norm))
         print(
             f"beta={beta:g} train_mse={train_mse:.6e} test_mse={test_mse:.6e} "
-            f"train_time_s={result.train_seconds:.6f} model={out_path}"
+            f"train_time_s={result.train_seconds:.6f} model={path}"
         )
 
     if args.metrics:
@@ -256,14 +238,25 @@ def _evaluate(kernel, model, X, what: str):
 
 
 def _scores(result, n_train: int, test_set):
-    """(train_mse, test_mse) of a fit on n_train rows. The solve measured
-    the training residual, so only the test rows are evaluated."""
-    train_mse = result.report.residual_norm ** 2 / n_train
+    """(train_mse, test_mse) of a fit on n_train rows, after a warning on
+    stderr when the fit is rank deficient. The solve measured the training
+    residual, so only the test rows are evaluated."""
+    report = result.report
+    if report.rank_deficient:
+        print(
+            f"warning: beta={report.beta:g} fit is rank deficient "
+            f"(route {report.solve_strategy.value}, {n_train} training rows, "
+            f"{result.model.spec.n_weights} weights); "
+            "the training data do not determine every weight",
+            file=sys.stderr,
+        )
+    train_mse = report.residual_norm ** 2 / n_train
     y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
     return train_mse, mse(y_test, test_set.labels)
 
 
 def cmd_predict(args) -> int:
+    _check_outputs([args.out])
     model = _load_model(args.model)
     X, y_true, _ = load_feature_csv(args.data)
     y_pred = _evaluate(predict_batch, model, X, "prediction")
@@ -277,6 +270,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    _check_outputs([args.out])
     model = _load_model(args.model)
     X0, _, _ = load_feature_csv(args.x0)
     grads = _evaluate(sensitivity_batch, model, X0, "gradient")
@@ -302,18 +296,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params, split_spec = _train_config(args)
-    try:
-        f_values = [int(v) for v in args.f_list.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _ConfigError(f"cannot parse --f-list {args.f_list!r}") from None
+    params, split_spec, channels = _series_config(args)
+    f_values = _comma_list("--f-list", args.f_list, int)
     if not f_values:
         raise _ConfigError("--f-list must contain at least one value")
     if args.repeats < 1:
         raise _ConfigError("--repeats must be >= 1")
-    _check_parent_dir(args.out)
+    _check_outputs([args.out])
 
-    train_set, test_set = _train_test(args, split_spec)
+    train_set, test_set = _train_test(args, channels, split_spec)
     n_train, n = train_set.n_samples, train_set.n_features
     if n not in f_values:
         f_values.append(n)
@@ -322,14 +313,10 @@ def cmd_bench(args) -> int:
 
     rows = []
     for spec in specs:
-        f = spec.f
-        best = None
-        result = None
-        for _ in range(args.repeats):
-            result = fit(train_set, spec, params, 0.0)
-            best = result.train_seconds if best is None else min(best, result.train_seconds)
-        method = "ls-qnn" if f == n else "ls-cqnn"
-        rows.append((method, f, *_scores(result, n_train, test_set), best))
+        fits = [fit(train_set, spec, params, 0.0) for _ in range(args.repeats)]
+        method = "ls-qnn" if spec.f == n else "ls-cqnn"
+        rows.append((method, spec.f, *_scores(fits[-1], n_train, test_set),
+                     min(result.train_seconds for result in fits)))
 
     _write_csv(args.out, ["method", "f", "train_mse", "test_mse", "train_time_s"],
                ((method, f, tr, te, f"{secs:.6f}") for method, f, tr, te, secs in rows))

@@ -214,6 +214,25 @@ def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
     assert "12 training rows, 37 weights" in err[0]
 
 
+def test_bench_warns_about_rank_deficient_fits_as_train_does(tmp_path, capsys):
+    # at beta = 0 the fits on this series are rank deficient, so train warns
+    path = tmp_path / "series.csv"
+    series_to_csv(synth_narx(400, seed=0), path)
+    data = ["--data", str(path), "--d", "3"]
+    assert main(["train", *data, "--f", "2", "--out", str(tmp_path / "m.json")]) == 0
+    train_err = capsys.readouterr().err.splitlines()
+    assert len(train_err) == 1
+    assert train_err[0].startswith("warning: beta=0 fit is rank deficient")
+    assert main(["bench", *data, "--f-list", "2", "--repeats", "2",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    # one line per filter length, f = 2 and the dense f = n = 6, whatever
+    # the timings print
+    warned = [line for line in capsys.readouterr().err.splitlines() if "rank deficient" in line]
+    assert len(warned) == 2
+    assert warned[0] == train_err[0]
+    assert "198 training rows, 27 weights" in warned[1]
+
+
 def test_train_data_errors_exit_2(series_csv, tmp_path):
     assert main(_train_args("does_not_exist.csv", tmp_path)) == 2
     bad = tmp_path / "bad.csv"
@@ -352,6 +371,35 @@ def _write_rows(path, header, rows):
                                     "--out", "{tmp}/m.json"],
                      1, "config error: window mode requires --label",
                      id="window-missing-label-and-file"),
+        # a flag of the other mode is refused, not ignored, before the data
+        # file is read
+        pytest.param(_TRAIN + ["--r", "4", "--data", "{root}/series.csv", "--out", "{tmp}/m.json"],
+                     1, "config error: --r does not apply to --mode narx", id="narx-with-r"),
+        pytest.param(_TRAIN + ["--label", "y", "--data", "{tmp}/missing.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: --label does not apply to --mode narx",
+                     id="narx-with-label-and-missing-file"),
+        pytest.param(_WINDOW + ["--d", "99", "--data", "{root}/series.csv", "--out", "{tmp}/m.json"],
+                     1, "config error: --d does not apply to --mode window", id="window-with-d"),
+        # two outputs with one path: beta values whose suffixed names
+        # coincide, and a metrics path equal to the model path
+        pytest.param(_TRAIN + ["--beta", "0,0", "--data", "{root}/series.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: two outputs would be written to {tmp}/m_beta0.json",
+                     id="train-beta-names-clash"),
+        pytest.param(_TRAIN + ["--beta", "1e-7,1.0000001e-7", "--data", "{root}/series.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: two outputs would be written to {tmp}/m_beta1e-07.json",
+                     id="train-close-beta-names-clash"),
+        pytest.param(_TRAIN + ["--data", "{root}/series.csv", "--out", "{tmp}/m.json",
+                               "--metrics", "{tmp}/m.json"],
+                     1, "config error: two outputs would be written to {tmp}/m.json",
+                     id="train-metrics-is-out"),
+        # an output path that is a directory fails before the fit
+        pytest.param(_TRAIN + ["--data", "{root}/series.csv", "--out", "{tmp}/m.json",
+                               "--metrics", "{root}"],
+                     2, "data error: [Errno 21] Is a directory: '{root}'",
+                     id="train-metrics-directory"),
     ],
 )
 def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
@@ -369,20 +417,31 @@ def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
     assert list(tmp_path.iterdir()) == []
 
 
+_SERIES = ["--data", "{root}/series.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        pytest.param(_TRAIN + ["--out", "{tmp}/missing/m.json"],
+        pytest.param(_TRAIN + _SERIES + ["--out", "{tmp}/missing/m.json"],
                      "No such file or directory: '{tmp}/missing/m.json'", id="out-missing-dir"),
-        pytest.param(_TRAIN + ["--out", "{root}/series.csv/m.json"],
+        pytest.param(_TRAIN + _SERIES + ["--out", "{root}/series.csv/m.json"],
                      "Not a directory: '{root}/series.csv/m.json'", id="out-under-file"),
-        pytest.param(_TRAIN + ["--out", "{root}/series.csv/m.json", "--beta", "0,1"],
+        pytest.param(_TRAIN + _SERIES + ["--out", "{root}/series.csv/m.json", "--beta", "0,1"],
                      "Not a directory: '{root}/series.csv/m_beta0.json'",
                      id="sweep-out-under-file"),
-        pytest.param(_TRAIN + ["--out", "{tmp}/m.json", "--metrics", "{root}/series.csv/m.csv"],
+        pytest.param(_TRAIN + _SERIES + ["--out", "{tmp}/m.json",
+                                         "--metrics", "{root}/series.csv/m.csv"],
                      "Not a directory: '{root}/series.csv/m.csv'", id="metrics-under-file"),
-        pytest.param(["bench", "--d", "3", "--f-list", "1", "--out", "{root}/series.csv/b.csv"],
+        pytest.param(["bench", "--d", "3", "--f-list", "1", "--out", "{root}/series.csv/b.csv"]
+                     + _SERIES,
                      "Not a directory: '{root}/series.csv/b.csv'", id="bench-out-under-file"),
+        pytest.param(["predict", "--model", "{root}/model.json", "--data", "{root}/features.csv",
+                      "--out", "{tmp}"],
+                     "Is a directory: '{tmp}'", id="predict-out-directory"),
+        pytest.param(["sensitivity", "--model", "{root}/model.json", "--x0", "{root}/features.csv",
+                      "--out", "{tmp}"],
+                     "Is a directory: '{tmp}'", id="sensitivity-out-directory"),
     ],
 )
 def test_output_directories_are_checked_before_reading_data(
@@ -391,9 +450,9 @@ def test_output_directories_are_checked_before_reading_data(
     def no_read(path):
         raise AssertionError(f"read {path} before checking the output paths")
 
-    monkeypatch.setattr("quadconv.cli.load_csv", no_read)
+    for name in ("load_csv", "load_feature_csv", "_load_model"):
+        monkeypatch.setattr(f"quadconv.cli.{name}", no_read)
     fill = {"root": str(scored), "tmp": str(tmp_path)}
-    argv = argv + ["--data", "{root}/series.csv"]
     capsys.readouterr()
     assert main([a.format(**fill) for a in argv]) == 2
     err = capsys.readouterr().err
