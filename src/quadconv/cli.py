@@ -142,13 +142,17 @@ def _series_config(args):
     return params, split_spec, channels
 
 
-def _check_outputs(paths) -> None:
-    """Fail as writing `paths` would, before any input is read and so before
-    the fit: two outputs with one path are a config error, and a path that
-    is a directory, or whose parent is not one, raises the write's OSError."""
+def _check_outputs(paths, inputs) -> None:
+    """Fail as writing `paths` would, before any of the `inputs` is read and
+    so before the fit: an output with the path of an input or of another
+    output is a config error, and a path that is a directory, or whose
+    parent is not one, raises the write's OSError."""
+    inputs = {os.path.realpath(path) for path in inputs}
     seen = set()
     for path in map(str, paths):
         key = os.path.realpath(path)
+        if key in inputs:
+            raise _ConfigError(f"an output would overwrite the input {path}")
         if key in seen:
             raise _ConfigError(f"two outputs would be written to {path}")
         seen.add(key)
@@ -188,7 +192,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     model_paths = [out] if len(betas) == 1 else [
         out.with_name(f"{out.stem}_beta{beta:g}{out.suffix or '.json'}") for beta in betas]
-    _check_outputs(model_paths + ([args.metrics] if args.metrics else []))
+    _check_outputs(model_paths + ([args.metrics] if args.metrics else []), [args.data])
 
     train_set, test_set = _train_test(args, channels, split_spec)
     n_train = train_set.n_samples
@@ -256,7 +260,7 @@ def _scores(result, n_train: int, test_set):
 
 
 def cmd_predict(args) -> int:
-    _check_outputs([args.out])
+    _check_outputs([args.out], [args.model, args.data])
     model = _load_model(args.model)
     X, y_true, _ = load_feature_csv(args.data)
     y_pred = _evaluate(predict_batch, model, X, "prediction")
@@ -270,7 +274,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    _check_outputs([args.out])
+    _check_outputs([args.out], [args.model, args.x0])
     model = _load_model(args.model)
     X0, _, _ = load_feature_csv(args.x0)
     grads = _evaluate(sensitivity_batch, model, X0, "gradient")
@@ -302,7 +306,7 @@ def cmd_bench(args) -> int:
         raise _ConfigError("--f-list must contain at least one value")
     if args.repeats < 1:
         raise _ConfigError("--repeats must be >= 1")
-    _check_outputs([args.out])
+    _check_outputs([args.out], [args.data])
 
     train_set, test_set = _train_test(args, channels, split_spec)
     n_train, n = train_set.n_samples, train_set.n_features

@@ -7,6 +7,10 @@ of any memory order or a row source (see core), which lets a fit assemble
 each block when a walk needs it, so no N x p array is ever held; a held H
 is read as the row source core._Rows([H]). Every walk reads blocks with
 contiguous columns, so each report depends only on the values of H.
+
+A sweep holds one p x p array: its strict lower triangle and a saved copy
+of its diagonal keep H'H, and each beta's Cholesky factor is made in place
+in its upper triangle, so no second p x p array is ever made.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ _CHOLESKY_ACCEPT = 1e-10
 # recursive blocked QR with panels this wide.
 _BLOCK_ROWS = 4096
 _QR_PANEL = 64
+
+# The Gram is mirrored between the triangles of its array in panels of this
+# many columns, so no p x p temporary is made.
+_MIRROR_PANEL = 64
 
 # Each walk calls one BLAS library only: the Gram and QR walks scipy's, the
 # residual walk numpy's. numpy and scipy each bundle their own OpenBLAS, with
@@ -152,11 +160,14 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         raise NonFiniteInput("the norm of H'y overflows: the labels are too large")
     svd = None
     solved = []  # the fields of each beta's report but its residual norm
-    for beta in betas:
-        # A holds H'H + beta I; its diagonal is rewritten from the saved
-        # one, so every beta sees exactly the matrix a lone solve would
-        np.fill_diagonal(A, gram_diagonal + beta)
-        theta = _cholesky(A, rhs, beta, scale, max(H.shape))
+    for i, beta in enumerate(betas):
+        # every earlier beta's factor overwrote some of the upper triangle;
+        # restoring it from the lower one and the diagonal from the saved
+        # one gives every beta exactly the matrix a lone solve would see
+        if i:
+            _mirror(A, to_lower=False)
+        diagonal = gram_diagonal + beta
+        theta = _cholesky(A, diagonal, rhs, beta, scale, max(H.shape))
         rank_deficient = False
         strategy = SolveStrategy.CHOLESKY
         if theta is None:
@@ -165,7 +176,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
             theta, rank_deficient = _pseudoinverse(*svd, beta, max(H.shape))
             strategy = SolveStrategy.PSEUDOINVERSE
         theta.setflags(write=False)
-        normal_residual_norm = float(np.linalg.norm(A @ theta - rhs))
+        normal_residual_norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
         now = time.perf_counter()
         solved.append(dict(
             theta=theta,
@@ -207,8 +218,9 @@ def _blocks(H, y, rows):
 
 
 def _gram(H, y):
-    """H'H and H'y, accumulated block by block in place by scipy's dsyrk
-    and dgemv, each reading the column-major blocks of _blocks."""
+    """H'H, as a symmetric Fortran-ordered array, and H'y, accumulated
+    block by block in place by scipy's dsyrk and dgemv, each reading the
+    column-major blocks of _blocks."""
     from scipy.linalg.blas import dgemv, dsyrk
 
     p = H.shape[1]
@@ -217,9 +229,28 @@ def _gram(H, y):
     for block, labels in _blocks(H, y, _walk_rows(p)):
         A = dsyrk(1.0, block, beta=1.0, c=A, trans=1, overwrite_c=1)
         rhs = dgemv(1.0, block, labels, beta=1.0, y=rhs, trans=1, overwrite_y=1)
-    # dsyrk fills the upper triangle; mirror it so A @ theta reads all of A
-    A += np.triu(A, 1).T
+    # dsyrk fills the upper triangle, which the first factor overwrites
+    _mirror(A, to_lower=True)
     return A, rhs
+
+
+def _mirror(A, to_lower):
+    """Copy the strict upper triangle of the square array A into its strict
+    lower triangle (to_lower) or the reverse, in place, in column panels."""
+    p = len(A)
+    for j in range(0, p, _MIRROR_PANEL):
+        k = min(p, j + _MIRROR_PANEL)
+        # the panel below its diagonal block and, transposed, the rows of
+        # that block right of it
+        lower, upper = A[k:, j:k], A[j:k, k:].T
+        below, above = np.tril_indices(k - j, -1)
+        block = A[j:k, j:k]
+        if to_lower:
+            lower[...] = upper
+            block[below, above] = block[above, below]
+        else:
+            upper[...] = lower
+            block[above, below] = block[below, above]
 
 
 def _residual_norms(H, y, thetas):
@@ -236,27 +267,53 @@ def _residual_norms(H, y, thetas):
     return np.sqrt(squares)
 
 
-def _cholesky(A, rhs, beta, scale, size):
-    """The refined Cholesky solution of A theta = rhs, or None when the
-    factor is degenerate (beta = 0) or the normal residual is above the
-    acceptance level."""
-    from scipy.linalg import cho_factor, cho_solve
+def _normal_residual(A, diagonal, theta, rhs):
+    """rhs - (H'H + beta I) theta, by scipy's dsymv on the Gram in A's lower
+    triangle, after writing `diagonal`, H'H + beta I's diagonal, on A's.
 
-    try:
-        fac = cho_factor(A, lower=False, check_finite=False)
-    except np.linalg.LinAlgError:
+    The product must read the lower triangle: on the same values, dsymv's
+    upper-triangle kernel lost 0.04-0.38 digits of theta on each of
+    wide_fit's eight labels (seed 3) against numpy's full product, where
+    this one moved them by -0.19 to +0.23.
+    """
+    from scipy.linalg.blas import dsymv
+
+    np.fill_diagonal(A, diagonal)
+    return rhs - dsymv(1.0, A, theta, lower=1)
+
+
+def _cholesky(A, diagonal, rhs, beta, scale, size):
+    """The refined Cholesky solution of (H'H + beta I) theta = rhs, or None
+    when the factor is degenerate (beta = 0) or the normal residual is above
+    the acceptance level.
+
+    A holds H'H + beta I in its upper triangle and H'H in its strict lower
+    one; `diagonal` is H'H + beta I's diagonal. LAPACK's dpotrf factors the
+    upper triangle in place, overwriting some or all of it (all when it
+    succeeds), and dpotrs reads the factor there.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    np.fill_diagonal(A, diagonal)
+    _, info = dpotrf(A, lower=0, clean=0, overwrite_a=1)
+    if info < 0:
+        raise RuntimeError(f"dpotrf rejected argument {-info}")
+    if info > 0:
         return None
     # a collapsed pivot means the normal matrix is numerically singular;
     # the residual check below cannot see null-space components, so the
     # factor diagonal is the rank-deficiency detector for beta = 0
-    pivots = np.abs(np.diag(fac[0]))
+    pivots = A.diagonal().copy()
     if beta == 0.0 and pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max():
         return None
-    theta = cho_solve(fac, rhs, check_finite=False)
+    theta = dpotrs(A, rhs)[0]
     # one step of iterative refinement tightens stationarity to rounding
-    # level on reasonably conditioned systems
-    theta += cho_solve(fac, rhs - A @ theta, check_finite=False)
-    if np.linalg.norm(rhs - A @ theta) <= _CHOLESKY_ACCEPT * scale:
+    # level on reasonably conditioned systems; the product overwrites the
+    # factor's diagonal, which the second solve puts back
+    residual = _normal_residual(A, diagonal, theta, rhs)
+    np.fill_diagonal(A, pivots)
+    theta += dpotrs(A, residual)[0]
+    if np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)) <= _CHOLESKY_ACCEPT * scale:
         return theta
     return None
 

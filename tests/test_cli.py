@@ -395,6 +395,24 @@ def _write_rows(path, header, rows):
                                "--metrics", "{tmp}/m.json"],
                      1, "config error: two outputs would be written to {tmp}/m.json",
                      id="train-metrics-is-out"),
+        # an output path that names an input, by any spelling, is refused
+        # before anything is read, so the input is left as it was
+        pytest.param(["predict", "--model", "{root}/model.json", "--data", "{root}/features.csv",
+                      "--out", "{root}/./features.csv"],
+                     1, "config error: an output would overwrite the input {root}/./features.csv",
+                     id="predict-out-is-data"),
+        pytest.param(["predict", "--model", "{root}/model.json", "--data", "{root}/features.csv",
+                      "--out", "{root}/model.json"],
+                     1, "config error: an output would overwrite the input {root}/model.json",
+                     id="predict-out-is-model"),
+        pytest.param(_TRAIN + ["--data", "{root}/series.csv", "--out", "{tmp}/m.json",
+                               "--metrics", "{root}/series.csv"],
+                     1, "config error: an output would overwrite the input {root}/series.csv",
+                     id="train-metrics-is-data"),
+        pytest.param(["sensitivity", "--model", "{root}/model.json", "--x0", "{root}/features.csv",
+                      "--out", "{root}/features.csv"],
+                     1, "config error: an output would overwrite the input {root}/features.csv",
+                     id="sensitivity-out-is-x0"),
         # an output path that is a directory fails before the fit
         pytest.param(_TRAIN + ["--data", "{root}/series.csv", "--out", "{tmp}/m.json",
                                "--metrics", "{root}"],
@@ -406,6 +424,7 @@ def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
     if "/dev/full" in argv and not Path("/dev/full").exists():
         pytest.skip("/dev/full is not available")
     fill = {"root": str(scored), "tmp": str(tmp_path)}
+    inputs = {path: path.read_bytes() for path in scored.iterdir()}
     capsys.readouterr()
     assert main([a.format(**fill) for a in argv]) == code
     err = capsys.readouterr().err
@@ -413,8 +432,10 @@ def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix.format(**fill))
-    # a failed run leaves no model, metrics or other output behind
+    # a failed run leaves no model, metrics or other output behind, and
+    # changes no input
     assert list(tmp_path.iterdir()) == []
+    assert {path: path.read_bytes() for path in scored.iterdir()} == inputs
 
 
 _SERIES = ["--data", "{root}/series.csv"]

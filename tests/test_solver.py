@@ -18,6 +18,7 @@ from quadconv import (
     synth_narx,
 )
 from quadconv import core, solver
+from quadconv.regressor import _RegressorRows
 
 
 def _narx_system():
@@ -241,6 +242,68 @@ def test_solve_path_full_rank_sweep_matches_per_beta_solves():
     assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
     for beta, rep in zip(betas, reports):
         _assert_same_report(rep, solve_ridge(H, y, beta))
+
+
+def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(monkeypatch):
+    # N < p: the beta = 0 factor stops at a nonpositive pivot after it has
+    # overwritten part of the upper triangle, which each later beta must
+    # restore before it factors
+    import scipy.linalg.lapack
+    from scipy.linalg import cho_factor
+
+    rng = np.random.default_rng(0)
+    H, y = _random_system(rng, 10, 3, n_samples=20)
+    gram = solver._gram(core._Rows([H]), y)[0]
+    assert (gram == gram.T).all()
+    betas = [1.0, 0.0, 1.0, 10.0]
+    alone = [solve_ridge(H, y, beta) for beta in betas]
+    factors = []
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def recorded(a, **kwargs):
+        upper = np.triu(a)
+        c, info = dpotrf(a, **kwargs)
+        factors.append((upper, np.triu(a), info))  # factored in place
+        return c, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
+    reports = solve_path(H, y, betas)
+    assert [info > 0 for _, _, info in factors] == [False, True, False, False]
+    for beta, (upper, factor, info), rep, lone in zip(betas, factors, reports, alone):
+        normal = gram + beta * np.eye(len(gram))
+        assert (upper == np.triu(normal)).all()
+        if not info:
+            # bit for bit the factor of the full normal matrix
+            assert (factor == np.triu(cho_factor(normal, lower=False)[0])).all()
+        _assert_same_report(rep, lone)
+    _assert_same_report(reports[0], reports[2])
+    assert [r.solve_strategy for r in reports] == [
+        SolveStrategy.CHOLESKY, SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY,
+        SolveStrategy.CHOLESKY,
+    ]
+
+
+def test_cholesky_sweep_holds_one_p_by_p_array(monkeypatch):
+    # the Gram, its mirror image and every beta's factor share one p x p
+    # array, so a sweep over a row source walked in small blocks holds that
+    # array, a walk buffer and vectors
+    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first solve would)
+
+    rng = np.random.default_rng(15)
+    spec = ConvSpec(60, 6)
+    data = Dataset(rng.uniform(-1, 1, size=(3000, spec.n)), rng.uniform(-1, 1, size=3000))
+    H = _RegressorRows(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
+    p = spec.n_weights
+    monkeypatch.setattr(core, "_WALK_BYTES", 8 * p * 50)
+    assert len(solver._slices(3000, solver._walk_rows(p))) == 60
+    tracemalloc.start()
+    try:
+        reports = solve_path(H, data.labels, [0.0, 1.0, 10.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
+    assert peak <= 1.25 * p * p * 8 + 8 * p * 50
 
 
 @pytest.mark.parametrize("walk_rows", [None, 37], ids=["one-block", "37-row-blocks"])
