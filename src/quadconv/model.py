@@ -115,29 +115,35 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # The evaluation kernel. Both maps read the same product X @ Zbar1:
 #   output   a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4
 #   gradient 2a * X Zbar1 + b * Zbar2
-# Each walks the rows of X in blocks sized by the solver's walk rule for the
-# two m x n arrays a block holds: its rows of X, a view of a held array or a
-# block built from windows (see core._Rows), and their product with Zbar1. The
-# single-row entry points call these on a one-row matrix. BLAS may round a
-# one-row product (gemv) differently from a many-row one (gemm), and a
-# product's rounding may depend on the rows beside it, so the entry points,
-# and one row evaluated alone or within a block, agree to rounding, not bit
-# for bit.
+# Each walks the rows of X in blocks that hold two m x n arrays, its rows of X
+# (a view of a held array or a block built from windows, see core._Rows) and
+# their product with Zbar1, in half the solver's walk budget: blocks sized by
+# the walk rule for 4n floats a row, so evaluation after a fit stays under
+# the fit's own peak. The single-row entry points call these on a one-row
+# matrix. BLAS may round a one-row product (gemv) differently from a
+# many-row one (gemm), and a product's rounding may depend on the rows
+# beside it, so the entry points, and one row evaluated alone or within a
+# block, agree to rounding, not bit for bit.
 
 
 def _block_slices(model: QuadraticModel, N: int) -> list[slice]:
-    return _slices(N, _walk_rows(2 * model.spec.n))
+    return _slices(N, _walk_rows(4 * model.spec.n))
 
 
 def _predict_rows(model: QuadraticModel, X) -> np.ndarray:
-    p = model.params
     out = np.empty(X.shape[0])
     for r in _block_slices(model, X.shape[0]):
-        block = X[r]
-        XZ = block @ model.zbar1
-        out[r] = (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
-                  + p.c * model.zbar4)
+        out[r] = _predict_block(model, X[r])
     return out
+
+
+def _predict_block(model: QuadraticModel, block) -> np.ndarray:
+    # a block and its product are freed on return, before the next block
+    # is read
+    p = model.params
+    XZ = block @ model.zbar1
+    return (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
+            + p.c * model.zbar4)
 
 
 def _sensitivity_rows(model: QuadraticModel, X) -> np.ndarray:

@@ -8,6 +8,12 @@ each block when a walk needs it, so no N x p array is ever held; a held H
 is read as the row source core._Rows([H]). Every walk reads blocks with
 contiguous columns, so each report depends only on the values of H.
 
+A solve fills its blocks into one workspace, a flat buffer that every walk
+reuses: it is made when a walk first has to fill a block (a held H whose
+blocks are already column-major is read in place and needs none), and a walk
+that needs more room drops it before making a larger one, so at most one
+block buffer is alive at a time.
+
 A sweep holds one p x p array: its strict lower triangle and a saved copy
 of its diagonal keep H'H, and each beta's Cholesky factor is made in place
 in its upper triangle, so no second p x p array is ever made.
@@ -39,13 +45,13 @@ _QR_PANEL = 64
 # many columns, so no p x p temporary is made.
 _MIRROR_PANEL = 64
 
-# Each walk calls one BLAS library only: the Gram and QR walks scipy's, the
-# residual walk numpy's. numpy and scipy each bundle their own OpenBLAS, with
-# its own thread pool, and a pool whose threads still spin after a call slows
-# the other's next call. A numpy H'y product between dsyrk calls made the
-# Gram walk 1.9x slower at p = 2155, and a numpy product with each stacked
-# block between dgeqrt calls made the QR walk 2.2x slower at p = 230.
-# Assembling a block uses no BLAS.
+# Each walk calls one BLAS library only: the Gram walk, and the QR walk with
+# the SVD of its triangle, call scipy's, the residual walk numpy's. numpy and
+# scipy each bundle their own OpenBLAS, with its own thread pool, and a pool
+# whose threads still spin after a call slows the other's next call. A numpy
+# H'y product between dsyrk calls made the Gram walk 1.9x slower at p =
+# 2155, and a numpy product with each stacked block between dgeqrt calls made
+# the QR walk 2.2x slower at p = 230. Assembling a block uses no BLAS.
 
 
 class SolveStrategy(str, Enum):
@@ -140,12 +146,13 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         if not np.isfinite(y @ y):
             raise NonFiniteInput("labels are too large: the sum of their squares overflows")
 
-    A, rhs = _gram(H, y)
+    workspace = _Workspace()
+    A, rhs = _gram(H, y, workspace)
     # a NaN or inf in column j makes A_jj = sum_i H_ij^2 non-finite, so the
     # Gram diagonal stands in for a scan of H
     gram_diagonal = A.diagonal().copy()
     if not np.isfinite(gram_diagonal).all():
-        blocks = _blocks(H, y, _walk_rows(H.shape[1]))
+        blocks = _blocks(H, y, _walk_rows(H.shape[1]), workspace)
         if not all(np.isfinite(block).all() for block, _ in blocks):
             raise NonFiniteInput(
                 "regressor matrix contains non-finite values; if the features "
@@ -167,16 +174,18 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         if i:
             _mirror(A, to_lower=False)
         diagonal = gram_diagonal + beta
-        theta = _cholesky(A, diagonal, rhs, beta, scale, max(H.shape))
+        accepted = _cholesky(A, diagonal, rhs, beta, scale, max(H.shape))
         rank_deficient = False
         strategy = SolveStrategy.CHOLESKY
-        if theta is None:
+        if accepted is not None:
+            theta, normal_residual_norm = accepted
+        else:
             if svd is None:
-                svd = _rank_revealing(H, y)
+                svd = _rank_revealing(H, y, workspace)
             theta, rank_deficient = _pseudoinverse(*svd, beta, max(H.shape))
             strategy = SolveStrategy.PSEUDOINVERSE
+            normal_residual_norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
         theta.setflags(write=False)
-        normal_residual_norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
         now = time.perf_counter()
         solved.append(dict(
             theta=theta,
@@ -187,7 +196,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
             seconds=now - t,
         ))
         t = now
-    residual_norms = _residual_norms(H, y, [s["theta"] for s in solved])
+    residual_norms = _residual_norms(H, y, [s["theta"] for s in solved], workspace)
     # the shared walk counts towards the first beta, as the Gram does
     solved[0]["seconds"] += time.perf_counter() - t
     return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
@@ -198,26 +207,39 @@ def _block_rows(p):
     return max(_BLOCK_ROWS, 4 * (p + 1))
 
 
-def _blocks(H, y, rows):
+class _Workspace:
+    """The one block buffer of a solve, which every walk fills its blocks
+    into: made at the first take, and replaced only when a walk needs more
+    room, after the old buffer is dropped."""
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+
+    def take(self, size):
+        """A flat float buffer of at least `size` entries."""
+        if self._buffer.size < size:
+            self._buffer = None
+            self._buffer = np.empty(size)
+        return self._buffer
+
+
+def _blocks(H, y, rows, workspace):
     """(H[r], y[r]) for consecutive row slices r of `rows` rows, each block
     column-major: a held H's rows in place when they are already (as in
-    build_regressor's one-block H), else rows that fill_rows writes into
-    one buffer, which every block reuses and which is freed when the walk
-    ends."""
+    build_regressor's one-block H), else rows that fill_rows writes into the
+    solve's workspace, which every block reuses."""
     N, p = H.shape
     held = H.parts[0] if isinstance(H, _Rows) and len(H.parts) == 1 else None
-    buffer = None
     for r in _slices(N, rows):
         m = r.stop - r.start
         block = None if held is None else held[r]
         if block is None or not block.flags.f_contiguous:
-            if buffer is None:
-                buffer = np.empty(min(N, rows) * p)
+            buffer = workspace.take(min(N, rows) * p)
             block = H.fill_rows(r, buffer[: m * p].reshape((m, p), order="F"))
         yield block, y[r]
 
 
-def _gram(H, y):
+def _gram(H, y, workspace):
     """H'H, as a symmetric Fortran-ordered array, and H'y, accumulated
     block by block in place by scipy's dsyrk and dgemv, each reading the
     column-major blocks of _blocks."""
@@ -226,7 +248,7 @@ def _gram(H, y):
     p = H.shape[1]
     A = np.zeros((p, p), order="F")
     rhs = np.zeros(p)
-    for block, labels in _blocks(H, y, _walk_rows(p)):
+    for block, labels in _blocks(H, y, _walk_rows(p), workspace):
         A = dsyrk(1.0, block, beta=1.0, c=A, trans=1, overwrite_c=1)
         rhs = dgemv(1.0, block, labels, beta=1.0, y=rhs, trans=1, overwrite_y=1)
     # dsyrk fills the upper triangle, which the first factor overwrites
@@ -253,14 +275,14 @@ def _mirror(A, to_lower):
             block[above, below] = block[below, above]
 
 
-def _residual_norms(H, y, thetas):
+def _residual_norms(H, y, thetas, workspace):
     """||y - H theta|| for every theta, from one walk over H.
 
     Each theta gets its own product per block, so its norm does not depend
     on which other thetas share the walk.
     """
     squares = np.zeros(len(thetas))
-    for block, labels in _blocks(H, y, _walk_rows(H.shape[1])):
+    for block, labels in _blocks(H, y, _walk_rows(H.shape[1]), workspace):
         for i, theta in enumerate(thetas):
             r = labels - block @ theta
             squares[i] += r @ r
@@ -283,9 +305,10 @@ def _normal_residual(A, diagonal, theta, rhs):
 
 
 def _cholesky(A, diagonal, rhs, beta, scale, size):
-    """The refined Cholesky solution of (H'H + beta I) theta = rhs, or None
-    when the factor is degenerate (beta = 0) or the normal residual is above
-    the acceptance level.
+    """The refined Cholesky solution of (H'H + beta I) theta = rhs and the
+    norm of its normal residual, which the acceptance test measured, or None
+    when the factor is degenerate (beta = 0) or that norm is above the
+    acceptance level.
 
     A holds H'H + beta I in its upper triangle and H'H in its strict lower
     one; `diagonal` is H'H + beta I's diagonal. LAPACK's dpotrf factors the
@@ -313,12 +336,13 @@ def _cholesky(A, diagonal, rhs, beta, scale, size):
     residual = _normal_residual(A, diagonal, theta, rhs)
     np.fill_diagonal(A, pivots)
     theta += dpotrs(A, residual)[0]
-    if np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)) <= _CHOLESKY_ACCEPT * scale:
-        return theta
+    norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
+    if norm <= _CHOLESKY_ACCEPT * scale:
+        return theta, norm
     return None
 
 
-def _rank_revealing(H, y):
+def _rank_revealing(H, y, workspace):
     """Singular values s, right singular vectors Vt and U'y of H, from a
     QR of [H | y] and an SVD of its small triangle.
 
@@ -328,13 +352,13 @@ def _rank_revealing(H, y):
     buffer, and the buffer is factored in place; the triangle of the stack
     is the triangle of all rows so far. Neither Q, an N-row copy of H nor
     the N-row left factor U is formed; fill_rows writes each block
-    straight into the buffer.
+    straight into the buffer, which the solve's workspace lends.
     """
-    from scipy.linalg.lapack import dgeqrt
+    from scipy.linalg.lapack import dgeqrt, dgesdd
 
     N, p = H.shape
     width = p + 1
-    buffer = np.empty((min(N, _block_rows(p)) + width) * width)
+    buffer = workspace.take((min(N, _block_rows(p)) + width) * width)
     R = np.zeros((0, width))
     for rows in _slices(N, _block_rows(p)):
         k = len(R)
@@ -349,7 +373,9 @@ def _rank_revealing(H, y):
             raise RuntimeError(f"dgeqrt rejected argument {-info}")
         R = np.triu(qr[: min(m, width)])
     k = min(N, p)
-    U_R, s, Vt = np.linalg.svd(R[:k, :p], full_matrices=False)
+    U_R, s, Vt, info = dgesdd(R[:k, :p], compute_uv=1, full_matrices=0)
+    if info:
+        raise RuntimeError(f"dgesdd failed: info {info}")
     return s, Vt, U_R.T @ R[:k, p]
 
 

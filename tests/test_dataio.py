@@ -21,6 +21,8 @@ from quadconv import (
     multichannel_window,
     narx_window,
     predict_batch,
+    reconstruct,
+    sensitivity_batch,
     series_to_csv,
     split,
     synth_narx,
@@ -306,6 +308,18 @@ def test_windowing_and_split_copy_no_features():
         assert np.shares_memory(y_rows, ts.channels["y"])
         assert np.shares_memory(side.labels, ts.channels["y"])
         assert not u_rows.flags.writeable and not side.labels.flags.writeable
+    # evaluating the windowed rows holds one block of them and its product
+    # with Zbar1 at a time: half the walk budget, a few row-length vectors
+    # and the output
+    spec = ConvSpec(40, 5)
+    theta = np.random.default_rng(3).uniform(-1, 1, spec.n_weights)
+    model = reconstruct(theta, spec, RELU_MIMIC)
+    rows = core._walk_rows(4 * spec.n)
+    assert len(_slices(test.n_samples, rows)) == 4
+    for evaluate in (predict_batch, sensitivity_batch):
+        out, peak = _traced_peak(lambda: evaluate(model, test.features))
+        assert peak <= core._WALK_BYTES / 2 + 4 * 8 * rows + out.nbytes
+    for side in (train, test):
         assert not side.inputs.flags.writeable
 
 

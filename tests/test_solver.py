@@ -253,7 +253,7 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
 
     rng = np.random.default_rng(0)
     H, y = _random_system(rng, 10, 3, n_samples=20)
-    gram = solver._gram(core._Rows([H]), y)[0]
+    gram = solver._gram(core._Rows([H]), y, solver._Workspace())[0]
     assert (gram == gram.T).all()
     betas = [1.0, 0.0, 1.0, 10.0]
     alone = [solve_ridge(H, y, beta) for beta in betas]
@@ -281,6 +281,29 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
         SolveStrategy.CHOLESKY, SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY,
         SolveStrategy.CHOLESKY,
     ]
+
+
+def test_an_accepted_cholesky_beta_forms_its_normal_residual_twice(monkeypatch):
+    # once to refine theta and once to accept it; the report takes the
+    # acceptance test's norm rather than forming the residual a third time
+    residuals = []
+    original = solver._normal_residual
+
+    def recorded(A, diagonal, theta, rhs):
+        residuals.append(original(A, diagonal, theta, rhs))
+        return residuals[-1]
+
+    monkeypatch.setattr(solver, "_normal_residual", recorded)
+    rng = np.random.default_rng(16)
+    H, y = _random_system(rng, 6, 3)
+    rep = solve_ridge(H, y, 1.0)
+    assert rep.solve_strategy == SolveStrategy.CHOLESKY
+    assert len(residuals) == 2
+    # the same bits as the residual of the reported theta, formed anew
+    A, rhs = solver._gram(core._Rows([H]), y, solver._Workspace())
+    again = original(A, A.diagonal() + 1.0, rep.theta, rhs)
+    assert rep.normal_residual_norm == float(np.linalg.norm(residuals[-1]))
+    assert rep.normal_residual_norm == float(np.linalg.norm(again))
 
 
 def test_cholesky_sweep_holds_one_p_by_p_array(monkeypatch):
@@ -328,9 +351,9 @@ def _count_rank_revealing(monkeypatch):
     calls = []
     original = solver._rank_revealing
 
-    def counted(M, y):
+    def counted(M, y, workspace):
         calls.append(M.shape)
-        return original(M, y)
+        return original(M, y, workspace)
 
     monkeypatch.setattr(solver, "_rank_revealing", counted)
     return calls
@@ -448,14 +471,16 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     # a fallback over several row blocks holds one block-sized buffer, and
     # every SVD is of a triangle with at most p rows, so no N-row copy of
     # H and no N x p left factor is formed
+    import scipy.linalg.lapack
+
     svd_shapes = []
-    svd = np.linalg.svd
+    svd = scipy.linalg.lapack.dgesdd
 
     def recording_svd(a, *args, **kwargs):
         svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", recording_svd)
     data = narx_window(synth_narx(13000, seed=9), "u", "y", 5)
     H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
     assert len(solver._slices(H.shape[0], solver._block_rows(H.shape[1]))) >= 4
@@ -468,6 +493,33 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     assert reports[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
     assert peak <= H.nbytes / 2
     assert svd_shapes == [(H.shape[1], H.shape[1])]
+
+
+def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(monkeypatch):
+    # at p = 230, as on a NARX series with d = 20 and f = 5, the QR stack of
+    # a block (999,537 floats) fits in the Gram walk's buffer (1,048,570), so
+    # the Gram, QR and residual walks all fill the solve's one workspace
+    outs = []
+    fill_rows = _RegressorRows.fill_rows
+
+    def recorded(self, rows, out):
+        outs.append(out)  # the view keeps its buffer alive
+        return fill_rows(self, rows, out)
+
+    monkeypatch.setattr(_RegressorRows, "fill_rows", recorded)
+    data = narx_window(synth_narx(10000, seed=9), "u", "y", 20)
+    spec = ConvSpec(40, 5)
+    H = _RegressorRows(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
+    N, p = H.shape
+    reports = solve_path(H, data.labels, [0.0, 1.0])
+    assert [r.solve_strategy for r in reports] == [
+        SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY
+    ]
+    walk_blocks = len(solver._slices(N, solver._walk_rows(p)))
+    qr_blocks = len(solver._slices(N, solver._block_rows(p)))
+    assert (walk_blocks, qr_blocks) == (3, 3)
+    assert len(outs) == 2 * walk_blocks + qr_blocks
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
 
 
 def test_non_finite_regressor_columns_are_named_by_the_gram_diagonal():
