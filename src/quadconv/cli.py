@@ -190,7 +190,10 @@ def cmd_train(args) -> int:
     with _config_errors():
         betas = _check_betas(_comma_list("--beta", args.beta, float))
     out = Path(args.out)
-    model_paths = [out] if len(betas) == 1 else [
+    # a sweep writes beside --out under suffixed names; an --out that is a
+    # directory (such as '.' or '/', which have no name to suffix) is
+    # checked, and refused, as it is for one beta
+    model_paths = [out] if len(betas) == 1 or out.is_dir() else [
         out.with_name(f"{out.stem}_beta{beta:g}{out.suffix or '.json'}") for beta in betas]
     _check_outputs(model_paths + ([args.metrics] if args.metrics else []), [args.data])
 

@@ -83,8 +83,9 @@ def _read_table(path):
     """Parse a headered CSV into its column names and one N x C float array.
 
     Every data cell is an unquoted decimal number, parsed with float()
-    semantics. Blank lines are skipped; error messages count file lines. A
-    byte order mark, as spreadsheets write one, is not part of the header.
+    semantics. Empty lines are skipped, and a line holding only spaces is
+    a parse error naming its row; error messages count file lines. A byte
+    order mark, as spreadsheets write one, is not part of the header.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:

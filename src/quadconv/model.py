@@ -217,7 +217,14 @@ def _reject_constant(token: str):
 
 def _parse_int(token: str):
     # serialize writes a negative zero as "-0", which int() would read as 0
-    return -0.0 if token == "-0" else int(token)
+    if token == "-0":
+        return -0.0
+    try:
+        return int(token)
+    except ValueError:
+        # past Python's limit on the digits of an integer string
+        digits = len(token.lstrip("-"))
+        raise MalformedModelFile(f"an integer of {digits} digits is too long") from None
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -263,6 +270,8 @@ def deserialize(text: str) -> QuadraticModel:
         raise MalformedModelFile(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise MalformedModelFile("JSON arrays or objects are nested too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedModelFile("model file must contain a JSON object")
 

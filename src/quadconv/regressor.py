@@ -22,7 +22,8 @@ class Dataset:
     both without a copy, and checks only the labels, since the rows are
     read-only and finite already. The fit and the CLI read the features in
     blocks, so a windowed dataset never holds N x n floats; `inputs` gives
-    them whole.
+    them whole. Nothing is written after construction: a dataset keeps the
+    rows it was made with.
     """
 
     features: _Rows
@@ -49,13 +50,12 @@ class Dataset:
 
     @property
     def inputs(self) -> np.ndarray:
-        """The N x n feature array, read-only; a windowed dataset builds it
-        on first access and holds it from then on."""
-        if len(self.features.parts) > 1:
-            X = self.features[0 : self.n_samples]
-            X.setflags(write=False)
-            object.__setattr__(self, "features", _Rows([X]))
-        return self.features.parts[0]
+        """The N x n feature array, read-only: a view of a held array, or a
+        new array that a windowed dataset builds from its channels at each
+        access."""
+        X = self.features[0 : self.n_samples]
+        X.setflags(write=False)
+        return X
 
     @property
     def n_samples(self) -> int:

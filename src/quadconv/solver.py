@@ -14,9 +14,12 @@ blocks are already column-major is read in place and needs none), and a walk
 that needs more room drops it before making a larger one, so at most one
 block buffer is alive at a time.
 
-A sweep holds one p x p array: its strict lower triangle and a saved copy
-of its diagonal keep H'H, and each beta's Cholesky factor is made in place
-in its upper triangle, so no second p x p array is ever made.
+A sweep holds one p x p array. The Gram walk writes H'H into its lower
+triangle, which every product with the normal matrix reads and nothing
+else writes, so with a saved copy of its diagonal it keeps H'H for the
+whole sweep. Each beta copies the strict lower triangle up and makes its
+Cholesky factor in place in the upper triangle, so no second p x p array
+is ever made.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ _CHOLESKY_ACCEPT = 1e-10
 _BLOCK_ROWS = 4096
 _QR_PANEL = 64
 
-# The Gram is mirrored between the triangles of its array in panels of this
-# many columns, so no p x p temporary is made.
+# Each beta copies the Gram up from the lower triangle of its array in panels
+# of this many columns, so no p x p temporary is made.
 _MIRROR_PANEL = 64
 
 # Each walk calls one BLAS library only: the Gram walk, and the QR walk with
@@ -152,7 +155,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     # Gram diagonal stands in for a scan of H
     gram_diagonal = A.diagonal().copy()
     if not np.isfinite(gram_diagonal).all():
-        blocks = _blocks(H, y, _walk_rows(H.shape[1]), workspace)
+        blocks = _blocks(H, y, workspace)
         if not all(np.isfinite(block).all() for block, _ in blocks):
             raise NonFiniteInput(
                 "regressor matrix contains non-finite values; if the features "
@@ -167,12 +170,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         raise NonFiniteInput("the norm of H'y overflows: the labels are too large")
     svd = None
     solved = []  # the fields of each beta's report but its residual norm
-    for i, beta in enumerate(betas):
-        # every earlier beta's factor overwrote some of the upper triangle;
-        # restoring it from the lower one and the diagonal from the saved
-        # one gives every beta exactly the matrix a lone solve would see
-        if i:
-            _mirror(A, to_lower=False)
+    for beta in betas:
         diagonal = gram_diagonal + beta
         accepted = _cholesky(A, diagonal, rhs, beta, scale, max(H.shape))
         rank_deficient = False
@@ -223,12 +221,13 @@ class _Workspace:
         return self._buffer
 
 
-def _blocks(H, y, rows, workspace):
-    """(H[r], y[r]) for consecutive row slices r of `rows` rows, each block
-    column-major: a held H's rows in place when they are already (as in
-    build_regressor's one-block H), else rows that fill_rows writes into the
-    solve's workspace, which every block reuses."""
+def _blocks(H, y, workspace):
+    """(H[r], y[r]) for consecutive row slices r of the walk's block size,
+    each block column-major: a held H's rows in place when they are already
+    (as in build_regressor's one-block H), else rows that fill_rows writes
+    into the solve's workspace, which every block reuses."""
     N, p = H.shape
+    rows = _walk_rows(p)
     held = H.parts[0] if isinstance(H, _Rows) and len(H.parts) == 1 else None
     for r in _slices(N, rows):
         m = r.stop - r.start
@@ -240,39 +239,33 @@ def _blocks(H, y, rows, workspace):
 
 
 def _gram(H, y, workspace):
-    """H'H, as a symmetric Fortran-ordered array, and H'y, accumulated
-    block by block in place by scipy's dsyrk and dgemv, each reading the
-    column-major blocks of _blocks."""
+    """A Fortran-ordered p x p array whose lower triangle holds H'H (its
+    strict upper triangle is zero), and H'y, accumulated block by block in
+    place by scipy's dsyrk and dgemv, each reading the column-major blocks
+    of _blocks."""
     from scipy.linalg.blas import dgemv, dsyrk
 
     p = H.shape[1]
     A = np.zeros((p, p), order="F")
     rhs = np.zeros(p)
-    for block, labels in _blocks(H, y, _walk_rows(p), workspace):
-        A = dsyrk(1.0, block, beta=1.0, c=A, trans=1, overwrite_c=1)
+    for block, labels in _blocks(H, y, workspace):
+        A = dsyrk(1.0, block, beta=1.0, c=A, trans=1, lower=1, overwrite_c=1)
         rhs = dgemv(1.0, block, labels, beta=1.0, y=rhs, trans=1, overwrite_y=1)
-    # dsyrk fills the upper triangle, which the first factor overwrites
-    _mirror(A, to_lower=True)
     return A, rhs
 
 
-def _mirror(A, to_lower):
-    """Copy the strict upper triangle of the square array A into its strict
-    lower triangle (to_lower) or the reverse, in place, in column panels."""
+def _mirror(A):
+    """Copy the strict lower triangle of the square array A into its strict
+    upper triangle, in place, in column panels."""
     p = len(A)
     for j in range(0, p, _MIRROR_PANEL):
         k = min(p, j + _MIRROR_PANEL)
-        # the panel below its diagonal block and, transposed, the rows of
-        # that block right of it
-        lower, upper = A[k:, j:k], A[j:k, k:].T
+        # the rows right of the panel's diagonal block take, transposed, the
+        # panel below it; then the block's strict upper triangle its lower
+        A[j:k, k:] = A[k:, j:k].T
         below, above = np.tril_indices(k - j, -1)
         block = A[j:k, j:k]
-        if to_lower:
-            lower[...] = upper
-            block[below, above] = block[above, below]
-        else:
-            upper[...] = lower
-            block[above, below] = block[below, above]
+        block[above, below] = block[below, above]
 
 
 def _residual_norms(H, y, thetas, workspace):
@@ -282,7 +275,7 @@ def _residual_norms(H, y, thetas, workspace):
     on which other thetas share the walk.
     """
     squares = np.zeros(len(thetas))
-    for block, labels in _blocks(H, y, _walk_rows(H.shape[1]), workspace):
+    for block, labels in _blocks(H, y, workspace):
         for i, theta in enumerate(thetas):
             r = labels - block @ theta
             squares[i] += r @ r
@@ -310,13 +303,16 @@ def _cholesky(A, diagonal, rhs, beta, scale, size):
     when the factor is degenerate (beta = 0) or that norm is above the
     acceptance level.
 
-    A holds H'H + beta I in its upper triangle and H'H in its strict lower
-    one; `diagonal` is H'H + beta I's diagonal. LAPACK's dpotrf factors the
-    upper triangle in place, overwriting some or all of it (all when it
-    succeeds), and dpotrs reads the factor there.
+    A holds H'H in its strict lower triangle, and `diagonal` is H'H + beta
+    I's diagonal. Copying the strict lower triangle up and writing the
+    diagonal puts H'H + beta I in the upper triangle, exactly the matrix a
+    lone solve would see, whatever an earlier beta's factor left there.
+    LAPACK's dpotrf factors that triangle in place, overwriting some or all
+    of it (all when it succeeds), and dpotrs reads the factor there.
     """
     from scipy.linalg.lapack import dpotrf, dpotrs
 
+    _mirror(A)
     np.fill_diagonal(A, diagonal)
     _, info = dpotrf(A, lower=0, clean=0, overwrite_a=1)
     if info < 0:

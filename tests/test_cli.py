@@ -261,6 +261,10 @@ def scored(tmp_path_factory):
     doc = json.loads((root / "model.json").read_text())
     doc["zbar1_band"][: doc["n"]] = [1.7e308] * doc["n"]
     (root / "overflow.json").write_text(json.dumps(doc))
+    # model files the JSON layer itself gives up on: nesting past the
+    # recursion limit, and an integer past Python's 4,300-digit limit
+    (root / "deep.json").write_text("[" * 200_000)
+    (root / "long_int.json").write_text('{"n": 1' + "0" * 5000 + "}")
     # finite inputs whose regressor entries, predictions or gradients
     # overflow float64
     rng = np.random.default_rng(0)
@@ -330,6 +334,22 @@ def _write_rows(path, header, rows):
         pytest.param(["predict", "--model", "{root}/overflow.json",
                       "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
                      2, "data error: the trace of Zbar1", id="predict-model-trace-overflows"),
+        pytest.param(["predict", "--model", "{root}/deep.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: JSON arrays or objects are nested too deeply",
+                     id="predict-model-nested-too-deeply"),
+        pytest.param(["predict", "--model", "{root}/long_int.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: an integer of 5001 digits is too long",
+                     id="predict-model-integer-too-long"),
+        pytest.param(["sensitivity", "--model", "{root}/deep.json",
+                      "--x0", "{root}/features.csv", "--out", "{tmp}/g.csv"],
+                     2, "data error: JSON arrays or objects are nested too deeply",
+                     id="sensitivity-model-nested-too-deeply"),
+        pytest.param(["sensitivity", "--model", "{root}/long_int.json",
+                      "--x0", "{root}/features.csv", "--out", "{tmp}/g.csv"],
+                     2, "data error: an integer of 5001 digits is too long",
+                     id="sensitivity-model-integer-too-long"),
         # finite inputs on which the regressor, a prediction or a gradient
         # overflows: one line, no warning and no output file
         pytest.param(_TRAIN + ["--data", "{root}/huge_series.csv", "--out", "{tmp}/m.json"],
@@ -418,6 +438,15 @@ def _write_rows(path, header, rows):
                                "--metrics", "{root}"],
                      2, "data error: [Errno 21] Is a directory: '{root}'",
                      id="train-metrics-directory"),
+        # a sweep suffixes the file name of --out, so an --out that is a
+        # directory, with a file name or without one, fails as it does for
+        # one beta, before the data is read
+        pytest.param(["train", "--d", "3", "--f", "2", "--beta", "0,1",
+                      "--data", "{tmp}/missing.csv", "--out", "/"],
+                     2, "data error: [Errno 21] Is a directory: '/'", id="sweep-out-root"),
+        pytest.param(["train", "--d", "3", "--f", "2", "--beta", "0,1",
+                      "--data", "{tmp}/missing.csv", "--out", "{tmp}"],
+                     2, "data error: [Errno 21] Is a directory: '{tmp}'", id="sweep-out-directory"),
     ],
 )
 def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
