@@ -20,15 +20,21 @@ from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile, No
 
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
 
+# Columns of Zbar1 per band tile of the evaluation kernel (see below). 64
+# made batches at n = 400 faster but single rows at n = 200 and 400
+# slower; 256 made both slower.
+_TILE = 128
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
     """Output map a * x' Zbar1 x + b * Zbar2' x + c * Zbar4.
 
     Zbar1 is symmetric with zero entries wherever |row - col| >= f and is
-    stored as its band coefficients (diagonal-major, true values). Two
+    stored as its band coefficients (diagonal-major, true values). Three
     read-only values are derived from the band once, on construction: the
-    dense `zbar1` that predict and sensitivity multiply by, and `zbar4`,
+    dense `zbar1`; `zbar1_tiles`, the band tiles of `zbar1` that predict
+    and sensitivity multiply by (see the evaluation kernel); and `zbar4`,
     the trace of Zbar1, which is never stored in a model file so the trace
     tie cannot drift; a band whose trace is not finite is refused.
     Activation coefficients travel with the model so it is self-contained
@@ -40,6 +46,7 @@ class QuadraticModel:
     spec: ConvSpec
     params: ActivationParams
     zbar1: np.ndarray = field(init=False, repr=False)
+    zbar1_tiles: tuple = field(init=False, repr=False)
     zbar4: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -67,9 +74,16 @@ class QuadraticModel:
         Z[m.cols, m.rows] = band
         for a in (band, z2, Z):
             a.setflags(write=False)
+        n, f = self.spec.n, self.spec.f
+        tiles = []
+        for j0 in range(0, n, _TILE):
+            j1 = min(n, j0 + _TILE)
+            rows, cols = slice(max(0, j0 - f + 1), min(n, j1 + f - 1)), slice(j0, j1)
+            tiles.append((np.s_[:, rows], np.s_[:, cols], Z[rows, cols]))
         object.__setattr__(self, "zbar1_band", band)
         object.__setattr__(self, "zbar2", z2)
         object.__setattr__(self, "zbar1", Z)
+        object.__setattr__(self, "zbar1_tiles", tuple(tiles))
         object.__setattr__(self, "zbar4", trace)
 
     @classmethod
@@ -119,11 +133,20 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # (a view of a held array or a block built from windows, see core._Rows) and
 # their product with Zbar1, in half the solver's walk budget: blocks sized by
 # the walk rule for 4n floats a row, so evaluation after a fit stays under
-# the fit's own peak. The single-row entry points call these on a one-row
-# matrix. BLAS may round a one-row product (gemv) differently from a
-# many-row one (gemm), and a product's rounding may depend on the rows
-# beside it, so the entry points, and one row evaluated alone or within a
-# block, agree to rounding, not bit for bit.
+# the fit's own peak. The single-row entry points call the block kernels on
+# a one-row matrix, which is one block. BLAS may round a one-row product
+# (gemv) differently from a many-row one (gemm), and a product's rounding
+# may depend on the rows beside it, so the entry points, and one row
+# evaluated alone or within a block, agree to rounding, not bit for bit.
+# Zbar1 is zero wherever |i - j| >= f, so the product is formed in band
+# tiles of _TILE columns: columns [j0, j1) of X Zbar1 are
+# X[:, lo:hi] @ Zbar1[lo:hi, j0:j1] with lo = max(0, j0 - f + 1) and
+# hi = min(n, j1 + f - 1), the only rows of Zbar1 that can be nonzero in
+# those columns. That is one BLAS product per tile and about
+# N * n * (_TILE + 2f - 2) flops in place of N * n^2; a model with
+# n <= _TILE has one tile, the whole Zbar1, and one product as a dense
+# X @ Zbar1 would be, with the same bits. The model builds each tile's
+# index tuples and view once, so a query does no slice arithmetic.
 
 
 def _block_slices(model: QuadraticModel, N: int) -> list[slice]:
@@ -137,23 +160,34 @@ def _predict_rows(model: QuadraticModel, X) -> np.ndarray:
     return out
 
 
+def _times_zbar1(model: QuadraticModel, block, out) -> np.ndarray:
+    """Write block @ Zbar1 into out, one band tile at a time."""
+    for rows, cols, Z in model.zbar1_tiles:
+        np.matmul(block[rows], Z, out=out[cols])
+    return out
+
+
 def _predict_block(model: QuadraticModel, block) -> np.ndarray:
     # a block and its product are freed on return, before the next block
     # is read
     p = model.params
-    XZ = block @ model.zbar1
+    XZ = _times_zbar1(model, block, np.empty(block.shape))
     return (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
             + p.c * model.zbar4)
 
 
 def _sensitivity_rows(model: QuadraticModel, X) -> np.ndarray:
-    p = model.params
     out = np.empty(X.shape)
     for r in _block_slices(model, X.shape[0]):
-        grad = np.matmul(X[r], model.zbar1, out=out[r])
-        grad *= 2.0 * p.a
-        grad += p.b * model.zbar2
+        _sensitivity_block(model, X[r], out[r])
     return out
+
+
+def _sensitivity_block(model: QuadraticModel, block, out) -> np.ndarray:
+    grad = _times_zbar1(model, block, out)
+    grad *= 2.0 * model.params.a
+    grad += model.params.b * model.zbar2
+    return grad
 
 
 def _as_row(model: QuadraticModel, x) -> np.ndarray:
@@ -165,7 +199,7 @@ def _as_row(model: QuadraticModel, x) -> np.ndarray:
 
 def predict(model: QuadraticModel, x) -> float:
     """Evaluate a * x' Zbar1 x + b * Zbar2' x + c * Zbar4 at one input."""
-    return float(_predict_rows(model, _as_row(model, x))[0])
+    return float(_predict_block(model, _as_row(model, x))[0])
 
 
 def predict_batch(model: QuadraticModel, X) -> np.ndarray:
@@ -177,7 +211,8 @@ def predict_batch(model: QuadraticModel, X) -> np.ndarray:
 def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
     """Gradient of the output with respect to the input at x0:
     2a * Zbar1 x0 + b * Zbar2."""
-    return _sensitivity_rows(model, _as_row(model, x0))[0]
+    row = _as_row(model, x0)
+    return _sensitivity_block(model, row, np.empty(row.shape))[0]
 
 
 def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:

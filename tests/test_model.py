@@ -19,6 +19,7 @@ from quadconv import (
     to_weight_vector,
 )
 from quadconv import core
+from quadconv import model as model_module
 
 _RELU = ActivationParams(0.0937, 0.5, 0.4688)
 
@@ -113,8 +114,14 @@ def _sensitivity_rounding_bound(m, X):
     return 2 * (m.spec.n + 2) * _EPS * terms
 
 
-# The original geometry, then n = 1, f = 1 and f = n.
-@pytest.mark.parametrize("n,f", [(6, 4), (1, 1), (6, 1), (8, 8)])
+# The original geometry, then n = 1, f = 1 and f = n; then models of one
+# full band tile (127, 128), two tiles with a one-column last tile (129),
+# three with a ragged last tile (300, 4), and f = n, where every tile reads
+# every row.
+_TILE_GEOMETRIES = [(127, 3), (128, 3), (129, 3), (300, 4), (300, 300)]
+
+
+@pytest.mark.parametrize("n,f", [(6, 4), (1, 1), (6, 1), (8, 8)] + _TILE_GEOMETRIES)
 def test_predict_batch_matches_scalar(monkeypatch, n, f):
     rng = np.random.default_rng(2)
     m = _random_model(rng, n=n, f=f)
@@ -164,7 +171,7 @@ def test_sensitivity_matches_central_differences():
         assert np.linalg.norm(g - g_fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
 
-@pytest.mark.parametrize("n,f", [(7, 3), (1, 1), (7, 1), (7, 7)])
+@pytest.mark.parametrize("n,f", [(7, 3), (1, 1), (7, 1), (7, 7)] + _TILE_GEOMETRIES)
 def test_sensitivity_batch_matches_scalar(monkeypatch, n, f):
     rng = np.random.default_rng(6)
     m = _random_model(rng, n=n, f=f)
@@ -175,6 +182,43 @@ def test_sensitivity_batch_matches_scalar(monkeypatch, n, f):
         monkeypatch.setattr(core, "_WALK_BYTES", walk_bytes)
         batch = sensitivity_batch(m, X0)
         assert np.all(np.abs(batch - singles) <= _sensitivity_rounding_bound(m, X0))
+
+
+def _dense_predict(m, X):
+    # the evaluation before band tiles, on the dense Zbar1
+    p = m.params
+    return p.a * np.einsum("ij,ij->i", X, X @ m.zbar1) + p.b * (X @ m.zbar2) + p.c * m.zbar4
+
+
+def _dense_sensitivity(m, X):
+    grad = X @ m.zbar1
+    grad *= 2.0 * m.params.a
+    grad += m.params.b * m.zbar2
+    return grad
+
+
+@pytest.mark.parametrize("n,f", [(5, 2), (128, 128)] + _TILE_GEOMETRIES)
+def test_band_tiles_match_the_dense_zbar1(n, f):
+    rng = np.random.default_rng(7)
+    m = _random_model(rng, n=n, f=f)
+    X = rng.uniform(-1, 1, size=(6, n))
+    tiles = -(-n // model_module._TILE)
+    assert len(m.zbar1_tiles) == tiles
+    bounds = {_dense_predict: _predict_rounding_bound,
+              _dense_sensitivity: _sensitivity_rounding_bound}
+    cases = [(predict_batch(m, X), _dense_predict, X),
+             (sensitivity_batch(m, X), _dense_sensitivity, X)]
+    for x in X:
+        cases += [(predict(m, x), _dense_predict, x[None, :]),
+                  (sensitivity(m, x), _dense_sensitivity, x[None, :])]
+    for got, dense, rows in cases:
+        want = dense(m, rows)
+        got = np.reshape(got, want.shape)
+        if tiles == 1:
+            # one tile is the whole Zbar1: the same product, with the same bits
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= bounds[dense](m, rows))
 
 
 def test_band_structure_is_preserved():

@@ -10,6 +10,7 @@ from quadconv import (
     fit,
     predict,
     predict_batch,
+    sensitivity,
     to_weight_vector,
 )
 from quadconv.oracle import (
@@ -78,6 +79,26 @@ def test_patch_aggregation_equivalence_randomized():
         direct = eval_patch_model(s, x)
         via_model = predict(aggregate(s), x)
         assert abs(direct - via_model) <= 1e-10 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("f", [3, 300])
+def test_patch_aggregation_and_gradient_across_band_tiles(f):
+    # n = 300 spans three band tiles of the evaluation kernel, which the
+    # randomized draws above (n <= 16) never reach
+    rng = np.random.default_rng(3)
+    n, step = 300, 1e-5
+    s = random_patch_model_set(ConvSpec(n, f), _RELU, rng)
+    m = aggregate(s)
+    for x in rng.uniform(-1, 1, size=(3, n)):
+        direct = eval_patch_model(s, x)
+        assert abs(direct - predict(m, x)) <= 1e-10 * max(1.0, abs(direct))
+        g = sensitivity(m, x)
+        g_fd = np.empty(n)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = step
+            g_fd[i] = (predict(m, x + e) - predict(m, x - e)) / (2 * step)
+        assert np.linalg.norm(g - g_fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
 
 def test_aggregate_overlap_counts_identity_patches():
