@@ -20,10 +20,10 @@ from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile, No
 
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
 
-# Columns of Zbar1 per band tile of the evaluation kernel (see below). 64
-# made batches at n = 400 faster but single rows at n = 200 and 400
-# slower; 256 made both slower.
-_TILE = 128
+# Columns of Zbar1 per band tile of the evaluation kernel, for a single row
+# and for a block of two or more rows (see below); 256 made both slower.
+_ROW_TILE = 128
+_BLOCK_TILE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,12 +31,14 @@ class QuadraticModel:
     """Output map a * x' Zbar1 x + b * Zbar2' x + c * Zbar4.
 
     Zbar1 is symmetric with zero entries wherever |row - col| >= f and is
-    stored as its band coefficients (diagonal-major, true values). Three
+    stored as its band coefficients (diagonal-major, true values). Four
     read-only values are derived from the band once, on construction: the
-    dense `zbar1`; `zbar1_tiles`, the band tiles of `zbar1` that predict
-    and sensitivity multiply by (see the evaluation kernel); and `zbar4`,
-    the trace of Zbar1, which is never stored in a model file so the trace
-    tie cannot drift; a band whose trace is not finite is refused.
+    dense `zbar1`; two sets of band tiles of `zbar1` that predict and
+    sensitivity multiply by (see the evaluation kernel), `zbar1_tiles`,
+    128 columns wide, for a single row, and `zbar1_block_tiles`, 64 wide,
+    for a block of two or more rows; and `zbar4`, the trace of Zbar1, which
+    is never stored in a model file so the trace tie cannot drift; a band
+    whose trace is not finite is refused.
     Activation coefficients travel with the model so it is self-contained
     for prediction.
     """
@@ -47,6 +49,7 @@ class QuadraticModel:
     params: ActivationParams
     zbar1: np.ndarray = field(init=False, repr=False)
     zbar1_tiles: tuple = field(init=False, repr=False)
+    zbar1_block_tiles: tuple = field(init=False, repr=False)
     zbar4: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -74,16 +77,11 @@ class QuadraticModel:
         Z[m.cols, m.rows] = band
         for a in (band, z2, Z):
             a.setflags(write=False)
-        n, f = self.spec.n, self.spec.f
-        tiles = []
-        for j0 in range(0, n, _TILE):
-            j1 = min(n, j0 + _TILE)
-            rows, cols = slice(max(0, j0 - f + 1), min(n, j1 + f - 1)), slice(j0, j1)
-            tiles.append((np.s_[:, rows], np.s_[:, cols], Z[rows, cols]))
         object.__setattr__(self, "zbar1_band", band)
         object.__setattr__(self, "zbar2", z2)
         object.__setattr__(self, "zbar1", Z)
-        object.__setattr__(self, "zbar1_tiles", tuple(tiles))
+        object.__setattr__(self, "zbar1_tiles", _band_tiles(Z, self.spec.f, _ROW_TILE))
+        object.__setattr__(self, "zbar1_block_tiles", _band_tiles(Z, self.spec.f, _BLOCK_TILE))
         object.__setattr__(self, "zbar4", trace)
 
     @classmethod
@@ -100,6 +98,18 @@ class QuadraticModel:
             raise ValueError(f"dense Zbar1 has nonzero entries outside bandwidth f={spec.f}")
         m = band_index_map(spec)
         return cls(Z[m.rows, m.cols], zbar2, spec, params)
+
+
+def _band_tiles(Z: np.ndarray, f: int, width: int) -> tuple:
+    """The band tiles of Zbar1 = Z, `width` columns each, as (rows, cols,
+    view) with the index tuples that the evaluation kernel slices by."""
+    n = Z.shape[0]
+    tiles = []
+    for j0 in range(0, n, width):
+        j1 = min(n, j0 + width)
+        rows, cols = slice(max(0, j0 - f + 1), min(n, j1 + f - 1)), slice(j0, j1)
+        tiles.append((np.s_[:, rows], np.s_[:, cols], Z[rows, cols]))
+    return tuple(tiles)
 
 
 def reconstruct(theta, spec: ConvSpec, params: ActivationParams) -> QuadraticModel:
@@ -139,14 +149,18 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # may depend on the rows beside it, so the entry points, and one row
 # evaluated alone or within a block, agree to rounding, not bit for bit.
 # Zbar1 is zero wherever |i - j| >= f, so the product is formed in band
-# tiles of _TILE columns: columns [j0, j1) of X Zbar1 are
+# tiles of w columns: columns [j0, j1) of X Zbar1 are
 # X[:, lo:hi] @ Zbar1[lo:hi, j0:j1] with lo = max(0, j0 - f + 1) and
 # hi = min(n, j1 + f - 1), the only rows of Zbar1 that can be nonzero in
 # those columns. That is one BLAS product per tile and about
-# N * n * (_TILE + 2f - 2) flops in place of N * n^2; a model with
-# n <= _TILE has one tile, the whole Zbar1, and one product as a dense
-# X @ Zbar1 would be, with the same bits. The model builds each tile's
-# index tuples and view once, so a query does no slice arithmetic.
+# N * n * (w + 2f - 2) flops in place of N * n^2. The width follows the
+# rows of the block: a single row takes w = _ROW_TILE (128), since each
+# product call costs about a microsecond whatever its size, and a block of
+# two or more rows takes w = _BLOCK_TILE (64), whose fewer wasted flops
+# outweigh the calls. A model with n <= w has one tile of that width, the
+# whole Zbar1, and one product as a dense X @ Zbar1 would be, with the same
+# bits. The model builds each tile's index tuples and view once, so a query
+# does no slice arithmetic.
 
 
 def _block_slices(model: QuadraticModel, N: int) -> list[slice]:
@@ -161,8 +175,10 @@ def _predict_rows(model: QuadraticModel, X) -> np.ndarray:
 
 
 def _times_zbar1(model: QuadraticModel, block, out) -> np.ndarray:
-    """Write block @ Zbar1 into out, one band tile at a time."""
-    for rows, cols, Z in model.zbar1_tiles:
+    """Write block @ Zbar1 into out, one band tile at a time: the wide
+    tiles for one row, the narrow ones for more."""
+    tiles = model.zbar1_tiles if len(block) == 1 else model.zbar1_block_tiles
+    for rows, cols, Z in tiles:
         np.matmul(block[rows], Z, out=out[cols])
     return out
 

@@ -100,20 +100,22 @@ class _RegressorRows:
         """Write H[rows] into out, an m x (q + n) array, column-major as the
         solver's walks pass it, and return out.
 
-        The feature rows are first written column-major, in one m x n copy
-        small beside out, so every band product, scaling and shift reads and writes one
-        contiguous column at a time: 2.2-2.5x faster than filling C-ordered
-        rows on blocks of the benchmark's geometries (p = 230 and 2155).
+        The feature rows are first written into H's own last n columns,
+        column-major, so every band product, scaling and shift reads and
+        writes one contiguous column at a time: 2.2-2.5x faster than
+        filling C-ordered rows on blocks of the benchmark's geometries
+        (p = 230 and 2155). They are scaled by b in place once the band
+        products have read them, so no m x n copy is made beside out.
         The arithmetic per entry is the same whatever the block, so any row
         block equals the same rows of the whole H bit for bit. An entry
         that overflows is left as inf or nan without a warning: the solver
         finds it from the Gram diagonal and reports it.
         """
         n, q = self._spec.n, self._spec.band_size
-        X = self._features.fill_rows(rows, np.empty((len(out), n), order="F"))
+        X = self._features.fill_rows(rows, out[:, q:])
         with np.errstate(over="ignore", invalid="ignore"):
             quad = band_products(X, self._spec, out[:, :q])
             quad *= self._params.a
             quad[:, :n] += self._params.c
-            np.multiply(X, self._params.b, out=out[:, q:])
+            X *= self._params.b
         return out

@@ -85,9 +85,10 @@ class SolveReport:
 
 
 def _check_betas(betas) -> list[float]:
-    """The ridge weights of a sweep as floats; raises on an empty list or a
-    negative or non-finite weight."""
-    betas = [float(b) for b in betas]
+    """The ridge weights of a sweep as floats, with -0.0 as 0.0, the same
+    weight, so that it is named and reported as 0; raises on an empty list
+    or a negative or non-finite weight."""
+    betas = [0.0 if b == 0 else b for b in map(float, betas)]
     if not betas:
         raise ValueError("need at least one beta")
     for beta in betas:

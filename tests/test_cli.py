@@ -90,6 +90,19 @@ def test_train_beta_sweep_writes_one_model_per_beta(series_csv, tmp_path):
     assert len(metrics) == 5  # header + one row per beta
 
 
+def test_negative_zero_beta_is_beta_zero(series_csv, tmp_path, capsys):
+    # -0 is the ridge weight 0: printed, recorded and fitted as 0
+    zero = _train_args(series_csv, tmp_path, **{"--beta": "0", "--metrics": None,
+                                                 "--out": str(tmp_path / "zero.json")})
+    assert main(zero) == 0
+    capsys.readouterr()
+    assert main(_train_args(series_csv, tmp_path, **{"--beta": "-0"})) == 0
+    assert capsys.readouterr().out.startswith("beta=0 ")
+    header, row = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["beta"] == "0"
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
+
+
 def _library_message(check, *args):
     with pytest.raises(ValueError) as info:
         check(*args)
@@ -407,6 +420,11 @@ def _write_rows(path, header, rows):
                                "--out", "{tmp}/m.json"],
                      1, "config error: two outputs would be written to {tmp}/m_beta0.json",
                      id="train-beta-names-clash"),
+        # -0 is the weight 0, so it clashes with 0 too
+        pytest.param(_TRAIN + ["--beta", "0,-0", "--data", "{root}/series.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: two outputs would be written to {tmp}/m_beta0.json",
+                     id="train-beta-negative-zero-clash"),
         pytest.param(_TRAIN + ["--beta", "1e-7,1.0000001e-7", "--data", "{root}/series.csv",
                                "--out", "{tmp}/m.json"],
                      1, "config error: two outputs would be written to {tmp}/m_beta1e-07.json",

@@ -114,11 +114,14 @@ def _sensitivity_rounding_bound(m, X):
     return 2 * (m.spec.n + 2) * _EPS * terms
 
 
-# The original geometry, then n = 1, f = 1 and f = n; then models of one
-# full band tile (127, 128), two tiles with a one-column last tile (129),
-# three with a ragged last tile (300, 4), and f = n, where every tile reads
-# every row.
-_TILE_GEOMETRIES = [(127, 3), (128, 3), (129, 3), (300, 4), (300, 300)]
+# The original geometry, then n = 1, f = 1 and f = n; then models around
+# the width of the row blocks' band tiles, 64 (one full tile at 63 and 64,
+# two with a one-column last tile at 65), and of a single row's, 128 (one
+# full tile at 127 and 128, two with a one-column last tile at 129), three
+# row tiles with a ragged last tile (300, 4), and f = n, where every tile
+# reads every row.
+_TILE_GEOMETRIES = [(63, 3), (64, 3), (65, 3), (127, 3), (128, 3), (129, 3), (300, 4),
+                    (300, 300)]
 
 
 @pytest.mark.parametrize("n,f", [(6, 4), (1, 1), (6, 1), (8, 8)] + _TILE_GEOMETRIES)
@@ -202,16 +205,25 @@ def test_band_tiles_match_the_dense_zbar1(n, f):
     rng = np.random.default_rng(7)
     m = _random_model(rng, n=n, f=f)
     X = rng.uniform(-1, 1, size=(6, n))
-    tiles = -(-n // model_module._TILE)
-    assert len(m.zbar1_tiles) == tiles
+    row_tiles = -(-n // model_module._ROW_TILE)
+    block_tiles = -(-n // model_module._BLOCK_TILE)
+    assert len(m.zbar1_tiles) == row_tiles
+    assert len(m.zbar1_block_tiles) == block_tiles
+    assert all(np.shares_memory(Z, m.zbar1) for *_, Z in m.zbar1_tiles + m.zbar1_block_tiles)
     bounds = {_dense_predict: _predict_rounding_bound,
               _dense_sensitivity: _sensitivity_rounding_bound}
-    cases = [(predict_batch(m, X), _dense_predict, X),
-             (sensitivity_batch(m, X), _dense_sensitivity, X)]
+    # (result, dense formula, its rows, tiles of the path taken): a batch of
+    # one row takes a single row's tiles, a batch of two or more the row
+    # blocks' tiles
+    cases = []
+    for rows in (X, X[:1], X[:2]):
+        tiles = row_tiles if len(rows) == 1 else block_tiles
+        cases += [(predict_batch(m, rows), _dense_predict, rows, tiles),
+                  (sensitivity_batch(m, rows), _dense_sensitivity, rows, tiles)]
     for x in X:
-        cases += [(predict(m, x), _dense_predict, x[None, :]),
-                  (sensitivity(m, x), _dense_sensitivity, x[None, :])]
-    for got, dense, rows in cases:
+        cases += [(predict(m, x), _dense_predict, x[None, :], row_tiles),
+                  (sensitivity(m, x), _dense_sensitivity, x[None, :], row_tiles)]
+    for got, dense, rows, tiles in cases:
         want = dense(m, rows)
         got = np.reshape(got, want.shape)
         if tiles == 1:
@@ -219,6 +231,30 @@ def test_band_tiles_match_the_dense_zbar1(n, f):
             np.testing.assert_array_equal(got, want)
         else:
             assert np.all(np.abs(got - want) <= bounds[dense](m, rows))
+
+
+def test_tile_width_follows_the_rows_of_the_block(monkeypatch):
+    # one row takes the 128-column tiles, two or more rows the 64-column ones
+    widths = []
+    matmul = np.matmul
+
+    def recorded(a, b, out):
+        widths.append(b.shape[1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(model_module.np, "matmul", recorded)
+    rng = np.random.default_rng(8)
+    m = _random_model(rng, n=200, f=3)
+    X = rng.uniform(-1, 1, size=(2, 200))
+    calls = [(lambda: predict(m, X[0]), [128, 72]),
+             (lambda: sensitivity(m, X[0]), [128, 72]),
+             (lambda: predict_batch(m, X[:1]), [128, 72]),
+             (lambda: predict_batch(m, X), [64, 64, 64, 8]),
+             (lambda: sensitivity_batch(m, X), [64, 64, 64, 8])]
+    for call, want in calls:
+        widths.clear()
+        call()
+        assert widths == want
 
 
 def test_band_structure_is_preserved():
