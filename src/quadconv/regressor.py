@@ -15,31 +15,35 @@ class Dataset:
     """N feature rows of equal length n with N scalar labels.
 
     `features` holds the rows as a core._Rows. Dataset(inputs, labels)
-    copies the caller's arrays, checks that they are finite and holds the
-    read-only inputs as the single part of its rows. Windowing and split
-    pass a _Rows instead, of windows over a series' channels or of row
-    views of another Dataset, with a view of the labels; the dataset adopts
-    both without a copy, and checks only the labels, since the rows are
-    read-only and finite already. The fit and the CLI read the features in
-    blocks, so a windowed dataset never holds N x n floats; `inputs` gives
-    them whole. Nothing is written after construction: a dataset keeps the
-    rows it was made with.
+    holds a read-only view of each of the caller's arrays, as
+    np.asarray(v, dtype=float) gives it: a float64 array is shared, not
+    copied, and anything else (ints, float32, a list, another byte order)
+    is converted once. The caller's arrays keep their own writeable flag,
+    but must not be written to while a dataset or a fit made from them is
+    in use; pass X.copy() to keep a snapshot. Windowing and split pass a _Rows instead,
+    of windows over a series' channels or of row views of another Dataset,
+    with a view of the labels; the dataset adopts both without a copy, and
+    checks only the labels, since the rows are read-only and finite
+    already. The fit and the CLI read the features in blocks, so a
+    windowed dataset never holds N x n floats; `inputs` gives them whole.
+    The dataset itself writes nothing after construction.
     """
 
     features: _Rows
     labels: np.ndarray
 
     def __post_init__(self):
-        X, y = self.features, self.labels
+        X, y = self.features, np.asarray(self.labels, dtype=float).view()
         adopt = isinstance(X, _Rows)
         if not adopt:
-            X = np.array(X, dtype=float, copy=True)
-            y = np.array(y, dtype=float, copy=True)
-        if len(X.shape) != 2 or X.shape[0] < 1:
+            X = np.asarray(X, dtype=float).view()
+        if len(X.shape) != 2 or min(X.shape) < 1:
             raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise DimensionMismatch(f"labels must have shape ({X.shape[0]},), got {y.shape}")
-        if not (np.isfinite(y).all() and (adopt or np.isfinite(X).all())):
+        # min and max propagate NaN and +-inf, so they check X without an
+        # N x n bool array
+        if not (np.isfinite(y).all() and (adopt or np.isfinite([X.min(), X.max()]).all())):
             raise NonFiniteInput("dataset contains non-finite values")
         if not adopt:
             X.setflags(write=False)

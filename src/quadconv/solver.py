@@ -134,9 +134,10 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     t = time.perf_counter()
     if not hasattr(H, "fill_rows"):
         H = np.asarray(H, dtype=float)
-        if H.ndim != 2:
-            raise DimensionMismatch(f"regressor must be a 2-D array, got shape {H.shape}")
-        H = _Rows([H])
+        if H.ndim == 2:
+            H = _Rows([H])
+    if len(H.shape) != 2 or min(H.shape) < 1:
+        raise DimensionMismatch(f"regressor must be a nonempty 2-D array, got shape {H.shape}")
     y = np.asarray(y, dtype=float)
     if y.shape != (H.shape[0],):
         raise DimensionMismatch(

@@ -9,6 +9,7 @@ from quadconv import (
     ConvSpec,
     Dataset,
     InsufficientData,
+    NonFiniteInput,
     ParseError,
     SplitSpec,
     TimeSeries,
@@ -396,12 +397,73 @@ def test_window_split_fit_and_evaluation_hold_no_feature_array(monkeypatch):
     assert mse(predictions[0], test.labels) < 1e-20
 
 
-def test_dataset_copies_the_callers_arrays():
-    X, y = np.ones((4, 2)), np.zeros(4)
+def test_dataset_holds_a_read_only_view_of_the_callers_arrays():
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(40, 4)), rng.normal(size=40)
     data = Dataset(X, y)
-    assert not np.shares_memory(data.inputs, X) and not np.shares_memory(data.labels, y)
-    X[0, 0] = 5.0
-    assert data.inputs[0, 0] == 1.0
+    assert np.shares_memory(data.inputs, X) and np.shares_memory(data.labels, y)
+    assert not data.inputs.flags.writeable and not data.labels.flags.writeable
+    assert X.flags.writeable and y.flags.writeable
+
+    def theta(data):
+        return fit(data, ConvSpec(4, 2), RELU_MIMIC).report.theta.tobytes()
+
+    # anything but a native float64 array is converted once, not shared,
+    # and fits as its float64 values do
+    X32, y32 = X.astype(np.float32), y.astype(np.float32)
+    Xint, yint = np.rint(10 * X).astype(int), np.rint(10 * y).astype(int)
+    for inputs, labels, values in [
+        (X.tolist(), y.tolist(), (X, y)),
+        (X.astype(">f8"), y.astype(">f8"), (X, y)),
+        (X32, y32, (X32.astype(float), y32.astype(float))),
+        (Xint, yint, (Xint.astype(float), yint.astype(float))),
+    ]:
+        converted = Dataset(inputs, labels)
+        assert not np.shares_memory(converted.inputs, inputs)
+        assert not np.shares_memory(converted.labels, labels)
+        assert theta(converted) == theta(Dataset(*values))
+
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (17, 2), (39, 3)):
+            Xbad, ybad = X.copy(), y.copy()
+            Xbad[i, j], ybad[i] = bad, bad
+            for args in ((Xbad, y), (X, ybad)):
+                with pytest.raises(NonFiniteInput, match="dataset contains non-finite values"):
+                    Dataset(*args)
+
+
+def test_dataset_and_fits_hold_no_copy_of_the_callers_inputs():
+    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first fit would)
+
+    rng = np.random.default_rng(8)
+    X, Y = rng.standard_normal((20000, 200)), rng.standard_normal((3, 20000))
+    _, peak = _traced_peak(lambda: Dataset(X, Y[0]))
+    assert peak < 0.01 * X.nbytes
+    # three fits of one X, each below the solver's block workspace, the
+    # p x p Gram and 1% of X: no fit holds an N x n array
+    spec = ConvSpec(200, 3)
+    core.band_index_map(spec)  # cached; keep its allocation out of the measurement
+    p = spec.n_weights
+    for y in Y:
+        result, peak = _traced_peak(lambda: fit(Dataset(X, y), spec, RELU_MIMIC))
+        assert result.report.solve_strategy == "cholesky"
+        assert peak < 8 * p * core._walk_rows(p) + 8 * p * p + 0.01 * X.nbytes
+
+
+@pytest.mark.parametrize("walk_bytes", [None, 1 << 12], ids=["held H", "walked H"])
+def test_fit_reads_the_inputs_in_any_memory_layout(monkeypatch, walk_bytes):
+    if walk_bytes:
+        monkeypatch.setattr(core, "_WALK_BYTES", walk_bytes)
+    rng = np.random.default_rng(9)
+    big, Y = rng.normal(size=(1200, 8)), rng.normal(size=(600, 2))
+    X, y = big[::2], Y[:, 0]
+
+    def theta(inputs, labels):
+        return fit(Dataset(inputs, labels), ConvSpec(8, 3), RELU_MIMIC).report.theta.tobytes()
+
+    expected = theta(np.ascontiguousarray(X), y.copy())
+    for inputs in (X.copy(order="C"), np.asfortranarray(X), X):
+        assert theta(inputs, y) == expected
 
 
 def test_split_spec_validation():

@@ -210,10 +210,19 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
     np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-10)
 
 
-@pytest.mark.parametrize("H", [np.ones(5), np.ones((5, 2, 2))], ids=["1-D", "3-D"])
-def test_regressor_must_be_two_dimensional(H):
-    with pytest.raises(DimensionMismatch, match="2-D"):
-        solve_ridge(H, np.zeros(5), 0.0)
+@pytest.mark.parametrize(
+    "H",
+    [np.ones(5), np.ones((5, 2, 2)), np.ones((5, 0)), np.ones((0, 3))],
+    ids=["1-D", "3-D", "no columns", "no rows"],
+)
+def test_regressor_must_be_two_dimensional(H, capfd):
+    # an empty H is refused before any walk or LAPACK call sees it
+    y = np.zeros(len(H))
+    for beta in (0.0, 1.0):
+        for solve in (lambda: solve_ridge(H, y, beta), lambda: solve_path(H, y, [beta])):
+            with pytest.raises(DimensionMismatch, match="^regressor must be a nonempty 2-D array"):
+                solve()
+    assert capfd.readouterr().err == ""
 
 
 def _assert_same_report(a, b):
