@@ -363,6 +363,11 @@ def main(argv=None) -> int:
     except (QuadconvError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # numpy names the allocation that failed, as in "Unable to allocate
+        # 26.8 GiB for an array with shape (60000, 60000) ..."
+        print(f"data error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,10 +20,24 @@ else writes, so with a saved copy of its diagonal it keeps H'H for the
 whole sweep. Each beta copies the strict lower triangle up and makes its
 Cholesky factor in place in the upper triangle, so no second p x p array
 is ever made.
+
+The walks and factorizations call seven of scipy's f2py wrappers (dsyrk,
+dgemv, dsymv, dpotrf, dpotrs, dgeqrt, dgesdd), which live in its extension
+modules scipy.linalg._fblas and _flapack. _blas_lapack loads those two
+modules by the import system's path finder, without running
+scipy/linalg/__init__: that package's array-API layer imports numpy.f2py,
+numpy.testing and numpy.ma, and after numpy it cost 0.25 s and 28 MB of RSS,
+where the two modules cost 0.03 s and 5 MB. The wrappers are the very
+objects that scipy.linalg.blas and scipy.linalg.lapack re-export, so the
+results are the same bits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -125,11 +139,51 @@ def solve_path(H, y, betas) -> list[SolveReport]:
     return _solve_path(H, y, _check_betas(betas))
 
 
+def _blas_lapack():
+    """scipy's BLAS and LAPACK wrappers: the modules scipy.linalg._fblas and
+    scipy.linalg._flapack, each reused from sys.modules once loaded.
+
+    Each is loaded on its own, without scipy.linalg: finding the package's
+    spec imports only the top-level scipy package (which on Windows sets up
+    the path to its DLLs), and the module is registered in sys.modules under
+    its own name, where scipy.linalg.blas's `from scipy.linalg import _fblas`
+    finds it, so a later `import scipy.linalg` does not load the extension
+    again. Where the path finder cannot see a module, as in an editable
+    build, scipy.linalg.blas or scipy.linalg.lapack is imported in its
+    place; it re-exports the same wrappers.
+    """
+    return _extension_module("_fblas", "blas"), _extension_module("_flapack", "lapack")
+
+
+# fits in two threads must not both find a module missing and load it
+_LOADING = threading.Lock()
+
+
+def _extension_module(name, public):
+    full = f"scipy.linalg.{name}"
+    with _LOADING:
+        module = sys.modules.get(full)
+        if module is not None:
+            return module
+        package = importlib.util.find_spec("scipy.linalg")
+        spec = importlib.machinery.PathFinder.find_spec(full, package.submodule_search_locations)
+        if spec is None:
+            return importlib.import_module(f"scipy.linalg.{public}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[full]
+            raise
+        return module
+
+
 def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
-    # scipy loads at the first solve, not on import, so that serving a model
-    # never pays for it; loading it before the clock starts keeps that
-    # one-time cost out of the first report's seconds
-    import scipy.linalg.lapack  # noqa: F401
+    # scipy's BLAS and LAPACK load at the first solve, not on import, so
+    # that serving a model never pays for them; loading them before the
+    # clock starts keeps that one-time cost out of the first report's seconds
+    _blas_lapack()
 
     t = time.perf_counter()
     if not hasattr(H, "fill_rows"):
@@ -183,6 +237,12 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
             if svd is None:
                 svd = _rank_revealing(H, y, workspace)
             theta, rank_deficient = _pseudoinverse(*svd, beta, max(H.shape))
+            # an accepted Cholesky theta is finite, as its normal residual is
+            if not np.isfinite(theta).all():
+                raise NonFiniteInput(
+                    f"the least-squares weights overflow at beta={beta:g}: the regressor's "
+                    "entries are too small for the float range"
+                )
             strategy = SolveStrategy.PSEUDOINVERSE
             normal_residual_norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
         theta.setflags(write=False)
@@ -245,14 +305,13 @@ def _gram(H, y, workspace):
     strict upper triangle is zero), and H'y, accumulated block by block in
     place by scipy's dsyrk and dgemv, each reading the column-major blocks
     of _blocks."""
-    from scipy.linalg.blas import dgemv, dsyrk
-
+    blas, _ = _blas_lapack()
     p = H.shape[1]
     A = np.zeros((p, p), order="F")
     rhs = np.zeros(p)
     for block, labels in _blocks(H, y, workspace):
-        A = dsyrk(1.0, block, beta=1.0, c=A, trans=1, lower=1, overwrite_c=1)
-        rhs = dgemv(1.0, block, labels, beta=1.0, y=rhs, trans=1, overwrite_y=1)
+        A = blas.dsyrk(1.0, block, beta=1.0, c=A, trans=1, lower=1, overwrite_c=1)
+        rhs = blas.dgemv(1.0, block, labels, beta=1.0, y=rhs, trans=1, overwrite_y=1)
     return A, rhs
 
 
@@ -293,12 +352,15 @@ def _normal_residual(A, diagonal, theta, rhs):
     wide_fit's eight labels (seed 3) against numpy's full product, where
     this one moved them by -0.19 to +0.23.
     """
-    from scipy.linalg.blas import dsymv
-
+    blas, _ = _blas_lapack()
     np.fill_diagonal(A, diagonal)
-    return rhs - dsymv(1.0, A, theta, lower=1)
+    return rhs - blas.dsymv(1.0, A, theta, lower=1)
 
 
+# weights past the float range, from a pivot or singular value near the
+# smallest float, are not accepted (Cholesky) or refused by the caller
+# (pseudoinverse), so computing them warns of nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _cholesky(A, diagonal, rhs, beta, scale, size):
     """The refined Cholesky solution of (H'H + beta I) theta = rhs and the
     norm of its normal residual, which the acceptance test measured, or None
@@ -312,11 +374,10 @@ def _cholesky(A, diagonal, rhs, beta, scale, size):
     LAPACK's dpotrf factors that triangle in place, overwriting some or all
     of it (all when it succeeds), and dpotrs reads the factor there.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
+    _, lapack = _blas_lapack()
     _mirror(A)
     np.fill_diagonal(A, diagonal)
-    _, info = dpotrf(A, lower=0, clean=0, overwrite_a=1)
+    _, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise RuntimeError(f"dpotrf rejected argument {-info}")
     if info > 0:
@@ -327,13 +388,13 @@ def _cholesky(A, diagonal, rhs, beta, scale, size):
     pivots = A.diagonal().copy()
     if beta == 0.0 and pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max():
         return None
-    theta = dpotrs(A, rhs)[0]
+    theta = lapack.dpotrs(A, rhs)[0]
     # one step of iterative refinement tightens stationarity to rounding
     # level on reasonably conditioned systems; the product overwrites the
     # factor's diagonal, which the second solve puts back
     residual = _normal_residual(A, diagonal, theta, rhs)
     np.fill_diagonal(A, pivots)
-    theta += dpotrs(A, residual)[0]
+    theta += lapack.dpotrs(A, residual)[0]
     norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
     if norm <= _CHOLESKY_ACCEPT * scale:
         return theta, norm
@@ -352,8 +413,7 @@ def _rank_revealing(H, y, workspace):
     the N-row left factor U is formed; fill_rows writes each block
     straight into the buffer, which the solve's workspace lends.
     """
-    from scipy.linalg.lapack import dgeqrt, dgesdd
-
+    _, lapack = _blas_lapack()
     N, p = H.shape
     width = p + 1
     buffer = workspace.take((min(N, _block_rows(p)) + width) * width)
@@ -366,17 +426,18 @@ def _rank_revealing(H, y, workspace):
         stack[:k] = R
         H.fill_rows(rows, stack[k:, :p])
         stack[k:, p] = y[rows]
-        qr, _, info = dgeqrt(min(_QR_PANEL, m, width), stack, overwrite_a=True)
+        qr, _, info = lapack.dgeqrt(min(_QR_PANEL, m, width), stack, overwrite_a=True)
         if info:
             raise RuntimeError(f"dgeqrt rejected argument {-info}")
         R = np.triu(qr[: min(m, width)])
     k = min(N, p)
-    U_R, s, Vt, info = dgesdd(R[:k, :p], compute_uv=1, full_matrices=0)
+    U_R, s, Vt, info = lapack.dgesdd(R[:k, :p], compute_uv=1, full_matrices=0)
     if info:
         raise RuntimeError(f"dgesdd failed: info {info}")
     return s, Vt, U_R.T @ R[:k, p]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pseudoinverse(s, Vt, Uty, beta, size):
     """Minimum-norm (beta = 0) or ridge (beta > 0) solution from the SVD
     of H; also whether H is numerically rank deficient."""

@@ -380,6 +380,12 @@ def _write_rows(path, header, rows):
                       "--x0", "{root}/max_x0.csv", "--out", "{tmp}/g.csv"],
                      2, "data error: gradient at index 0 is not finite",
                      id="sensitivity-output-overflows"),
+        # an activation near the smallest float, which validate_activation
+        # accepts, makes the beta = 0 weights overflow
+        pytest.param(_TRAIN + ["--beta", "0", "--a", "1e-320", "--b", "0", "--c", "1e-320",
+                               "--data", "{root}/series.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: the least-squares weights overflow at beta=0",
+                     id="train-weights-overflow"),
         pytest.param(_LAT + ["--data", "{root}/huge_labels.csv", "--out", "{tmp}/m.json"],
                      2, "data error: labels are too large: the sum of their squares overflows",
                      id="train-labels-overflow"),
@@ -483,6 +489,36 @@ def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
     # changes no input
     assert list(tmp_path.iterdir()) == []
     assert {path: path.read_bytes() for path in scored.iterdir()} == inputs
+
+
+@pytest.mark.parametrize("command, data_flag", [("predict", "--data"), ("sensitivity", "--x0")])
+def test_an_allocation_that_fails_is_a_data_error(scored, tmp_path, capsys, monkeypatch,
+                                                  command, data_flag):
+    # a valid 1 MB model file with n = 60000 and f = 1 makes QuadraticModel
+    # allocate a dense 60000 x 60000 Zbar1 (26.8 GiB). To fail the same way
+    # on any machine, an array past 1 GiB asks numpy for 2**60 bytes
+    # instead, which no allocator grants, and numpy raises its MemoryError.
+    doc = json.loads((scored / "model.json").read_text())
+    doc.update(n=60000, f=1, zbar1_band=[0.0] * 60000, zbar2=[0.0] * 60000)
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(doc))
+    zeros = np.zeros
+
+    def bounded(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) * 8 > 1 << 30:
+            shape = (1 << 57,)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", bounded)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    argv = [command, "--model", str(model), data_flag, str(scored / "features.csv"),
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: Unable to allocate")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 _SERIES = ["--data", "{root}/series.csv"]

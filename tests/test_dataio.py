@@ -378,7 +378,7 @@ def test_window_row_blocks_equal_the_materialized_rows(window):
 def test_window_split_fit_and_evaluation_hold_no_feature_array(monkeypatch):
     # blocks small beside the features, as the solver's and the model's
     # walks take them on a long series
-    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first fit would)
+    solver._blas_lapack()  # loaded before tracing, as the first fit would
 
     monkeypatch.setattr(core, "_WALK_BYTES", 1 << 18)
     monkeypatch.setattr(solver, "_block_rows", lambda p: 512)
@@ -433,7 +433,7 @@ def test_dataset_holds_a_read_only_view_of_the_callers_arrays():
 
 
 def test_dataset_and_fits_hold_no_copy_of_the_callers_inputs():
-    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first fit would)
+    solver._blas_lapack()  # loaded before tracing, as the first fit would
 
     rng = np.random.default_rng(8)
     X, Y = rng.standard_normal((20000, 200)), rng.standard_normal((3, 20000))

@@ -1,3 +1,7 @@
+import importlib.machinery
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -132,6 +136,25 @@ def test_labels_whose_h_y_norm_overflows_are_rejected():
         solve_ridge(H, y, 0.0)
 
 
+def test_weights_that_overflow_are_refused_with_one_line():
+    # H'H underflows to zero while H'y does not, so the weights y / h pass
+    # the float range: the beta = 0 factor is degenerate and the SVD's
+    # 1 / s overflows; a beta at the smallest float is factored, its weights
+    # fail the acceptance test and the fallback overflows as well. Any
+    # warning would fail this test (filterwarnings = error).
+    H, y = np.array([[1e-165], [2e-165]]), np.full(2, 1e151)
+    for beta in (0.0, 5e-324):
+        with pytest.raises(NonFiniteInput, match=f"the least-squares weights overflow at beta={beta:g}"):
+            solve_ridge(H, y, beta)
+    # so do an activation's coefficients near the smallest float, which
+    # validate_activation accepts
+    data = narx_window(synth_narx(300, seed=0), "u", "y", 3)
+    H = build_regressor(data, ConvSpec(data.n_features, 2), ActivationParams(1e-320, 0.0, 1e-320))
+    with pytest.raises(NonFiniteInput, match="the least-squares weights overflow at beta=0"):
+        solve_path(H, data.labels, [1.0, 0.0])
+    assert np.isfinite(solve_ridge(H, data.labels, 1.0).theta).all()
+
+
 def test_label_length_mismatch():
     H = np.eye(5)
     with pytest.raises(DimensionMismatch):
@@ -257,7 +280,6 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
     # N < p: the beta = 0 factor stops at a nonpositive pivot after it has
     # overwritten part of the upper triangle, which each later beta must
     # restore before it factors
-    import scipy.linalg.lapack
     from scipy.linalg import cho_factor
 
     rng = np.random.default_rng(0)
@@ -269,7 +291,8 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
     betas = [1.0, 0.0, 1.0, 10.0]
     alone = [solve_ridge(H, y, beta) for beta in betas]
     factors = []
-    dpotrf = scipy.linalg.lapack.dpotrf
+    _, lapack = solver._blas_lapack()
+    dpotrf = lapack.dpotrf
 
     def recorded(a, **kwargs):
         upper = np.triu(a)
@@ -277,7 +300,7 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
         factors.append((upper, np.triu(a), info))  # factored in place
         return c, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
+    monkeypatch.setattr(lapack, "dpotrf", recorded)
     reports = solve_path(H, y, betas)
     assert [info > 0 for _, _, info in factors] == [False, True, False, False]
     for beta, (upper, factor, info), rep, lone in zip(betas, factors, reports, alone):
@@ -321,7 +344,7 @@ def test_cholesky_sweep_holds_one_p_by_p_array(monkeypatch):
     # the Gram, its mirror image and every beta's factor share one p x p
     # array, so a sweep over a row source walked in small blocks holds that
     # array, a walk buffer and vectors
-    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first solve would)
+    solver._blas_lapack()  # loaded before tracing, as the first solve would
 
     rng = np.random.default_rng(15)
     spec = ConvSpec(60, 6)
@@ -482,16 +505,15 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     # a fallback over several row blocks holds one block-sized buffer, and
     # every SVD is of a triangle with at most p rows, so no N-row copy of
     # H and no N x p left factor is formed
-    import scipy.linalg.lapack
-
     svd_shapes = []
-    svd = scipy.linalg.lapack.dgesdd
+    _, lapack = solver._blas_lapack()
+    svd = lapack.dgesdd
 
     def recording_svd(a, *args, **kwargs):
         svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", recording_svd)
+    monkeypatch.setattr(lapack, "dgesdd", recording_svd)
     data = narx_window(synth_narx(13000, seed=9), "u", "y", 5)
     H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
     assert len(solver._slices(H.shape[0], solver._block_rows(H.shape[1]))) >= 4
@@ -553,3 +575,123 @@ def test_solve_path_rejects_bad_beta_lists(betas, error):
     H = np.eye(5)
     with pytest.raises(error):
         solve_path(H, np.zeros(5), betas)
+
+
+def _fresh_interpreter(script):
+    """The last line that `script` prints to stdout, run in a fresh
+    interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# a fit on a short NARX series, then `lapack`: the module the solver calls
+# for LAPACK
+_FIT = (
+    "import sys\n"
+    "from quadconv import ConvSpec, RELU_MIMIC, fit, narx_window, solver, synth_narx\n"
+    "data = narx_window(synth_narx(300, seed=0), 'u', 'y', 3)\n"
+    "fit(data, ConvSpec(data.n_features, 2), RELU_MIMIC, 0.0)\n"
+    "_, lapack = solver._blas_lapack()\n"
+)
+
+
+def test_a_fit_loads_scipys_blas_and_lapack_without_scipy_linalg():
+    # scipy.linalg's __init__ and its array-API layer cost 0.25 s and 28 MB
+    loaded = json.loads(_fresh_interpreter(
+        _FIT + "import json\n"
+        "names = ['scipy.linalg', 'scipy._lib._array_api', 'scipy.linalg._fblas',\n"
+        "         'scipy.linalg._flapack']\n"
+        "print(json.dumps([name in sys.modules for name in names]))\n"
+    ))
+    assert loaded == [False, False, True, True]
+
+
+def test_scipy_linalg_and_the_solver_share_one_blas_and_lapack_module():
+    # imported after a fit, scipy.linalg reuses the modules the solver
+    # loaded, and no extension module is loaded twice
+    assert _fresh_interpreter(
+        _FIT + "import collections\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "loads = collections.Counter()\n"
+        "create = ExtensionFileLoader.create_module\n"
+        "def counted(self, spec):\n"
+        "    loads[spec.name] += 1\n"
+        "    return create(self, spec)\n"
+        "ExtensionFileLoader.create_module = counted\n"
+        "import scipy.linalg\n"
+        "blas, again = solver._blas_lapack()\n"
+        "assert again is lapack is sys.modules['scipy.linalg._flapack']\n"
+        "assert scipy.linalg.blas._fblas is blas and scipy.linalg.lapack._flapack is lapack\n"
+        "assert scipy.linalg.lapack.dgesdd is lapack.dgesdd\n"
+        "assert scipy.linalg.blas.dsyrk is blas.dsyrk\n"
+        "assert not loads.keys() & {'scipy.linalg._fblas', 'scipy.linalg._flapack'}, loads\n"
+        "assert max(loads.values(), default=1) == 1, loads\n"
+        "print('shared')\n"
+    ) == "shared"
+    # and imported before, it lends the solver its own
+    import scipy.linalg
+
+    blas, lapack = solver._blas_lapack()
+    assert blas is sys.modules["scipy.linalg._fblas"] is scipy.linalg.blas._fblas
+    assert lapack is sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack
+
+
+def test_first_solves_in_several_threads_share_one_blas_and_lapack_module():
+    # more threads than cores, switching often, all reach the loader first
+    assert _fresh_interpreter(
+        "import sys, threading\n"
+        "from quadconv import solver\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, found = threading.Barrier(8), []\n"
+        "def first():\n"
+        "    barrier.wait(timeout=30)\n"
+        "    found.append(solver._blas_lapack())\n"
+        "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=30)\n"
+        "assert not any(t.is_alive() for t in threads) and len(found) == 8\n"
+        "assert all(b is found[0][0] and l is found[0][1] for b, l in found)\n"
+        "assert found[0] == solver._blas_lapack()\n"
+        "print('shared')\n"
+    ) == "shared"
+
+
+def test_a_solve_falls_back_to_scipy_linalg_where_the_path_finder_misses(monkeypatch):
+    # as in an editable build, whose extension modules the path finder does
+    # not see: the solver calls scipy.linalg.blas and scipy.linalg.lapack,
+    # which re-export the same wrappers, so every report is the same bits
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    H, y = _narx_system()
+    betas = [0.0, 1.0]
+    direct = solve_path(H, y, betas)
+
+    class Missing:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            return None
+
+    monkeypatch.setattr(importlib.machinery, "PathFinder", Missing)
+    for name in ("scipy.linalg._fblas", "scipy.linalg._flapack"):
+        monkeypatch.delitem(sys.modules, name)
+    blas, lapack = solver._blas_lapack()
+    assert blas is scipy.linalg.blas and lapack is scipy.linalg.lapack
+    svds = []
+    svd = lapack.dgesdd
+
+    def recorded(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", recorded)
+    fallen = solve_path(H, y, betas)
+    assert len(svds) == 1
+    assert [r.solve_strategy for r in direct] == [
+        SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY
+    ]
+    for a, b in zip(fallen, direct):
+        _assert_same_report(a, b)

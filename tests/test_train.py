@@ -125,7 +125,7 @@ def _record_blocks_assembled(monkeypatch):
 def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_walk(
     monkeypatch, betas, walks
 ):
-    import scipy.linalg  # noqa: F401  (loaded before tracing, as the first fit would)
+    solver._blas_lapack()  # loaded before tracing, as the first fit would
 
     data, spec = narx_window(synth_narx(4000, seed=9), "u", "y", 5), ConvSpec(10, 3)
     _walk_in_blocks(monkeypatch, data, spec, 4)
