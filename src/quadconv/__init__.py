@@ -53,6 +53,7 @@ from .errors import (
 )
 from .model import (
     QuadraticModel,
+    dense_zbar1,
     deserialize,
     predict,
     predict_batch,
@@ -94,6 +95,7 @@ __all__ = [
     "band_index_map",
     "build_regressor",
     "dataset_to_csv",
+    "dense_zbar1",
     "deserialize",
     "fit",
     "fit_path",

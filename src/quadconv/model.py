@@ -31,14 +31,16 @@ class QuadraticModel:
     """Output map a * x' Zbar1 x + b * Zbar2' x + c * Zbar4.
 
     Zbar1 is symmetric with zero entries wherever |row - col| >= f and is
-    stored as its band coefficients (diagonal-major, true values). Four
-    read-only values are derived from the band once, on construction: the
-    dense `zbar1`; two sets of band tiles of `zbar1` that predict and
-    sensitivity multiply by (see the evaluation kernel), `zbar1_tiles`,
-    128 columns wide, for a single row, and `zbar1_block_tiles`, 64 wide,
-    for a block of two or more rows; and `zbar4`, the trace of Zbar1, which
-    is never stored in a model file so the trace tie cannot drift; a band
-    whose trace is not finite is refused.
+    stored as its band coefficients (diagonal-major, true values). A model
+    holds no n x n array: dense_zbar1(model) builds the dense Zbar1 on
+    request, the inverse of from_dense. Three read-only values are derived
+    from the band once, on construction: two sets of band tiles of Zbar1
+    that predict and sensitivity multiply by (see the evaluation kernel),
+    `zbar1_tiles`, 128 columns wide, for a single row, and
+    `zbar1_block_tiles`, 64 wide and views of the wide tiles, for a block of
+    two or more rows; and `zbar4`, the trace of Zbar1, which is never stored
+    in a model file so the trace tie cannot drift; a band whose trace is not
+    finite is refused.
     Activation coefficients travel with the model so it is self-contained
     for prediction.
     """
@@ -47,7 +49,6 @@ class QuadraticModel:
     zbar2: np.ndarray
     spec: ConvSpec
     params: ActivationParams
-    zbar1: np.ndarray = field(init=False, repr=False)
     zbar1_tiles: tuple = field(init=False, repr=False)
     zbar1_block_tiles: tuple = field(init=False, repr=False)
     zbar4: float = field(init=False, repr=False)
@@ -71,17 +72,13 @@ class QuadraticModel:
             raise NonFiniteInput(
                 f"the trace of Zbar1 (zbar4) is non-finite: the band diagonal sums to {trace!r}"
             )
-        m = band_index_map(self.spec)
-        Z = np.zeros((self.spec.n, self.spec.n))
-        Z[m.rows, m.cols] = band
-        Z[m.cols, m.rows] = band
-        for a in (band, z2, Z):
+        for a in (band, z2):
             a.setflags(write=False)
+        tiles, block_tiles = _band_tiles(band, self.spec)
         object.__setattr__(self, "zbar1_band", band)
         object.__setattr__(self, "zbar2", z2)
-        object.__setattr__(self, "zbar1", Z)
-        object.__setattr__(self, "zbar1_tiles", _band_tiles(Z, self.spec.f, _ROW_TILE))
-        object.__setattr__(self, "zbar1_block_tiles", _band_tiles(Z, self.spec.f, _BLOCK_TILE))
+        object.__setattr__(self, "zbar1_tiles", tiles)
+        object.__setattr__(self, "zbar1_block_tiles", block_tiles)
         object.__setattr__(self, "zbar4", trace)
 
     @classmethod
@@ -100,16 +97,47 @@ class QuadraticModel:
         return cls(Z[m.rows, m.cols], zbar2, spec, params)
 
 
-def _band_tiles(Z: np.ndarray, f: int, width: int) -> tuple:
-    """The band tiles of Zbar1 = Z, `width` columns each, as (rows, cols,
-    view) with the index tuples that the evaluation kernel slices by."""
-    n = Z.shape[0]
-    tiles = []
-    for j0 in range(0, n, width):
-        j1 = min(n, j0 + width)
-        rows, cols = slice(max(0, j0 - f + 1), min(n, j1 + f - 1)), slice(j0, j1)
-        tiles.append((np.s_[:, rows], np.s_[:, cols], Z[rows, cols]))
-    return tuple(tiles)
+def dense_zbar1(model: QuadraticModel) -> np.ndarray:
+    """The model's Zbar1 as a dense n x n array, built anew on each call:
+    the inverse of QuadraticModel.from_dense."""
+    m = band_index_map(model.spec)
+    Z = np.zeros((model.spec.n, model.spec.n))
+    Z[m.rows, m.cols] = model.zbar1_band
+    Z[m.cols, m.rows] = model.zbar1_band
+    return Z
+
+
+def _band_tiles(band: np.ndarray, spec: ConvSpec) -> tuple[tuple, tuple]:
+    """The band tiles of Zbar1 gathered from its band: the wide tiles,
+    _ROW_TILE columns each, and the block tiles, _BLOCK_TILE columns each,
+    which are views of the wide ones. Each is (rows, cols, tile) with the
+    index tuples that the evaluation kernel slices by."""
+    n, f = spec.n, spec.f
+    starts = np.array([d.start for d in band_index_map(spec).diagonals])
+
+    def rows(j0, j1):
+        return max(0, j0 - f + 1), min(n, j1 + f - 1)
+
+    wide, block = [], []
+    for j0 in range(0, n, _ROW_TILE):
+        j1 = min(n, j0 + _ROW_TILE)
+        lo, hi = rows(j0, j1)
+        r, c = np.ogrid[lo:hi, j0:j1]
+        d = np.abs(r - c)
+        inside = d < f
+        # Zbar1[r, c] is entry min(r, c) of diagonal |r - c| of the band
+        T = np.zeros(d.shape)
+        T[inside] = band[starts[d[inside]] + np.minimum(r, c)[inside]]
+        T.setflags(write=False)
+        wide.append((np.s_[:, lo:hi], np.s_[:, j0:j1], T))
+        # _ROW_TILE is a multiple of _BLOCK_TILE, and a narrower tile's rows
+        # lie inside its wide tile's rows
+        for k0 in range(j0, j1, _BLOCK_TILE):
+            k1 = min(n, k0 + _BLOCK_TILE)
+            klo, khi = rows(k0, k1)
+            block.append((np.s_[:, klo:khi], np.s_[:, k0:k1],
+                          T[klo - lo : khi - lo, k0 - j0 : k1 - j0]))
+    return tuple(wide), tuple(block)
 
 
 def reconstruct(theta, spec: ConvSpec, params: ActivationParams) -> QuadraticModel:
@@ -159,8 +187,10 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # two or more rows takes w = _BLOCK_TILE (64), whose fewer wasted flops
 # outweigh the calls. A model with n <= w has one tile of that width, the
 # whole Zbar1, and one product as a dense X @ Zbar1 would be, with the same
-# bits. The model builds each tile's index tuples and view once, so a query
-# does no slice arithmetic.
+# bits. The model gathers each wide tile from the band once, with its index
+# tuples, and takes the narrow tiles as views of the wide ones, so it holds
+# about n * min(n, 128 + 2f - 2) floats, not a dense Zbar1, and a query does
+# no slice arithmetic.
 
 
 def _block_slices(model: QuadraticModel, N: int) -> list[slice]:

@@ -24,6 +24,7 @@ from quadconv import (
     synth_narx,
     validate_activation,
 )
+from quadconv import model as model_module
 from quadconv.cli import main
 from quadconv.solver import _check_betas
 
@@ -494,22 +495,24 @@ def test_cli_error_boundary(scored, tmp_path, capsys, argv, code, prefix):
 @pytest.mark.parametrize("command, data_flag", [("predict", "--data"), ("sensitivity", "--x0")])
 def test_an_allocation_that_fails_is_a_data_error(scored, tmp_path, capsys, monkeypatch,
                                                   command, data_flag):
-    # a valid 1 MB model file with n = 60000 and f = 1 makes QuadraticModel
-    # allocate a dense 60000 x 60000 Zbar1 (26.8 GiB). To fail the same way
-    # on any machine, an array past 1 GiB asks numpy for 2**60 bytes
-    # instead, which no allocator grants, and numpy raises its MemoryError.
+    # a valid 1 MB model file with n = 60000 and f = 1: QuadraticModel builds
+    # its band tiles with np.zeros, 128 x 128 each at this geometry. To make
+    # that allocation fail on any machine, the patched np.zeros asks numpy
+    # for 2**60 bytes in place of a tile, which no allocator grants, and
+    # numpy raises its MemoryError.
     doc = json.loads((scored / "model.json").read_text())
     doc.update(n=60000, f=1, zbar1_band=[0.0] * 60000, zbar2=[0.0] * 60000)
     model = tmp_path / "wide.json"
     model.write_text(json.dumps(doc))
     zeros = np.zeros
+    tile = (model_module._ROW_TILE, model_module._ROW_TILE)
 
-    def bounded(shape, *args, **kwargs):
-        if np.prod(shape, dtype=float) * 8 > 1 << 30:
+    def refused(shape, *args, **kwargs):
+        if shape == tile:
             shape = (1 << 57,)
         return zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "zeros", bounded)
+    monkeypatch.setattr(np, "zeros", refused)
     out = tmp_path / "out.csv"
     capsys.readouterr()
     argv = [command, "--model", str(model), data_flag, str(scored / "features.csv"),
@@ -519,6 +522,31 @@ def test_an_allocation_that_fails_is_a_data_error(scored, tmp_path, capsys, monk
     assert err.startswith("data error: Unable to allocate")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_a_model_with_a_long_input_and_a_narrow_band_serves(scored, tmp_path, capsys):
+    # n = 60000 and f = 1: a model builds only its band tiles (about 61 MB
+    # here), never a dense 60000 x 60000 Zbar1 (26.8 GiB), so predict and
+    # sensitivity on one 60000-column row succeed
+    n = 60000
+    rng = np.random.default_rng(5)
+    band, z2, x = rng.uniform(-1, 1, size=(3, n))
+    doc = json.loads((scored / "model.json").read_text())
+    doc.update(n=n, f=1, zbar1_band=band.tolist(), zbar2=z2.tolist())
+    model = tmp_path / "long.json"
+    model.write_text(json.dumps(doc))
+    _write_rows(tmp_path / "row.csv", [f"x{i + 1}" for i in range(n)], [x])
+    a, b, c = doc["a"], doc["b"], doc["c"]
+    want = {"predict": [a * np.sum(band * x * x) + b * (z2 @ x) + c * np.sum(band)],
+            "sensitivity": 2 * a * band * x + b * z2}
+    for command, data_flag in [("predict", "--data"), ("sensitivity", "--x0")]:
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--model", str(model), data_flag, str(tmp_path / "row.csv"),
+                     "--out", str(out)]) == 0
+        got = np.array(out.read_text().splitlines()[1].split(",")[1:], dtype=float)
+        w = np.asarray(want[command])
+        assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w)
+    assert "rows=1" in capsys.readouterr().out
 
 
 _SERIES = ["--data", "{root}/series.csv"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from quadconv import (
     MalformedModelFile,
     NonFiniteInput,
     QuadraticModel,
+    dense_zbar1,
     deserialize,
     predict,
     predict_batch,
@@ -43,7 +46,7 @@ def test_reconstruct_zero_weights():
 def test_reconstruct_halves_off_diagonals():
     spec = ConvSpec(2, 2)
     m = reconstruct(np.array([1.0, 2.0, 4.0, 5.0, 6.0]), spec, _RELU)
-    np.testing.assert_array_equal(m.zbar1, [[1.0, 2.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(dense_zbar1(m), [[1.0, 2.0], [2.0, 2.0]])
     np.testing.assert_array_equal(m.zbar2, [5.0, 6.0])
     assert m.zbar4 == 3.0
 
@@ -51,7 +54,7 @@ def test_reconstruct_halves_off_diagonals():
 def test_reconstruct_diagonal_model():
     spec = ConvSpec(3, 1)
     m = reconstruct(np.arange(1.0, 7.0), spec, _RELU)
-    np.testing.assert_array_equal(m.zbar1, np.diag([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(dense_zbar1(m), np.diag([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(m.zbar2, [4.0, 5.0, 6.0])
     assert m.zbar4 == 6.0
 
@@ -101,7 +104,7 @@ def _predict_rounding_bound(m, X):
     p = m.params
     absX = np.abs(X)
     terms = (
-        abs(p.a) * np.einsum("ij,ij->i", absX, absX @ np.abs(m.zbar1))
+        abs(p.a) * np.einsum("ij,ij->i", absX, absX @ np.abs(dense_zbar1(m)))
         + abs(p.b) * (absX @ np.abs(m.zbar2))
         + abs(p.c) * abs(m.zbar4)
     )
@@ -110,7 +113,7 @@ def _predict_rounding_bound(m, X):
 
 def _sensitivity_rounding_bound(m, X):
     p = m.params
-    terms = 2 * abs(p.a) * (np.abs(X) @ np.abs(m.zbar1)) + abs(p.b) * np.abs(m.zbar2)
+    terms = 2 * abs(p.a) * (np.abs(X) @ np.abs(dense_zbar1(m))) + abs(p.b) * np.abs(m.zbar2)
     return 2 * (m.spec.n + 2) * _EPS * terms
 
 
@@ -190,11 +193,11 @@ def test_sensitivity_batch_matches_scalar(monkeypatch, n, f):
 def _dense_predict(m, X):
     # the evaluation before band tiles, on the dense Zbar1
     p = m.params
-    return p.a * np.einsum("ij,ij->i", X, X @ m.zbar1) + p.b * (X @ m.zbar2) + p.c * m.zbar4
+    return p.a * np.einsum("ij,ij->i", X, X @ dense_zbar1(m)) + p.b * (X @ m.zbar2) + p.c * m.zbar4
 
 
 def _dense_sensitivity(m, X):
-    grad = X @ m.zbar1
+    grad = X @ dense_zbar1(m)
     grad *= 2.0 * m.params.a
     grad += m.params.b * m.zbar2
     return grad
@@ -209,7 +212,13 @@ def test_band_tiles_match_the_dense_zbar1(n, f):
     block_tiles = -(-n // model_module._BLOCK_TILE)
     assert len(m.zbar1_tiles) == row_tiles
     assert len(m.zbar1_block_tiles) == block_tiles
-    assert all(np.shares_memory(Z, m.zbar1) for *_, Z in m.zbar1_tiles + m.zbar1_block_tiles)
+    # each block tile is a view of a wide tile, and every tile is its slice
+    # of the dense Zbar1, bit for bit
+    assert all(any(np.shares_memory(T, W) for *_, W in m.zbar1_tiles)
+               for *_, T in m.zbar1_block_tiles)
+    Z = dense_zbar1(m)
+    for (_, rows), (_, cols), T in m.zbar1_tiles + m.zbar1_block_tiles:
+        np.testing.assert_array_equal(T, Z[rows, cols])
     bounds = {_dense_predict: _predict_rounding_bound,
               _dense_sensitivity: _sensitivity_rounding_bound}
     # (result, dense formula, its rows, tiles of the path taken): a batch of
@@ -231,6 +240,38 @@ def test_band_tiles_match_the_dense_zbar1(n, f):
             np.testing.assert_array_equal(got, want)
         else:
             assert np.all(np.abs(got - want) <= bounds[dense](m, rows))
+
+
+def test_a_long_input_with_a_narrow_band_holds_no_dense_zbar1():
+    # n = 20000, f = 2: a dense Zbar1 would take 3.2 GB, the band tiles take
+    # n * (128 + 2f - 2) floats, 21 MB
+    n, f = 20000, 2
+    spec = ConvSpec(n, f)
+    rng = np.random.default_rng(12)
+    band, z2 = rng.uniform(-1, 1, spec.band_size), rng.uniform(-1, 1, n)
+    X = rng.uniform(-1, 1, size=(3, n))
+    tracemalloc.start()
+    try:
+        m = QuadraticModel(band, z2, spec, _RELU)
+        results = [[predict(m, x) for x in X], predict_batch(m, X),
+                   [sensitivity(m, x) for x in X], sensitivity_batch(m, X)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    # the band's formulas: x' Zbar1 x from the band products of vecf, and
+    # Zbar1 x from its two diagonals
+    d0, d1 = band[:n], band[n:]
+    p = _RELU
+    for x, *got in zip(X, *results):
+        quad = core.vecf(x, spec) @ to_weight_vector(m)[: spec.band_size]
+        y = p.a * quad + p.b * (z2 @ x) + p.c * d0.sum()
+        zx = d0 * x
+        zx[:-1] += d1 * x[1:]
+        zx[1:] += d1 * x[:-1]
+        g = 2 * p.a * zx + p.b * z2
+        for value, want in zip(got, (y, y, g, g)):
+            assert np.linalg.norm(value - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_tile_width_follows_the_rows_of_the_block(monkeypatch):
@@ -261,7 +302,7 @@ def test_band_structure_is_preserved():
     rng = np.random.default_rng(7)
     for _ in range(50):
         m = _random_model(rng)
-        Z = m.zbar1
+        Z = dense_zbar1(m)
         r, c = np.indices(Z.shape)
         assert np.all(Z[np.abs(r - c) >= m.spec.f] == 0.0)
         np.testing.assert_array_equal(Z, Z.T)
@@ -283,7 +324,7 @@ def test_trace_tie_holds_by_construction():
     rng = np.random.default_rng(9)
     for _ in range(20):
         m = _random_model(rng)
-        assert m.zbar4 == float(np.trace(m.zbar1))
+        assert m.zbar4 == float(np.trace(dense_zbar1(m)))
 
 
 def test_from_dense_rejects_out_of_band():
@@ -390,8 +431,9 @@ def test_serialize_round_trip_is_bit_exact_for_random_specs():
         m = QuadraticModel(band, z2, spec, params)
         back = deserialize(serialize(m))
         assert back.spec == m.spec
-        for field in ("zbar1_band", "zbar2", "zbar1"):
+        for field in ("zbar1_band", "zbar2"):
             np.testing.assert_array_equal(_bits(getattr(back, field)), _bits(getattr(m, field)))
+        np.testing.assert_array_equal(_bits(dense_zbar1(back)), _bits(dense_zbar1(m)))
         for value in ("a", "b", "c"):
             assert _bits(getattr(back.params, value)) == _bits(getattr(m.params, value))
         # zbar4 is not stored but derived again from the same band
@@ -422,9 +464,11 @@ def test_serialize_refuses_an_activation_that_deserialize_would():
 
 
 def test_zbar1_is_read_only():
+    # the band, zbar2 and every band tile, wide or block
     m = _random_model(np.random.default_rng(11), n=5, f=2)
-    with pytest.raises(ValueError):
-        m.zbar1[0, 0] = 1.0
+    for a in (m.zbar1_band, m.zbar2, *(T for *_, T in m.zbar1_tiles + m.zbar1_block_tiles)):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_deserialize_reports_json_location():

@@ -7,6 +7,7 @@ from quadconv import (
     Dataset,
     DimensionMismatch,
     activation_eval,
+    dense_zbar1,
     fit,
     predict,
     predict_batch,
@@ -63,7 +64,7 @@ def test_single_patch_equals_aggregated_model():
     s = random_patch_model_set(spec, _RELU, rng)
     x = rng.uniform(-1, 1, size=4)
     m = aggregate(s)
-    np.testing.assert_array_equal(m.zbar1, s.z1[0])
+    np.testing.assert_array_equal(dense_zbar1(m), s.z1[0])
     np.testing.assert_array_equal(m.zbar2, s.z2[0])
     assert eval_patch_model(s, x) == pytest.approx(predict(m, x), rel=1e-12)
 
@@ -107,12 +108,12 @@ def test_aggregate_overlap_counts_identity_patches():
     spec = ConvSpec(5, 2)
     s = PatchModelSet(np.tile(np.eye(2), (4, 1, 1)), np.zeros((4, 2)), _RELU)
     m = aggregate(s)
-    np.testing.assert_array_equal(np.diag(m.zbar1), [1, 2, 2, 2, 1])
+    np.testing.assert_array_equal(np.diag(dense_zbar1(m)), [1, 2, 2, 2, 1])
 
     spec12 = ConvSpec(12, 5)
     s12 = PatchModelSet(np.tile(np.eye(5), (8, 1, 1)), np.zeros((8, 5)), _RELU)
     expected = [min(i + 1, 8, 12 - i, 5) for i in range(12)]
-    np.testing.assert_array_equal(np.diag(aggregate(s12).zbar1), expected)
+    np.testing.assert_array_equal(np.diag(dense_zbar1(aggregate(s12))), expected)
 
 
 def test_aggregate_trace_is_sum_of_patch_traces():
