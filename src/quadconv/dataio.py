@@ -5,6 +5,7 @@ synthetic series generation.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .errors import (
 from .regressor import Dataset
 
 _SMOOTH = 5
-_PARSE_CELLS = 1 << 14  # cells per string-to-float conversion in _read_table
+_PARSE_CELLS = 1 << 14  # cells per chunk of lines that _read_table reads and converts
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,62 +87,101 @@ def _read_table(path):
     semantics. Empty lines are skipped, and a line holding only spaces is
     a parse error naming its row; error messages count file lines. A byte
     order mark, as spreadsheets write one, is not part of the header.
+
+    The file is read as a stream of _PARSE_CELLS // C lines at a time, each
+    chunk checked and converted before the next is read, so neither the
+    text nor its list of lines is ever held whole. Concatenating the
+    converted chunks at the end holds the table twice for a moment. Any
+    fault, and a file with no data rows, sends the file to
+    _raise_first_bad_cell, which reads it again to name what is wrong.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            # not str.splitlines, which also breaks at \x0c, \x1c and \u2028
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    if lines == [""]:
+            names = _read_header(path, fh)
+            step = max(1, _PARSE_CELLS // len(names))
+            chunks = []
+            # iterating the file splits only at \n, as universal newlines
+            # translate \r\n and a lone \r; not str.splitlines, which also
+            # breaks at \x0c, \x1c and \u2028
+            while text := "".join(itertools.islice(fh, step)):
+                rows = [line for line in text.split("\n") if line]
+                if not rows:
+                    continue
+                if {row.count(",") for row in rows} != {len(names) - 1}:
+                    break
+                # the chunk's lines go before its cell strings are made, so
+                # the two are never held at once
+                text = ",".join(rows)
+                del rows
+                try:
+                    cells = np.array(text.split(","), dtype=float)
+                except ValueError:
+                    break
+                if not np.isfinite(cells).all():
+                    break
+                chunks.append(cells)
+            else:
+                if chunks:
+                    return names, np.concatenate(chunks).reshape(-1, len(names))
+        # a bad header is named only if the whole file is UTF-8 text
+        except (ParseError, UnicodeDecodeError):
+            pass
+    _raise_first_bad_cell(path)
+
+
+def _read_header(path, fh):
+    """The column names on the first line of a text file open at its start."""
+    header = fh.readline()
+    if not header:
         raise ParseError(f"{path}: empty file (missing header row)")
-    names = [h.strip() for h in next(csv.reader(lines[:1]))]
+    names = [h.strip() for h in next(csv.reader([header.removesuffix("\n")]))]
+    if not names:
+        raise ParseError(f"{path}: row 1: empty header row (no column names)")
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate column names in header: {names}")
-    data = [line for line in lines[1:] if line]
-    if not data:
-        raise ParseError(f"{path}: no data rows after the header")
-    # convert a block of lines at a time: one call over the whole file would
-    # hold a Python string (about 60 bytes) per cell at once
-    step = max(1, _PARSE_CELLS // max(len(names), 1))
-    try:
-        table = np.concatenate([
-            np.array(",".join(data[i : i + step]).split(","), dtype=float)
-            for i in range(0, len(data), step)
-        ])
-    except ValueError:
-        table = None
-    if (
-        table is None
-        or {line.count(",") for line in data} != {len(names) - 1}
-        or not np.isfinite(table).all()
-    ):
-        _raise_first_bad_cell(path, names, lines)
-    return names, table.reshape(len(data), len(names))
+    return names
 
 
-def _raise_first_bad_cell(path, names, lines):
-    """Raise the ParseError for the first malformed line; runs only after
-    the whole-file parse has failed, so the success path never loops here."""
-    for rownum, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ParseError(
-                f"{path}: row {rownum}: expected {len(names)} fields, got {len(cells)}"
-            )
-        for name, cell in zip(names, cells):
+def _raise_first_bad_cell(path):
+    """Raise the ParseError for the first fault of a file: a byte that is
+    not UTF-8 wherever it is, then a bad header, then the first malformed
+    line. A file with none holds no data rows. Runs only after the streamed
+    parse has failed, so the success path never loops here."""
+    with open(path, "rb") as fh:
+        offset = 0
+        # a line of bytes decodes as it does within the whole file, since
+        # b"\n" is never part of a multi-byte UTF-8 sequence
+        for line in fh:
             try:
-                value = float(cell)
-            except ValueError:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
                 raise ParseError(
-                    f"{path}: row {rownum}, column {name!r}: cannot parse {cell!r} as a number"
+                    f"{path}: not UTF-8 text ({e.reason} at byte {offset + e.start})"
                 ) from None
-            if not math.isfinite(value):
+            offset += len(line)
+    with open(path, encoding="utf-8-sig") as fh:
+        names = _read_header(path, fh)
+        for rownum, line in enumerate(fh, start=2):
+            line = line.removesuffix("\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != len(names):
                 raise ParseError(
-                    f"{path}: row {rownum}, column {name!r}: non-finite value {cell!r}"
+                    f"{path}: row {rownum}: expected {len(names)} fields, got {len(cells)}"
                 )
+            for name, cell in zip(names, cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {rownum}, column {name!r}: cannot parse {cell!r} as a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {rownum}, column {name!r}: non-finite value {cell!r}"
+                    )
+    raise ParseError(f"{path}: no data rows after the header")
 
 
 def _write_csv(path, header, rows) -> None:

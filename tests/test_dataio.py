@@ -128,6 +128,7 @@ def test_load_csv_crlf_and_blank_lines(tmp_path):
         ('u,y\n1,"2.5"\n', "row 2, column 'y': cannot parse '\"2.5\"'"),  # quoted cell
         ("u,y\n1\n2\n", "row 2: expected 2 fields, got 1"),  # one field a line
         ("\ufeffu,y\n1,2\n3,x\n", "row 3, column 'y'"),  # byte order mark
+        ("\n1,2\n", "row 1: empty header row"),
     ],
 )
 def test_load_csv_bad_cell_location_counts_file_lines(tmp_path, text, where):
@@ -143,6 +144,79 @@ def test_load_csv_rejects_non_utf8(tmp_path):
     path.write_bytes(b"u,y\n1,\xe9\n")
     with pytest.raises(ParseError, match="not UTF-8"):
         load_csv(str(path))
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
+@pytest.mark.parametrize("rows", [0, 1 << 14], ids=["first chunk", "past the first chunk"])
+@pytest.mark.parametrize("first_row", [b"0,0\n", b"0,x\n"], ids=["valid", "after a bad cell"])
+def test_load_csv_rejects_non_utf8_naming_the_file_offset(tmp_path, bom, rows, first_row):
+    # the offset counts the file's bytes, a byte order mark too, and a bad
+    # byte is reported wherever it lies, even after a bad cell
+    head = bom + b"u,y\n" + first_row + b"".join(b"%d,%d\n" % (i, -i) for i in range(rows))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(head + b"1,\xe9\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(str(path))
+    assert str(info.value).endswith(
+        f"not UTF-8 text (invalid continuation byte at byte {len(head) + 2})")
+
+
+_FAULTS = {
+    "bad cell": ("9,x", "row {}, column 'y': cannot parse 'x' as a number"),
+    "ragged row": ("9", "row {}: expected 2 fields, got 1"),
+    "nan": ("nan,9", "row {}, column 'u': non-finite value 'nan'"),
+    "whitespace-only line": ("   ", "row {}: expected 2 fields, got 1"),
+}
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 4, 6])
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_faults_in_any_chunk_name_their_file_row(tmp_path, monkeypatch, block_cells, fault):
+    # chunks of 1-3 lines put the fault in the first chunk or past it, on a
+    # chunk's first or last line or inside it
+    monkeypatch.setattr(dataio, "_PARSE_CELLS", block_cells)
+    line, message = _FAULTS[fault]
+    for k in range(9):
+        rows = [f"{i},{-i}" for i in range(9)]
+        rows[k] = line
+        path = _write(tmp_path / "bad.csv", "u,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as info:
+            _read_table(path)
+        assert str(info.value) == f"{path}: " + message.format(k + 2)
+        # three blank lines before the fault, ended by \n, \r\n and a lone
+        # \r, in an earlier chunk or the fault's own, are counted too
+        text = "".join(row + "\n" for row in rows[:k]) + "\n\r\n\r" + "".join(
+            row + "\n" for row in rows[k:])
+        path = _write(tmp_path / "blank.csv", "u,y\n" + text)
+        with pytest.raises(ParseError) as info:
+            _read_table(path)
+        assert str(info.value) == f"{path}: " + message.format(k + 5)
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 3, 1 << 14])
+def test_only_newlines_break_lines(tmp_path, monkeypatch, block_cells):
+    # \x0c, \x1c, \x85 and \u2028, which str.splitlines breaks at, stay
+    # inside a cell, where float() reads all but \x1c as whitespace; \n,
+    # \r\n and a lone \r end a line
+    monkeypatch.setattr(dataio, "_PARSE_CELLS", block_cells)
+    path = tmp_path / "breaks.csv"
+    path.write_bytes("u,y\r\n1\x0c,2\x85\n3,\u20284\r5,6\r\n\r\n7,8\r".encode())
+    names, table = _read_table(path)
+    assert names == ["u", "y"]
+    np.testing.assert_array_equal(table, [[1, 2], [3, 4], [5, 6], [7, 8]])
+    path.write_bytes(b"u,y\n1,2\n3,4\x1c5\n")
+    with pytest.raises(ParseError, match=r"row 3, column 'y': cannot parse '4\\x1c5'"):
+        _read_table(path)
+
+
+def test_read_table_holds_one_chunk_of_text_at_a_time(tmp_path):
+    # the parse holds the table's chunks and one chunk of text and cells;
+    # only the final concatenation holds the table twice
+    path = tmp_path / "long.csv"
+    series_to_csv(synth_narx(100_000, seed=2), path)
+    (_, table), peak = _traced_peak(lambda: _read_table(path))
+    assert table.shape == (100_000, 2)
+    assert peak < 3 * table.nbytes
 
 
 def test_load_csv_parses_unselected_columns(tmp_path):
