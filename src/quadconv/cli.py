@@ -136,6 +136,9 @@ def _series_config(args):
             raise _ConfigError(f"{mode} mode requires --{flag}")
     if args.mode == "narx" and args.d < 1:
         raise _ConfigError("--d must be >= 1")
+    if args.mode == "narx" and channels is not None and len(channels) != 2:
+        raise _ConfigError(
+            f"narx mode needs exactly two --channels (input,output), got {len(channels)}")
     if args.mode == "window" and args.r < 2:
         # a block's label is its last sample minus its first
         raise _ConfigError("--r must be >= 2 (with r = 1 every label is 0)")
@@ -202,15 +205,20 @@ def cmd_train(args) -> int:
     with _config_errors():
         spec = ConvSpec(train_set.n_features, args.f)
 
-    rows = []
-    for beta, path, result in zip(betas, model_paths, fit_path(train_set, spec, params, betas)):
+    # every beta is scored and serialized before the first file is written,
+    # so a beta that fails leaves no model of an earlier one behind
+    rows, texts = [], []
+    for beta, result in zip(betas, fit_path(train_set, spec, params, betas)):
         train_mse, test_mse = _scores(result, n_train, test_set)
         theta_norm = float(np.linalg.norm(result.report.theta))
-        path.write_text(serialize(result.model), encoding="utf-8")
+        texts.append(serialize(result.model))
         rows.append((beta, train_mse, test_mse, result.train_seconds, theta_norm))
+    for path, text in zip(model_paths, texts):
+        path.write_text(text, encoding="utf-8")
+    for path, (beta, train_mse, test_mse, secs, _) in zip(model_paths, rows):
         print(
             f"beta={beta:g} train_mse={train_mse:.6e} test_mse={test_mse:.6e} "
-            f"train_time_s={result.train_seconds:.6f} model={path}"
+            f"train_time_s={secs:.6f} model={path}"
         )
 
     if args.metrics:

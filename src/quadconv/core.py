@@ -184,9 +184,10 @@ def _slices(N: int, rows: int) -> list[slice]:
 # A row source is an object with shape (N, p) whose fill_rows(rows, out)
 # writes the rows of the slice rows into out, an m x p array of either
 # memory order (a view with room to spare around it, too), and returns out.
-# The solver walks row sources. A _Rows is the row source of feature rows,
-# which a Dataset holds and the model's batch kernels read; the regressor's
-# is regressor._RegressorRows, which assembles H[rows] when a walk reads it.
+# The solver walks row sources. A _Rows, which a caller's array becomes only
+# through _as_rows, is the row source of feature rows and of a held H; the
+# regressor's is regressor._RegressorRows, which assembles H[rows] when a
+# walk reads it.
 
 
 class _Rows:
@@ -222,17 +223,19 @@ class _Rows:
         return _Rows(p[rows] for p in self.parts)
 
 
-def _row_source(X, n: int) -> _Rows:
-    """Caller input to the model's batch kernels as a _Rows of width n: a
-    _Rows as it is, anything else as one float array (not copied if it is
-    one). Raises DimensionMismatch for any other shape."""
-    if not isinstance(X, _Rows):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 2:
-            X = _Rows([X])
-    if len(X.shape) != 2 or X.shape[1] != n:
-        raise DimensionMismatch(f"expected rows of length {n}, got shape {X.shape}")
-    return X
+def _as_rows(X):
+    """Caller rows as a _Rows: a _Rows as it is, a 2-D array as the single
+    part of a new one, held as a read-only view of np.asarray(X, dtype=float)
+    (a float64 array is shared, not copied; anything else is converted
+    once), and any other shape as that array, for the caller to refuse."""
+    if isinstance(X, _Rows):
+        return X
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        return X
+    X = X.view()
+    X.setflags(write=False)
+    return _Rows([X])
 
 
 def format_float(v) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ActivationParams, ConvSpec, band_index_map, format_float, validate_activation
-from .core import _row_source, _slices, _walk_rows
+from .core import _as_rows, _slices, _walk_rows
 from .errors import DimensionMismatch, InvalidActivation, MalformedModelFile, NonFiniteInput
 
 _MODEL_FIELDS = ("n", "f", "a", "b", "c", "zbar1_band", "zbar2")
@@ -167,11 +167,11 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # The evaluation kernel. Both maps read the same product X @ Zbar1:
 #   output   a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4
 #   gradient 2a * X Zbar1 + b * Zbar2
-# Each walks the rows of X in blocks that hold two m x n arrays, its rows of X
-# (a view of a held array or a block built from windows, see core._Rows) and
-# their product with Zbar1, in half the solver's walk budget: blocks sized by
-# the walk rule for 4n floats a row, so evaluation after a fit stays under
-# the fit's own peak. The single-row entry points call the block kernels on
+# One walk, _walk, takes both over the rows of X in blocks that hold two
+# m x n arrays, its rows of X (a view of a held array or a block built from
+# windows, see core._Rows) and their product with Zbar1, in half the solver's
+# walk budget: blocks sized by the walk rule for 4n floats a row, so
+# evaluation after a fit stays under the fit's own peak. The single-row entry points call the block kernels on
 # a one-row matrix, which is one block. BLAS may round a one-row product
 # (gemv) differently from a many-row one (gemm), and a product's rounding
 # may depend on the rows beside it, so the entry points, and one row
@@ -193,14 +193,16 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # no slice arithmetic.
 
 
-def _block_slices(model: QuadraticModel, N: int) -> list[slice]:
-    return _slices(N, _walk_rows(4 * model.spec.n))
-
-
-def _predict_rows(model: QuadraticModel, X) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for r in _block_slices(model, X.shape[0]):
-        out[r] = _predict_block(model, X[r])
+def _walk(model: QuadraticModel, X, block_kernel, row_shape: tuple) -> np.ndarray:
+    """block_kernel(model, X[r], out[r]) over row blocks r of X, taken
+    through core._as_rows; out, made once X's width is checked, holds an
+    array of row_shape per row."""
+    X, n = _as_rows(X), model.spec.n
+    if len(X.shape) != 2 or X.shape[1] != n:
+        raise DimensionMismatch(f"expected rows of length {n}, got shape {X.shape}")
+    out = np.empty((X.shape[0], *row_shape))
+    for r in _slices(X.shape[0], _walk_rows(4 * n)):
+        block_kernel(model, X[r], out[r])
     return out
 
 
@@ -213,19 +215,13 @@ def _times_zbar1(model: QuadraticModel, block, out) -> np.ndarray:
     return out
 
 
-def _predict_block(model: QuadraticModel, block) -> np.ndarray:
+def _predict_block(model: QuadraticModel, block, out) -> np.ndarray:
     # a block and its product are freed on return, before the next block
     # is read
     p = model.params
     XZ = _times_zbar1(model, block, np.empty(block.shape))
-    return (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
-            + p.c * model.zbar4)
-
-
-def _sensitivity_rows(model: QuadraticModel, X) -> np.ndarray:
-    out = np.empty(X.shape)
-    for r in _block_slices(model, X.shape[0]):
-        _sensitivity_block(model, X[r], out[r])
+    out[...] = (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
+                + p.c * model.zbar4)
     return out
 
 
@@ -245,13 +241,13 @@ def _as_row(model: QuadraticModel, x) -> np.ndarray:
 
 def predict(model: QuadraticModel, x) -> float:
     """Evaluate a * x' Zbar1 x + b * Zbar2' x + c * Zbar4 at one input."""
-    return float(_predict_block(model, _as_row(model, x))[0])
+    return float(_predict_block(model, _as_row(model, x), np.empty(1))[0])
 
 
 def predict_batch(model: QuadraticModel, X) -> np.ndarray:
     """Vectorized predict over the rows of X, a 2-D array or the features
     of a Dataset."""
-    return _predict_rows(model, _row_source(X, model.spec.n))
+    return _walk(model, X, _predict_block, ())
 
 
 def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
@@ -264,7 +260,7 @@ def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
 def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:
     """Vectorized sensitivity over the rows of X0, a 2-D array or the
     features of a Dataset."""
-    return _sensitivity_rows(model, _row_source(X0, model.spec.n))
+    return _walk(model, X0, _sensitivity_block, (model.spec.n,))
 
 
 def serialize(model: QuadraticModel) -> str:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationParams, ConvSpec, _Rows, band_products
+from .core import ActivationParams, ConvSpec, _as_rows, _Rows, band_products
 from .errors import DimensionMismatch, NonFiniteInput
 
 
@@ -15,12 +15,12 @@ class Dataset:
     """N feature rows of equal length n with N scalar labels.
 
     `features` holds the rows as a core._Rows. Dataset(inputs, labels)
-    holds a read-only view of each of the caller's arrays, as
-    np.asarray(v, dtype=float) gives it: a float64 array is shared, not
-    copied, and anything else (ints, float32, a list, another byte order)
-    is converted once. The caller's arrays keep their own writeable flag,
-    but must not be written to while a dataset or a fit made from them is
-    in use; pass X.copy() to keep a snapshot. Windowing and split pass a _Rows instead,
+    holds a read-only view of each of the caller's arrays, the inputs by
+    core._as_rows: a float64 array is shared, not copied, and anything
+    else (ints, float32, a list, another byte order) is converted once.
+    The caller's arrays keep their own writeable flag, but must not be
+    written to while a dataset or a fit made from them is in use; pass
+    X.copy() to keep a snapshot. Windowing and split pass a _Rows instead,
     of windows over a series' channels or of row views of another Dataset,
     with a view of the labels; the dataset adopts both without a copy, and
     checks only the labels, since the rows are read-only and finite
@@ -33,21 +33,17 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        X, y = self.features, np.asarray(self.labels, dtype=float).view()
-        adopt = isinstance(X, _Rows)
-        if not adopt:
-            X = np.asarray(X, dtype=float).view()
+        adopt = isinstance(self.features, _Rows)
+        X, y = _as_rows(self.features), np.asarray(self.labels, dtype=float).view()
         if len(X.shape) != 2 or min(X.shape) < 1:
             raise DimensionMismatch(f"inputs must be a nonempty 2-D array, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise DimensionMismatch(f"labels must have shape ({X.shape[0]},), got {y.shape}")
         # min and max propagate NaN and +-inf, so they check X without an
         # N x n bool array
-        if not (np.isfinite(y).all() and (adopt or np.isfinite([X.min(), X.max()]).all())):
+        if not (np.isfinite(y).all()
+                and (adopt or np.isfinite([X.parts[0].min(), X.parts[0].max()]).all())):
             raise NonFiniteInput("dataset contains non-finite values")
-        if not adopt:
-            X.setflags(write=False)
-            X = _Rows([X])
         y.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)

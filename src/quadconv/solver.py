@@ -5,8 +5,9 @@ accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
 falls back, and one gives every beta's residual norm. H is a held 2-D array
 of any memory order or a row source (see core), which lets a fit assemble
 each block when a walk needs it, so no N x p array is ever held; a held H
-is read as the row source core._Rows([H]). Every walk reads blocks with
-contiguous columns, so each report depends only on the values of H.
+is read as the row source core._as_rows(H), a read-only view of it. Every
+walk reads blocks with contiguous columns, so each report depends only on
+the values of H.
 
 A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
@@ -44,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _Rows, _slices, _walk_rows
+from .core import _as_rows, _Rows, _slices, _walk_rows
 from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
 
 # Accept the Cholesky solution only when the normal-equation residual is at
@@ -187,9 +188,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
 
     t = time.perf_counter()
     if not hasattr(H, "fill_rows"):
-        H = np.asarray(H, dtype=float)
-        if H.ndim == 2:
-            H = _Rows([H])
+        H = _as_rows(H)
     if len(H.shape) != 2 or min(H.shape) < 1:
         raise DimensionMismatch(f"regressor must be a nonempty 2-D array, got shape {H.shape}")
     y = np.asarray(y, dtype=float)

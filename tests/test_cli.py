@@ -306,6 +306,20 @@ def scored(tmp_path_factory):
     # products with constant features sum past the float range in H'y
     _write_rows(root / "huge_gram_labels.csv", ["u", "lat"],
                 np.column_stack([np.ones(400), np.where(sign > 0, 0.0, 5e152)]))
+    # inputs that grow by 1e154 in the test rows: a heavily regularized
+    # model predicts them, the beta = 0 one overflows
+    late = np.random.default_rng(1)
+    u = late.uniform(-1, 1, 400) * np.where(np.arange(400) < 210, 1.0, 1e154)
+    _write_rows(root / "huge_late_inputs.csv", ["u", "y"],
+                np.column_stack([u, late.uniform(-1, 1, 400)]))
+    # CSVs that the reader refuses before any row is parsed
+    (root / "duplicate_header.csv").write_text("u,u\n1,2\n3,4\n")
+    (root / "empty.csv").write_text("")
+    # model files whose JSON parses to something that is not a model: a
+    # top level that is not an object, and a number JSON reads as inf
+    (root / "list.json").write_text("[1, 2]")
+    head, tail = (root / "model.json").read_text().split('"zbar2": [')
+    (root / "inf_zbar2.json").write_text(f'{head}"zbar2": [1e999{tail[tail.index(","):]}')
     return root
 
 
@@ -396,6 +410,27 @@ def _write_rows(path, header, rows):
         pytest.param(_LAT + ["--data", "{root}/label_change_overflows.csv", "--out", "{tmp}/m.json"],
                      2, "data error: label channel 'lat': the change over a block of r=2 "
                      "samples overflows", id="window-label-change-overflows"),
+        # a sweep whose later beta fails writes no model of an earlier one
+        pytest.param(["train", "--d", "5", "--f", "3", "--beta", "1e12,0",
+                      "--data", "{root}/huge_late_inputs.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: test prediction at index 10 is not finite: it overflows",
+                     id="sweep-later-beta-overflows"),
+        # a header the reader refuses, and a file with no header at all
+        pytest.param(_TRAIN + ["--data", "{root}/duplicate_header.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: {root}/duplicate_header.csv: duplicate column names in header",
+                     id="train-duplicate-header"),
+        pytest.param(_TRAIN + ["--data", "{root}/empty.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: {root}/empty.csv: empty file (missing header row)",
+                     id="train-empty-csv"),
+        # JSON that parses, but not to a model
+        pytest.param(["predict", "--model", "{root}/list.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: model file must contain a JSON object",
+                     id="predict-model-not-an-object"),
+        pytest.param(["predict", "--model", "{root}/inf_zbar2.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: field 'zbar2' contains non-finite values",
+                     id="predict-model-number-reads-as-inf"),
         # non-UTF-8 bytes in a CSV and in a model file
         pytest.param(_TRAIN + ["--data", "{root}/latin1.bin", "--out", "{tmp}/m.json"],
                      2, "data error: {root}/latin1.bin: not UTF-8", id="train-data-not-utf8"),
@@ -421,6 +456,33 @@ def _write_rows(path, header, rows):
                      id="narx-with-label-and-missing-file"),
         pytest.param(_WINDOW + ["--d", "99", "--data", "{root}/series.csv", "--out", "{tmp}/m.json"],
                      1, "config error: --d does not apply to --mode window", id="window-with-d"),
+        # narx mode reads exactly one input and one output channel
+        pytest.param(_TRAIN + ["--channels", "u,y,nosuch", "--data", "{root}/series.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: narx mode needs exactly two --channels (input,output), "
+                     "got 3", id="narx-three-channels"),
+        pytest.param(_TRAIN + ["--channels", "u", "--data", "{tmp}/missing.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: narx mode needs exactly two --channels (input,output), "
+                     "got 1", id="narx-one-channel-and-missing-file"),
+        # flag values refused before any file is read
+        pytest.param(_TRAIN + ["--beta", "0,x", "--data", "{tmp}/missing.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: cannot parse --beta '0,x'", id="train-beta-not-a-number"),
+        pytest.param(_TRAIN + ["--channels", ",", "--data", "{tmp}/missing.csv",
+                               "--out", "{tmp}/m.json"],
+                     1, "config error: --channels must name at least one channel",
+                     id="train-channels-blank"),
+        pytest.param(["train", "--d", "0", "--f", "1", "--data", "{tmp}/missing.csv",
+                      "--out", "{tmp}/m.json"],
+                     1, "config error: --d must be >= 1", id="train-d-zero"),
+        pytest.param(["bench", "--d", "3", "--f-list", ",", "--data", "{tmp}/missing.csv",
+                      "--out", "{tmp}/b.csv"],
+                     1, "config error: --f-list must contain at least one value",
+                     id="bench-f-list-blank"),
+        pytest.param(["bench", "--d", "3", "--f-list", "1", "--repeats", "0",
+                      "--data", "{tmp}/missing.csv", "--out", "{tmp}/b.csv"],
+                     1, "config error: --repeats must be >= 1", id="bench-repeats-zero"),
         # two outputs with one path: beta values whose suffixed names
         # coincide, and a metrics path equal to the model path
         pytest.param(_TRAIN + ["--beta", "0,0", "--data", "{root}/series.csv",
