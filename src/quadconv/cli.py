@@ -33,7 +33,7 @@ from .dataio import (
 )
 from .errors import MalformedModelFile, NonFiniteInput, QuadconvError
 from .model import deserialize, predict_batch, sensitivity_batch, serialize
-from .solver import _check_betas
+from .solver import SolveStrategy, _check_betas
 from .train import fit, fit_path
 from .verify import run_all_checks
 
@@ -254,7 +254,9 @@ def _evaluate(kernel, model, X, what: str):
 
 def _scores(result, n_train: int, test_set):
     """(train_mse, test_mse) of a fit on n_train rows, after a warning on
-    stderr when the fit is rank deficient. The solve measured the training
+    stderr when the fit is rank deficient, or when it is of full rank but
+    left the normal equations for the QR route, which only an
+    ill-conditioned H'H + beta I does. The solve measured the training
     residual, so only the test rows are evaluated."""
     report = result.report
     if report.rank_deficient:
@@ -263,6 +265,13 @@ def _scores(result, n_train: int, test_set):
             f"(route {report.solve_strategy.value}, {n_train} training rows, "
             f"{result.model.spec.n_weights} weights); "
             "the training data do not determine every weight",
+            file=sys.stderr,
+        )
+    elif report.solve_strategy is SolveStrategy.PSEUDOINVERSE:
+        print(
+            f"warning: beta={report.beta:g} fit is ill-conditioned "
+            f"(route {report.solve_strategy.value}, rcond {report.rcond:.3g} of H'H + beta I); "
+            "its weights come from a QR of the training rows, not the normal equations",
             file=sys.stderr,
         )
     train_mse = report.residual_norm ** 2 / n_train

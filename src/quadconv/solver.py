@@ -1,26 +1,40 @@
 """Normal-equation and pseudoinverse solution of the training problem.
 
-The solver reads the regressor H only in row blocks, by three walks: one
+The solver reads the regressor H only in row blocks, by four walks: one
 accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
-falls back, and one gives every beta's residual norm. H is a held 2-D array
-of any memory order or a row source (see core), which lets a fit assemble
-each block when a walk needs it, so no N x p array is ever held; a held H
-is read as the row source core._as_rows(H), a read-only view of it. Every
-walk reads blocks with contiguous columns, so each report depends only on
-the values of H.
+falls back, one reads the correction of every Cholesky beta's weights from
+H, and one gives every beta's residual norm. H is a held 2-D array of any
+memory order or a row source (see core), which lets a fit assemble each
+block when a walk needs it, so no N x p array is ever held; a held H is read
+as the row source core._as_rows(H), a read-only view of it. Every walk reads
+blocks with contiguous columns, so each report depends only on the values
+of H.
+
+A Cholesky beta solves the normal equations (H'H + beta I) theta0 = H'y and
+then takes one step of corrected semi-normal equations (CSNE): the walk
+forms g = H'(y - H theta0) from the rows, and theta = theta0 + (H'H + beta
+I)^-1 (g - beta theta0). The residual is read from H, not from H'H, so theta
+has the accuracy of a QR solve while kappa(H)^2 u is well below 1 (Björck,
+"Stability analysis of the method of seminormal equations for linear least
+squares problems", BIT 27, 1987; Higham, "Accuracy and Stability of
+Numerical Algorithms", 2nd ed., ch. 20). A beta whose normal matrix is too
+ill-conditioned for that, by a condition estimate from its factor (the
+algorithm of LAPACK's dpocon), goes to the QR route instead.
 
 A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
 blocks are already column-major is read in place and needs none), and a walk
 that needs more room drops it before making a larger one, so at most one
-block buffer is alive at a time.
+block buffer is alive at a time. The tiles that the normal matrix's 1-norm
+is summed in borrow it too.
 
 A sweep holds one p x p array. The Gram walk writes H'H into its lower
 triangle, which every product with the normal matrix reads and nothing
 else writes, so with a saved copy of its diagonal it keeps H'H for the
 whole sweep. Each beta copies the strict lower triangle up and makes its
 Cholesky factor in place in the upper triangle, so no second p x p array
-is ever made.
+is ever made; a beta whose factor a later beta overwrote makes it again
+for its correction step.
 
 The walks and factorizations call seven of scipy's f2py wrappers (dsyrk,
 dgemv, dsymv, dpotrf, dpotrs, dgeqrt, dgesdd), which live in its extension
@@ -52,6 +66,15 @@ from .errors import DimensionMismatch, NegativeRegularizer, NonFiniteInput
 # rounding level; otherwise fall through to the QR/SVD route.
 _CHOLESKY_ACCEPT = 1e-10
 
+# A beta goes to the QR/SVD route, before its correction step, when u / rcond
+# of its normal matrix exceeds this (u the unit roundoff, rcond the estimate
+# of 1 / cond_1(H'H + beta I) from its factor). The CSNE step is accurate
+# while kappa(H)^2 u is well below 1: wide_fit's p = 2155 system reads
+# 1.2e-2 and meets its accuracy cap, features offset by +1e3 read about 7e3
+# and miss it.
+_ROUTE_LIMIT = 0.1
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 # The QR fallback walks H in blocks of at least this many rows, and of at
 # least four triangles of the QR, so the triangle stacked on each block
 # stays a small share of it. Each QR step factors its block by LAPACK's
@@ -60,16 +83,20 @@ _BLOCK_ROWS = 4096
 _QR_PANEL = 64
 
 # Each beta copies the Gram up from the lower triangle of its array in panels
-# of this many columns, so no p x p temporary is made.
+# of this many columns, and the Gram's 1-norm is summed in tiles this wide,
+# so no p x p temporary is made.
 _MIRROR_PANEL = 64
 
-# Each walk calls one BLAS library only: the Gram walk, and the QR walk with
-# the SVD of its triangle, call scipy's, the residual walk numpy's. numpy and
-# scipy each bundle their own OpenBLAS, with its own thread pool, and a pool
-# whose threads still spin after a call slows the other's next call. A numpy
-# H'y product between dsyrk calls made the Gram walk 1.9x slower at p =
-# 2155, and a numpy product with each stacked block between dgeqrt calls made
-# the QR walk 2.2x slower at p = 230. Assembling a block uses no BLAS.
+# Each walk calls one BLAS library only: the Gram walk, the correction walk,
+# and the QR walk with the SVD of its triangle, call scipy's, the residual
+# walk numpy's. numpy and scipy each bundle their own OpenBLAS, with its own
+# thread pool, and a pool whose threads still spin after a call slows the
+# other's next call. A numpy H'y product between dsyrk calls made the Gram
+# walk 1.9x slower at p = 2155, and a numpy product with each stacked block
+# between dgeqrt calls made the QR walk 2.2x slower at p = 230. The
+# correction walk runs between scipy's dpotrf and dpotrs: at p = 2155 it took
+# 0.09-0.10 s on scipy's dgemv and 0.14-0.19 s on numpy's products.
+# Assembling a block uses no BLAS.
 
 
 class SolveStrategy(str, Enum):
@@ -82,12 +109,18 @@ class SolveReport:
     """Solution plus diagnostics of a single least-squares solve.
 
     `seconds` is the wall time this beta added to its sweep: the first beta
-    of a sweep also carries the shared Gram walk and the shared walk that
+    of a sweep also carries the shared Gram walk, the shared walk that reads
+    every Cholesky beta's correction from H, and the shared walk that
     computes every beta's residual norm, and the first beta that falls back
     also carries the sweep's one QR walk and SVD. When H comes from a row
     source, these walks include assembling its blocks. `theta` is
     read-only, one weight per column of H, in the layout that
     model.reconstruct inverts.
+
+    `rcond` estimates the reciprocal condition number of H'H + beta I: on
+    the Cholesky route the estimate of 1 / cond_1 from the factor that
+    LAPACK's dpocon would give, on the QR/SVD route (s_min^2 + beta) / (s_max^2 + beta) from
+    the singular values of H (s_min = 0 when H has fewer rows than columns).
     """
 
     theta: np.ndarray
@@ -97,6 +130,7 @@ class SolveReport:
     rank_deficient: bool
     solve_strategy: SolveStrategy
     seconds: float
+    rcond: float
 
 
 def _check_betas(betas) -> list[float]:
@@ -131,10 +165,13 @@ def solve_path(H, y, betas) -> list[SolveReport]:
     """solve_ridge for every beta of a sweep, one report per beta in order.
 
     The Gram matrix H'H and H'y are formed once, by one walk over H. Each
-    beta factors H'H + beta I by Cholesky; a beta whose factor is degenerate
-    or fails the residual check falls back to one QR of [H | y] shared by
-    the whole sweep, and one more walk gives every beta's residual norm. So
-    H is read twice, or three times when a beta falls back. Each report's
+    beta factors H'H + beta I by Cholesky and solves the normal equations,
+    and one walk reads every Cholesky beta's correction step from H (see the
+    module docstring). A beta whose factor is degenerate or too
+    ill-conditioned, or whose corrected weights fail the residual check,
+    falls back to one QR of [H | y] shared by the whole sweep, and one more
+    walk gives every beta's residual norm. So H is read three times, or four
+    times when a beta falls back (three when every beta does). Each report's
     weights and diagnostics equal solve_ridge's for its beta bit for bit.
     """
     return _solve_path(H, y, _check_betas(betas))
@@ -223,41 +260,81 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         scale = max(1.0, float(np.linalg.norm(rhs)))
     if not np.isfinite(scale):
         raise NonFiniteInput("the norm of H'y overflows: the labels are too large")
+    size = max(H.shape)
+    offdiagonal = None  # summed at the first factor that succeeds
     svd = None
-    solved = []  # the fields of each beta's report but its residual norm
-    for beta in betas:
-        diagonal = gram_diagonal + beta
-        accepted = _cholesky(A, diagonal, rhs, beta, scale, max(H.shape))
-        rank_deficient = False
-        strategy = SolveStrategy.CHOLESKY
-        if accepted is not None:
-            theta, normal_residual_norm = accepted
-        else:
-            if svd is None:
-                svd = _rank_revealing(H, y, workspace)
-            theta, rank_deficient = _pseudoinverse(*svd, beta, max(H.shape))
-            # an accepted Cholesky theta is finite, as its normal residual is
-            if not np.isfinite(theta).all():
-                raise NonFiniteInput(
-                    f"the least-squares weights overflow at beta={beta:g}: the regressor's "
-                    "entries are too small for the float range"
-                )
-            strategy = SolveStrategy.PSEUDOINVERSE
-            normal_residual_norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
-        theta.setflags(write=False)
+    solved = [dict(beta=beta, seconds=0.0) for beta in betas]
+    pending = []  # the Cholesky betas, by index, that await their correction
+
+    def tick(fields):
+        # add the time since the last tick to a beta's seconds
+        nonlocal t
         now = time.perf_counter()
-        solved.append(dict(
-            theta=theta,
-            beta=beta,
-            normal_residual_norm=normal_residual_norm,
-            rank_deficient=rank_deficient,
-            solve_strategy=strategy,
-            seconds=now - t,
-        ))
+        fields["seconds"] += now - t
         t = now
+
+    def fall_back(fields, diagonal):
+        nonlocal svd
+        if svd is None:
+            svd = _rank_revealing(H, y, workspace)
+        theta, rank_deficient, rcond = _pseudoinverse(*svd, fields["beta"], size)
+        # an accepted Cholesky theta is finite, as its normal residual is
+        if not np.isfinite(theta).all():
+            raise NonFiniteInput(
+                f"the least-squares weights overflow at beta={fields['beta']:g}: the "
+                "regressor's entries are too small for the float range"
+            )
+        fields.update(
+            theta=theta, rank_deficient=rank_deficient, rcond=rcond,
+            solve_strategy=SolveStrategy.PSEUDOINVERSE,
+            normal_residual_norm=float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs))),
+        )
+
+    _, lapack = _blas_lapack()
+    for i, s in enumerate(solved):
+        diagonal = gram_diagonal + s["beta"]
+        # each factor writes over the last; this names the beta whose whole
+        # factor A's upper triangle holds
+        factored = None
+        rcond = 0.0
+        if _factor(A, diagonal):
+            if offdiagonal is None:
+                offdiagonal = _offdiagonal_sums(A, workspace)
+            rcond = _rcond(A, offdiagonal, diagonal)
+        # a collapsed pivot means the normal matrix is numerically singular;
+        # neither the condition estimate nor the residual check is sure to
+        # see null-space components, so the factor diagonal is the
+        # rank-deficiency detector for beta = 0
+        if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT and (s["beta"] > 0 or not _collapsed(A, size)):
+            s.update(theta=lapack.dpotrs(A, rhs)[0], rank_deficient=False, rcond=rcond,
+                     solve_strategy=SolveStrategy.CHOLESKY)
+            pending.append(i)
+            factored = i
+        else:
+            fall_back(s, diagonal)
+        tick(s)
+    gradients = _normal_gradients(H, y, [solved[i]["theta"] for i in pending], workspace)
+    corrections = dict(zip(pending, gradients))
+    # the shared walks count towards the first beta, as the Gram does
+    tick(solved[0])
+    # the beta whose factor A holds goes first; each other one makes its
+    # factor again, from the same matrix, so with the same bits
+    for i in sorted(pending, key=lambda i: i != factored):
+        s = solved[i]
+        diagonal = gram_diagonal + s["beta"]
+        if i != factored:
+            _factor(A, diagonal)
+        factored = None  # the acceptance test writes over its diagonal
+        theta, norm = _correct(A, diagonal, s["theta"], corrections[i], rhs, s["beta"])
+        if norm <= _CHOLESKY_ACCEPT * scale:
+            s.update(theta=theta, normal_residual_norm=norm)
+        else:
+            fall_back(s, diagonal)
+        tick(s)
+    for s in solved:
+        s["theta"].setflags(write=False)
     residual_norms = _residual_norms(H, y, [s["theta"] for s in solved], workspace)
-    # the shared walk counts towards the first beta, as the Gram does
-    solved[0]["seconds"] += time.perf_counter() - t
+    tick(solved[0])
     return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
 
 
@@ -328,6 +405,27 @@ def _mirror(A):
         block[above, below] = block[below, above]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _normal_gradients(H, y, thetas, workspace):
+    """H'(y - H theta) for every theta, from one walk over H, or none
+    without a walk when there are no thetas.
+
+    As in _residual_norms, each theta gets its own products per block, so
+    its gradient does not depend on which other thetas share the walk. The
+    products are scipy's dgemv, the library of the factor calls around the
+    walk. A theta past the float range gives a non-finite gradient, which
+    the acceptance test refuses.
+    """
+    blas, _ = _blas_lapack()
+    gradients = [np.zeros(H.shape[1]) for _ in thetas]
+    if thetas:
+        for block, labels in _blocks(H, y, workspace):
+            for g, theta in zip(gradients, thetas):
+                residual = blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
+                blas.dgemv(1.0, block, residual, beta=1.0, y=g, trans=1, overwrite_y=1)
+    return gradients
+
+
 def _residual_norms(H, y, thetas, workspace):
     """||y - H theta|| for every theta, from one walk over H.
 
@@ -340,6 +438,32 @@ def _residual_norms(H, y, thetas, workspace):
             r = labels - block @ theta
             squares[i] += r @ r
     return np.sqrt(squares)
+
+
+@np.errstate(over="ignore")
+def _offdiagonal_sums(A, workspace):
+    """Per column j, the sum of |(H'H)_ij| over i != j: with a beta's
+    diagonal added, the column sums whose largest is the 1-norm of H'H +
+    beta I. Read from the strict lower triangle of A in tiles of up to
+    4 _MIRROR_PANEL rows by _MIRROR_PANEL columns, each copied into the
+    solve's workspace, so no p x p temporary is made."""
+    p = len(A)
+    sums = np.zeros(p)
+    rows, columns = min(p, 4 * _MIRROR_PANEL), min(p, _MIRROR_PANEL)
+    buffer = workspace.take(rows * columns)[: rows * columns].reshape((rows, columns), order="F")
+    for j in range(0, p, _MIRROR_PANEL):
+        k = min(p, j + _MIRROR_PANEL)
+        for i in range(j, p, rows):
+            m = min(p, i + rows)
+            # entry (r, c) below the diagonal is in column c and, by
+            # symmetry, in column r
+            tile = np.abs(A[i:m, j:k], out=buffer[: m - i, : k - j])
+            if i == j:
+                for c in range(k - j):
+                    tile[: c + 1, c] = 0.0
+            sums[j:k] += tile.sum(axis=0)
+            sums[i:m] += tile.sum(axis=1)
+    return sums
 
 
 def _normal_residual(A, diagonal, theta, rhs):
@@ -356,22 +480,16 @@ def _normal_residual(A, diagonal, theta, rhs):
     return rhs - blas.dsymv(1.0, A, theta, lower=1)
 
 
-# weights past the float range, from a pivot or singular value near the
-# smallest float, are not accepted (Cholesky) or refused by the caller
-# (pseudoinverse), so computing them warns of nothing
-@np.errstate(over="ignore", invalid="ignore")
-def _cholesky(A, diagonal, rhs, beta, scale, size):
-    """The refined Cholesky solution of (H'H + beta I) theta = rhs and the
-    norm of its normal residual, which the acceptance test measured, or None
-    when the factor is degenerate (beta = 0) or that norm is above the
-    acceptance level.
+def _factor(A, diagonal):
+    """Make the Cholesky factor of H'H + beta I in A's upper triangle;
+    False when the factor is degenerate.
 
     A holds H'H in its strict lower triangle, and `diagonal` is H'H + beta
     I's diagonal. Copying the strict lower triangle up and writing the
     diagonal puts H'H + beta I in the upper triangle, exactly the matrix a
     lone solve would see, whatever an earlier beta's factor left there.
     LAPACK's dpotrf factors that triangle in place, overwriting some or all
-    of it (all when it succeeds), and dpotrs reads the factor there.
+    of it (all when it succeeds).
     """
     _, lapack = _blas_lapack()
     _mirror(A)
@@ -379,25 +497,85 @@ def _cholesky(A, diagonal, rhs, beta, scale, size):
     _, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise RuntimeError(f"dpotrf rejected argument {-info}")
-    if info > 0:
-        return None
-    # a collapsed pivot means the normal matrix is numerically singular;
-    # the residual check below cannot see null-space components, so the
-    # factor diagonal is the rank-deficiency detector for beta = 0
-    pivots = A.diagonal().copy()
-    if beta == 0.0 and pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max():
-        return None
-    theta = lapack.dpotrs(A, rhs)[0]
-    # one step of iterative refinement tightens stationarity to rounding
-    # level on reasonably conditioned systems; the product overwrites the
-    # factor's diagonal, which the second solve puts back
-    residual = _normal_residual(A, diagonal, theta, rhs)
-    np.fill_diagonal(A, pivots)
-    theta += lapack.dpotrs(A, residual)[0]
-    norm = float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
-    if norm <= _CHOLESKY_ACCEPT * scale:
-        return theta, norm
-    return None
+    return info == 0
+
+
+def _collapsed(A, size):
+    """Whether a pivot of the factor in A's upper triangle is below
+    sqrt(eps * size) times the largest one."""
+    pivots = A.diagonal()
+    return pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max()
+
+
+# a factor near the float range's ends may give solves past it, which make
+# the estimate 0
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _rcond(A, offdiagonal, diagonal):
+    """An estimate of 1 / cond_1(H'H + beta I) from its factor in A's upper
+    triangle: the 1-norm is the largest column sum of the off-diagonal sums
+    and the diagonal, and ||(H'H + beta I)^-1||_1 is estimated by Hager's
+    method as Higham refined it, the algorithm of LAPACK's dlacn2 and so of
+    dpocon (Higham, ACM TOMS 14, 1988).
+
+    The inverse is symmetric, so every product with it or its transpose is
+    one dpotrs solve. The estimate calls only code that a fit runs anyway:
+    dpocon's first call made 0.5 MB of LAPACK code resident, and np.sign,
+    np.argmax, np.flatnonzero, np.where or np.arange 64 KiB each, against a
+    0.1 MB bound on a fit's peak memory.
+    """
+    _, lapack = _blas_lapack()
+    p = len(A)
+
+    def solve(x):
+        return lapack.dpotrs(A, x)[0]
+
+    def signs(v):
+        # +1 or -1 by the sign of each entry, +1 at zero
+        s = v / np.abs(v)
+        s[v == 0] = 1.0
+        return s
+
+    def largest(v):
+        # the index of v's first largest entry
+        return max(range(p), key=v.__getitem__)
+
+    y = solve(np.full(p, 1.0 / p))
+    estimate = np.abs(y).sum()
+    xi = signs(y)
+    j = largest(np.abs(solve(xi)))
+    for _ in range(4):
+        x = np.zeros(p)
+        x[j] = 1.0
+        y = solve(x)
+        last, estimate = estimate, np.abs(y).sum()
+        if (signs(y) == xi).all() or not estimate > last:
+            break
+        xi = signs(y)
+        z = np.abs(solve(xi))
+        j, last_j = largest(z), j
+        if z[last_j] == z[j]:
+            break
+    # a vector of alternating signs, for the matrices that fool the
+    # iteration
+    x = np.linspace(1.0, 2.0, p)
+    x[1::2] *= -1.0
+    estimate = max(estimate, 2.0 * np.abs(solve(x)).sum() / (3.0 * p))
+    rcond = 1.0 / (float(np.max(offdiagonal + diagonal)) * estimate)
+    return float(rcond) if np.isfinite(rcond) else 0.0
+
+
+# weights past the float range, from a pivot near the smallest float, fail
+# the acceptance test, so computing them warns of nothing
+@np.errstate(over="ignore", invalid="ignore")
+def _correct(A, diagonal, theta0, g, rhs, beta):
+    """The CSNE step theta = theta0 + (H'H + beta I)^-1 (g - beta theta0),
+    with g = H'(y - H theta0), by the factor in A's upper triangle, and the
+    norm of theta's normal residual, which the acceptance test measures and
+    the report keeps; forming that residual writes over the factor's
+    diagonal."""
+    _, lapack = _blas_lapack()
+    theta = theta0 + lapack.dpotrs(A, g - beta * theta0)[0]
+    return theta, float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
 
 
 def _rank_revealing(H, y, workspace):
@@ -430,7 +608,12 @@ def _rank_revealing(H, y, workspace):
             raise RuntimeError(f"dgeqrt rejected argument {-info}")
         R = np.triu(qr[: min(m, width)])
     k = min(N, p)
-    U_R, s, Vt, info = lapack.dgesdd(R[:k, :p], compute_uv=1, full_matrices=0)
+    # the SVD factors a copy of the triangle in the idle block buffer, in
+    # place: the wrapper's own copy of its input, stacked on its work
+    # arrays, set the peak memory of a fit that falls back
+    a = buffer[: k * p].reshape((k, p), order="F")
+    a[...] = R[:k, :p]
+    U_R, s, Vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=0, overwrite_a=1)
     if info:
         raise RuntimeError(f"dgesdd failed: info {info}")
     return s, Vt, U_R.T @ R[:k, p]
@@ -439,8 +622,14 @@ def _rank_revealing(H, y, workspace):
 @np.errstate(over="ignore", invalid="ignore")
 def _pseudoinverse(s, Vt, Uty, beta, size):
     """Minimum-norm (beta = 0) or ridge (beta > 0) solution from the SVD
-    of H; also whether H is numerically rank deficient."""
-    smax = float(s[0]) if s.size else 0.0
+    of H; also whether H is numerically rank deficient, and the reciprocal
+    condition number of H'H + beta I (0 when it is zero)."""
+    smax = float(s[0])
+    smin = float(s[-1]) if s.size == Vt.shape[1] else 0.0
+    if beta > 0:
+        rcond = (smin * smin + beta) / (smax * smax + beta)
+    else:
+        rcond = (smin / smax) ** 2 if smax > 0 else 0.0
     cutoff = smax * np.finfo(float).eps * size
     nz = s > cutoff
     if beta > 0:
@@ -449,4 +638,4 @@ def _pseudoinverse(s, Vt, Uty, beta, size):
         gain = np.zeros_like(s)
         gain[nz] = 1.0 / s[nz]
     theta = Vt.T @ (gain * Uty)
-    return theta, int(np.count_nonzero(nz)) < Vt.shape[1]
+    return theta, int(np.count_nonzero(nz)) < Vt.shape[1], rcond

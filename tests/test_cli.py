@@ -228,6 +228,30 @@ def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
     assert "12 training rows, 37 weights" in err[0]
 
 
+@pytest.mark.parametrize("offset, warns", [(1e3, True), (50.0, False)])
+def test_train_warns_when_an_ill_conditioned_fit_leaves_the_normal_equations(
+    tmp_path, capsys, offset, warns
+):
+    # window features that sit at +1e3 make H'H + beta I too ill-conditioned
+    # for the normal equations, so the beta goes to the QR route; at +50 the
+    # Cholesky route holds and nothing is printed
+    from quadconv import TimeSeries
+
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(-1, 1, 600) + offset, rng.uniform(-1, 1, 600) + offset
+    path = tmp_path / "offset.csv"
+    series_to_csv(TimeSeries({"a": a, "b": b, "lat": np.cumsum(0.1 * a * b + a)}), path)
+    argv = ["train", "--data", str(path), "--mode", "window", "--r", "4", "--label", "lat",
+            "--f", "3", "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    if warns:
+        assert len(err) == 1
+        assert err[0].startswith("warning: beta=0 fit is ill-conditioned (route pseudoinverse, rcond ")
+    else:
+        assert err == []
+
+
 def test_bench_warns_about_rank_deficient_fits_as_train_does(tmp_path, capsys):
     # at beta = 0 the fits on this series are rank deficient, so train warns
     path = tmp_path / "series.csv"

@@ -250,8 +250,8 @@ def test_regressor_must_be_two_dimensional(H, capfd):
 
 def _assert_same_report(a, b):
     assert a.theta.tobytes() == b.theta.tobytes()
-    assert (a.beta, a.residual_norm, a.normal_residual_norm) == (
-        b.beta, b.residual_norm, b.normal_residual_norm
+    assert (a.beta, a.residual_norm, a.normal_residual_norm, a.rcond) == (
+        b.beta, b.residual_norm, b.normal_residual_norm, b.rcond
     )
     assert (a.rank_deficient, a.solve_strategy) == (b.rank_deficient, b.solve_strategy)
 
@@ -279,7 +279,8 @@ def test_solve_path_full_rank_sweep_matches_per_beta_solves():
 def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(monkeypatch):
     # N < p: the beta = 0 factor stops at a nonpositive pivot after it has
     # overwritten part of the upper triangle, which each later beta must
-    # restore before it factors
+    # restore before it factors; after the correction walk, the last beta's
+    # factor is still in place and the two beta = 1 factors are made again
     from scipy.linalg import cho_factor
 
     rng = np.random.default_rng(0)
@@ -302,7 +303,9 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
 
     monkeypatch.setattr(lapack, "dpotrf", recorded)
     reports = solve_path(H, y, betas)
-    assert [info > 0 for _, _, info in factors] == [False, True, False, False]
+    assert [info > 0 for _, _, info in factors] == [False, True, False, False, False, False]
+    for again, first in zip(factors[4:], [factors[0], factors[2]]):
+        assert (again[0] == first[0]).all() and (again[1] == first[1]).all()
     for beta, (upper, factor, info), rep, lone in zip(betas, factors, reports, alone):
         normal = gram + beta * np.eye(len(gram))
         assert (upper == np.triu(normal)).all()
@@ -317,9 +320,13 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
     ]
 
 
-def test_an_accepted_cholesky_beta_forms_its_normal_residual_twice(monkeypatch):
-    # once to refine theta and once to accept it; the report takes the
-    # acceptance test's norm rather than forming the residual a third time
+def test_a_cholesky_sweep_forms_one_normal_residual_per_beta_and_walks_once_for_corrections(
+    monkeypatch,
+):
+    # each accepted Cholesky beta forms its normal residual once, for the
+    # acceptance test, whose norm the report keeps; and one walk reads every
+    # beta's correction from H, so a row source fills each block three times
+    # (Gram, correction and residual walks)
     residuals = []
     original = solver._normal_residual
 
@@ -327,17 +334,38 @@ def test_an_accepted_cholesky_beta_forms_its_normal_residual_twice(monkeypatch):
         residuals.append(original(A, diagonal, theta, rhs))
         return residuals[-1]
 
+    fills = []
+    fill_rows = _RegressorRows.fill_rows
+
+    def counted(self, rows, out):
+        fills.append(rows)
+        return fill_rows(self, rows, out)
+
     monkeypatch.setattr(solver, "_normal_residual", recorded)
+    monkeypatch.setattr(_RegressorRows, "fill_rows", counted)
     rng = np.random.default_rng(16)
-    H, y = _random_system(rng, 6, 3)
-    rep = solve_ridge(H, y, 1.0)
-    assert rep.solve_strategy == SolveStrategy.CHOLESKY
-    assert len(residuals) == 2
-    # the same bits as the residual of the reported theta, formed anew
-    A, rhs = solver._gram(core._Rows([H]), y, solver._Workspace())
-    again = original(A, A.diagonal() + 1.0, rep.theta, rhs)
-    assert rep.normal_residual_norm == float(np.linalg.norm(residuals[-1]))
-    assert rep.normal_residual_norm == float(np.linalg.norm(again))
+    spec = ConvSpec(6, 3)
+    data = Dataset(rng.uniform(-1, 1, size=(500, spec.n)), rng.uniform(-1, 1, size=500))
+    H = _RegressorRows(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
+    p = spec.n_weights
+    monkeypatch.setattr(core, "_WALK_BYTES", 8 * p * 37)
+    walk_blocks = len(solver._slices(500, solver._walk_rows(p)))
+    assert walk_blocks == 14
+    betas = [0.0, 1.0, 10.0]
+    reports = solve_path(H, data.labels, betas)
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
+    assert len(residuals) == len(betas)
+    assert len(fills) == 3 * walk_blocks
+    # the betas are corrected in the order that saves a factor, so match the
+    # norms as sets; each has the same bits as the residual of its reported
+    # theta, formed anew
+    norms = [rep.normal_residual_norm for rep in reports]
+    assert sorted(norms) == sorted(float(np.linalg.norm(r)) for r in residuals)
+    A, rhs = solver._gram(H, data.labels, solver._Workspace())
+    diagonal = A.diagonal().copy()
+    for beta, rep in zip(betas, reports):
+        again = original(A, diagonal + beta, rep.theta, rhs)
+        assert rep.normal_residual_norm == float(np.linalg.norm(again))
 
 
 def test_cholesky_sweep_holds_one_p_by_p_array(monkeypatch):
@@ -473,9 +501,51 @@ def test_rank_deficient_fallback_in_small_row_blocks(monkeypatch, block_rows):
     assert blocked[1].residual_norm == pytest.approx(whole[1].residual_norm, rel=1e-12)
 
 
-# Both solvers are backward stable, so on these full-rank, small-residual
-# systems their weights differ by at most c * eps * cond(H) relative, with
-# c = 1; the largest ratio seen over these cases is 0.14.
+def _offset_system(offset, seed, scale=1.0):
+    # 500 x 27 features that sit at `offset`, as raw sensor readings do,
+    # and labels of a random model plus 1% noise
+    rng = np.random.default_rng(seed)
+    spec = ConvSpec(6, 3)
+    X = rng.uniform(-1, 1, size=(500, spec.n)) * scale + offset
+    H = build_regressor(Dataset(X, np.zeros(500)), spec, ActivationParams(0.0937, 0.5, 0.4688))
+    y = H @ rng.uniform(-1, 1, size=spec.n_weights)
+    y += 0.01 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
+    return H, y
+
+
+def _assert_within_the_qr_bound(H, y, theta):
+    # both solvers are backward stable, so on these full-rank, small-residual
+    # systems their weights differ by at most c * eps * cond(H) relative,
+    # with c = 1
+    reference, _ = _lstsq(H, y)
+    s = np.linalg.svd(H, compute_uv=False)
+    bound = np.finfo(float).eps * s[0] / s[-1]
+    error = np.linalg.norm(theta - reference) / np.linalg.norm(reference)
+    assert error <= bound
+
+
+# Unforced, each system takes the route its condition estimate picks: the
+# Cholesky route with one CSNE step at scale 1e4 and offset +50, the QR/SVD
+# route at +1e3; the largest ratio to the bound seen is 0.12.
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize(
+    "scale, offset, route",
+    [(1e4, 0.0, SolveStrategy.CHOLESKY), (1.0, 50.0, SolveStrategy.CHOLESKY),
+     (1.0, 1e3, SolveStrategy.PSEUDOINVERSE)],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_accuracy_on_scaled_and_offset_features(monkeypatch, scale, offset, route, seed, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
+    H, y = _offset_system(offset, seed, scale)
+    rep = solve_ridge(H, y, 0.0)
+    assert rep.solve_strategy == route
+    assert not rep.rank_deficient
+    _assert_within_the_qr_bound(H, y, rep.theta)
+
+
+# Forced onto the QR/SVD route; the largest ratio to the bound (see
+# _assert_within_the_qr_bound) seen over these cases is 0.14.
 @pytest.mark.parametrize("block_rows", [None, 7])
 @pytest.mark.parametrize("scale, offset", [(1e4, 0.0), (1.0, 50.0), (1.0, 1e3)])
 @pytest.mark.parametrize("seed", [0, 1])
@@ -485,20 +555,79 @@ def test_forced_fallback_accuracy_on_scaled_and_offset_features(
     monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", -1.0)
     if block_rows is not None:
         monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
-    rng = np.random.default_rng(seed)
-    spec = ConvSpec(6, 3)
-    X = rng.uniform(-1, 1, size=(500, spec.n)) * scale + offset
-    H = build_regressor(Dataset(X, np.zeros(500)), spec, ActivationParams(0.0937, 0.5, 0.4688))
-    y = H @ rng.uniform(-1, 1, size=spec.n_weights)
-    y += 0.01 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
+    H, y = _offset_system(offset, seed, scale)
     rep = solve_ridge(H, y, 0.0)
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
     assert not rep.rank_deficient
-    reference, _ = _lstsq(H, y)
+    _assert_within_the_qr_bound(H, y, rep.theta)
+
+
+def _record_rconds(monkeypatch):
+    rconds = []
+    original = solver._rcond
+
+    def recorded(*args):
+        rconds.append(original(*args))
+        return rconds[-1]
+
+    monkeypatch.setattr(solver, "_rcond", recorded)
+    return rconds
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_system_conditioned_like_wide_fit_stays_on_the_cholesky_route(monkeypatch, seed):
+    # features at +110 put u / rcond near 1e-2, where wide_fit's p = 2155
+    # system sits (1.2e-2), below the routing limit of 0.1; the CSNE step
+    # brings theta within the QR bound
+    rconds = _record_rconds(monkeypatch)
+    H, y = _offset_system(110.0, seed)
+    rep = solve_ridge(H, y, 0.0)
+    assert rep.solve_strategy == SolveStrategy.CHOLESKY
+    assert rconds == [rep.rcond]
+    assert 3e-3 < solver._UNIT_ROUNDOFF / rep.rcond < 3e-2
+    _assert_within_the_qr_bound(H, y, rep.theta)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_features_at_1e3_are_routed_to_the_qr_by_their_condition_estimate(monkeypatch, seed):
+    # u / rcond is about 7e3: the beta goes to the QR/SVD route before any
+    # correction step, so no acceptance level, however loose, keeps it on
+    # the Cholesky route
+    monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", np.inf)
+    rconds = _record_rconds(monkeypatch)
+    corrected = []
+    gradients = solver._normal_gradients
+
+    def recorded(H, y, thetas, workspace):
+        corrected.extend(thetas)
+        return gradients(H, y, thetas, workspace)
+
+    monkeypatch.setattr(solver, "_normal_gradients", recorded)
+    H, y = _offset_system(1e3, seed)
+    rep = solve_ridge(H, y, 0.0)
+    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert not rep.rank_deficient
+    assert len(rconds) == 1 and solver._UNIT_ROUNDOFF / rconds[0] > 1e3
+    assert corrected == []
+    # the report's rcond is the SVD's, whose s_min two SVDs give to about
+    # eps * cond(H) = 2e-6 relative
     s = np.linalg.svd(H, compute_uv=False)
-    bound = np.finfo(float).eps * s[0] / s[-1]
-    error = np.linalg.norm(rep.theta - reference) / np.linalg.norm(reference)
-    assert error <= bound
+    assert rep.rcond == pytest.approx((s[-1] / s[0]) ** 2, rel=1e-3)
+    _assert_within_the_qr_bound(H, y, rep.theta)
+
+
+def test_solve_path_matches_per_beta_solves_where_the_correction_moves_theta():
+    # at +50 the CSNE step moves theta well past rounding, and beta = 0's
+    # factor, written over by the two later betas, is made again after the
+    # correction walk
+    H, y = _offset_system(50.0, 0)
+    betas = [0.0, 1e-3, 1.0]
+    reports = solve_path(H, y, betas)
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
+    uncorrected = np.linalg.solve(H.T @ H, H.T @ y)
+    assert np.linalg.norm(reports[0].theta - uncorrected) > 1e-9 * np.linalg.norm(uncorrected)
+    for beta, rep in zip(betas, reports):
+        _assert_same_report(rep, solve_ridge(H, y, beta))
 
 
 def test_fallback_allocates_no_n_row_matrix(monkeypatch):
@@ -551,7 +680,8 @@ def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(mo
     walk_blocks = len(solver._slices(N, solver._walk_rows(p)))
     qr_blocks = len(solver._slices(N, solver._block_rows(p)))
     assert (walk_blocks, qr_blocks) == (3, 3)
-    assert len(outs) == 2 * walk_blocks + qr_blocks
+    # the Gram, correction (for beta = 1) and residual walks, and the QR walk
+    assert len(outs) == 3 * walk_blocks + qr_blocks
     assert all(np.shares_memory(out, outs[0]) for out in outs)
 
 

@@ -82,8 +82,8 @@ def test_fit_path_matches_per_beta_fits_and_splits_time():
 
 
 def _walk_in_blocks(monkeypatch, data, spec, blocks):
-    # shrink the block sizes so the Gram, QR and residual walks each take
-    # `blocks` blocks of the data's rows
+    # shrink the block sizes so the Gram, QR, correction and residual walks
+    # each take `blocks` blocks of the data's rows
     rows = -(-data.n_samples // blocks)
     monkeypatch.setattr(core, "_WALK_BYTES", 8 * spec.n_weights * rows)
     monkeypatch.setattr(solver, "_block_rows", lambda p: rows)
@@ -103,6 +103,7 @@ def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatc
         assert walked.report.theta.tobytes() == held.theta.tobytes()
         assert walked.report.normal_residual_norm == held.normal_residual_norm
         assert walked.report.residual_norm == held.residual_norm
+        assert walked.report.rcond == held.rcond
         # the walks assemble H inside the solve, so its clock is the fit's
         assert walked.train_seconds == walked.report.seconds
     # a fit of several blocks never builds H whole
@@ -121,7 +122,7 @@ def _record_blocks_assembled(monkeypatch):
     return blocks
 
 
-@pytest.mark.parametrize("betas, walks", [([0.0, 1.0], 3), ([1.0, 10.0], 2)])
+@pytest.mark.parametrize("betas, walks", [([0.0, 1.0], 4), ([1.0, 10.0], 3)])
 def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_walk(
     monkeypatch, betas, walks
 ):
@@ -137,12 +138,13 @@ def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_w
     finally:
         tracemalloc.stop()
     fallback = SolveStrategy.PSEUDOINVERSE in {r.report.solve_strategy for r in results}
-    assert fallback == (walks == 3)
+    assert fallback == (walks == 4)
     # the QR walk's buffer sets the peak when a beta falls back; otherwise
-    # the Gram and residual walks' buffers and one feature block do
+    # the other walks' buffers and one feature block do
     bound = 0.5 if fallback else 0.37
     assert peak <= bound * data.n_samples * spec.n_weights * 8
-    # Gram and residual walks, and the QR walk when a beta falls back
+    # Gram, correction and residual walks, and the QR walk when a beta falls
+    # back
     counts = Counter(row for start, stop in blocks for row in range(start, stop))
     assert len(counts) == data.n_samples
     assert max(counts.values()) <= walks
