@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConvSpec, RELU_MIMIC, validate_activation
+from .core import ConvSpec, RELU_MIMIC, format_float, validate_activation
 from .dataio import (
     SplitSpec,
     _write_csv,
@@ -286,7 +286,7 @@ def cmd_predict(args) -> int:
     y_pred = _evaluate(predict_batch, model, X, "prediction")
     if y_true is not None:
         _write_csv(args.out, ["index", "y_true", "y_pred"], zip(itertools.count(), y_true, y_pred))
-        print(f"mse={mse(y_pred, y_true):.17g} rows={len(y_pred)} out={args.out}")
+        print(f"mse={format_float(mse(y_pred, y_true))} rows={len(y_pred)} out={args.out}")
     else:
         _write_csv(args.out, ["index", "y_pred"], enumerate(y_pred))
         print(f"rows={len(y_pred)} out={args.out}")

@@ -106,20 +106,36 @@ class BandIndexMap:
     """Zero-based (row, col) indices of the first f diagonals of an n x n
     matrix, diagonal-major: all of diagonal 0, then diagonal 1, and so on
     up to diagonal f - 1. Single source of truth for the band ordering.
+
+    Only the diagonals' slices are kept; `rows` and `cols` are built, as new
+    read-only arrays, on each access.
     """
 
     spec: ConvSpec
-    rows: np.ndarray
-    cols: np.ndarray
     #: diagonals[d] is the slice of the band holding diagonal d, whose
     #: entries pair x[:n - d] with x[d:]
     diagonals: tuple[slice, ...]
 
+    @property
+    def rows(self) -> np.ndarray:
+        n, f = self.spec.n, self.spec.f
+        return _read_only(np.concatenate([np.arange(n - d) for d in range(f)]))
+
+    @property
+    def cols(self) -> np.ndarray:
+        n, f = self.spec.n, self.spec.f
+        return _read_only(np.concatenate([np.arange(d, n) for d in range(f)]))
+
     def __len__(self) -> int:
-        return self.rows.size
+        return self.diagonals[-1].stop
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.rows.tolist(), self.cols.tolist()))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=128)
@@ -131,11 +147,7 @@ def band_index_map(spec: ConvSpec) -> BandIndexMap:
     for d in range(f):
         diagonals.append(slice(start, start + n - d))
         start += n - d
-    rows = np.concatenate([np.arange(n - d) for d in range(f)])
-    cols = np.concatenate([np.arange(d, n) for d in range(f)])
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return BandIndexMap(spec, rows, cols, tuple(diagonals))
+    return BandIndexMap(spec, tuple(diagonals))
 
 
 def band_products(X: np.ndarray, spec: ConvSpec, out: np.ndarray) -> np.ndarray:

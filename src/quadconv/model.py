@@ -101,9 +101,10 @@ def dense_zbar1(model: QuadraticModel) -> np.ndarray:
     """The model's Zbar1 as a dense n x n array, built anew on each call:
     the inverse of QuadraticModel.from_dense."""
     m = band_index_map(model.spec)
+    rows, cols = m.rows, m.cols
     Z = np.zeros((model.spec.n, model.spec.n))
-    Z[m.rows, m.cols] = model.zbar1_band
-    Z[m.cols, m.rows] = model.zbar1_band
+    Z[rows, cols] = model.zbar1_band
+    Z[cols, rows] = model.zbar1_band
     return Z
 
 

@@ -25,8 +25,8 @@ A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
 blocks are already column-major is read in place and needs none), and a walk
 that needs more room drops it before making a larger one, so at most one
-block buffer is alive at a time. The tiles that the normal matrix's 1-norm
-is summed in borrow it too.
+block buffer is alive at a time. The column panels that each factor step
+reads its normal matrix's 1-norm from borrow it too.
 
 A sweep holds one p x p array. The Gram walk writes H'H into its lower
 triangle, which every product with the normal matrix reads and nothing
@@ -82,9 +82,9 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _BLOCK_ROWS = 4096
 _QR_PANEL = 64
 
-# Each beta copies the Gram up from the lower triangle of its array in panels
-# of this many columns, and the Gram's 1-norm is summed in tiles this wide,
-# so no p x p temporary is made.
+# Each beta copies the Gram up from the lower triangle of its array, and
+# reads the 1-norm of its normal matrix, in panels of this many columns, so
+# no p x p temporary is made.
 _MIRROR_PANEL = 64
 
 # Each walk calls one BLAS library only: the Gram walk, the correction walk,
@@ -261,7 +261,6 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     if not np.isfinite(scale):
         raise NonFiniteInput("the norm of H'y overflows: the labels are too large")
     size = max(H.shape)
-    offdiagonal = None  # summed at the first factor that succeeds
     svd = None
     solved = [dict(beta=beta, seconds=0.0) for beta in betas]
     pending = []  # the Cholesky betas, by index, that await their correction
@@ -296,11 +295,8 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         # each factor writes over the last; this names the beta whose whole
         # factor A's upper triangle holds
         factored = None
-        rcond = 0.0
-        if _factor(A, diagonal):
-            if offdiagonal is None:
-                offdiagonal = _offdiagonal_sums(A, workspace)
-            rcond = _rcond(A, offdiagonal, diagonal)
+        norm = _factor(A, diagonal, workspace)
+        rcond = 0.0 if norm is None else _rcond(A, norm)
         # a collapsed pivot means the normal matrix is numerically singular;
         # neither the condition estimate nor the residual check is sure to
         # see null-space components, so the factor diagonal is the
@@ -323,7 +319,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         s = solved[i]
         diagonal = gram_diagonal + s["beta"]
         if i != factored:
-            _factor(A, diagonal)
+            _factor(A, diagonal, workspace)
         factored = None  # the acceptance test writes over its diagonal
         theta, norm = _correct(A, diagonal, s["theta"], corrections[i], rhs, s["beta"])
         if norm <= _CHOLESKY_ACCEPT * scale:
@@ -440,32 +436,6 @@ def _residual_norms(H, y, thetas, workspace):
     return np.sqrt(squares)
 
 
-@np.errstate(over="ignore")
-def _offdiagonal_sums(A, workspace):
-    """Per column j, the sum of |(H'H)_ij| over i != j: with a beta's
-    diagonal added, the column sums whose largest is the 1-norm of H'H +
-    beta I. Read from the strict lower triangle of A in tiles of up to
-    4 _MIRROR_PANEL rows by _MIRROR_PANEL columns, each copied into the
-    solve's workspace, so no p x p temporary is made."""
-    p = len(A)
-    sums = np.zeros(p)
-    rows, columns = min(p, 4 * _MIRROR_PANEL), min(p, _MIRROR_PANEL)
-    buffer = workspace.take(rows * columns)[: rows * columns].reshape((rows, columns), order="F")
-    for j in range(0, p, _MIRROR_PANEL):
-        k = min(p, j + _MIRROR_PANEL)
-        for i in range(j, p, rows):
-            m = min(p, i + rows)
-            # entry (r, c) below the diagonal is in column c and, by
-            # symmetry, in column r
-            tile = np.abs(A[i:m, j:k], out=buffer[: m - i, : k - j])
-            if i == j:
-                for c in range(k - j):
-                    tile[: c + 1, c] = 0.0
-            sums[j:k] += tile.sum(axis=0)
-            sums[i:m] += tile.sum(axis=1)
-    return sums
-
-
 def _normal_residual(A, diagonal, theta, rhs):
     """rhs - (H'H + beta I) theta, by scipy's dsymv on the Gram in A's lower
     triangle, after writing `diagonal`, H'H + beta I's diagonal, on A's.
@@ -480,24 +450,38 @@ def _normal_residual(A, diagonal, theta, rhs):
     return rhs - blas.dsymv(1.0, A, theta, lower=1)
 
 
-def _factor(A, diagonal):
-    """Make the Cholesky factor of H'H + beta I in A's upper triangle;
-    False when the factor is degenerate.
+# a column sum past the float range makes the 1-norm inf, and so the
+# condition estimate 0
+@np.errstate(over="ignore")
+def _factor(A, diagonal, workspace):
+    """Make the Cholesky factor of H'H + beta I in A's upper triangle, and
+    return the 1-norm of H'H + beta I; None when the factor is degenerate.
 
     A holds H'H in its strict lower triangle, and `diagonal` is H'H + beta
     I's diagonal. Copying the strict lower triangle up and writing the
-    diagonal puts H'H + beta I in the upper triangle, exactly the matrix a
-    lone solve would see, whatever an earlier beta's factor left there.
-    LAPACK's dpotrf factors that triangle in place, overwriting some or all
-    of it (all when it succeeds).
+    diagonal puts H'H + beta I in the whole of A, exactly the matrix a lone
+    solve would see, whatever an earlier beta's factor left there. Its
+    1-norm, the largest column sum of its absolute values, is read then, in
+    column panels copied into the solve's workspace, which holds the column
+    sums too, so the pass makes no array. LAPACK's dpotrf then factors
+    the upper triangle in place, overwriting some or all of it (all when it
+    succeeds).
     """
     _, lapack = _blas_lapack()
     _mirror(A)
     np.fill_diagonal(A, diagonal)
+    p = len(A)
+    width = min(p, _MIRROR_PANEL)
+    buffer = workspace.take(p * (width + 1))
+    sums = buffer[p * width : p * (width + 1)]
+    for j in range(0, p, _MIRROR_PANEL):
+        k = min(p, j + _MIRROR_PANEL)
+        panel = np.abs(A[:, j:k], out=buffer[: p * (k - j)].reshape((p, k - j), order="F"))
+        panel.sum(axis=0, out=sums[j:k])
     _, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise RuntimeError(f"dpotrf rejected argument {-info}")
-    return info == 0
+    return float(sums.max()) if info == 0 else None
 
 
 def _collapsed(A, size):
@@ -510,12 +494,12 @@ def _collapsed(A, size):
 # a factor near the float range's ends may give solves past it, which make
 # the estimate 0
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _rcond(A, offdiagonal, diagonal):
+def _rcond(A, norm):
     """An estimate of 1 / cond_1(H'H + beta I) from its factor in A's upper
-    triangle: the 1-norm is the largest column sum of the off-diagonal sums
-    and the diagonal, and ||(H'H + beta I)^-1||_1 is estimated by Hager's
-    method as Higham refined it, the algorithm of LAPACK's dlacn2 and so of
-    dpocon (Higham, ACM TOMS 14, 1988).
+    triangle and its 1-norm `norm`, which _factor gives (dpocon's ANORM):
+    ||(H'H + beta I)^-1||_1 is estimated by Hager's method as Higham refined
+    it, the algorithm of LAPACK's dlacn2 and so of dpocon (Higham, ACM TOMS
+    14, 1988).
 
     The inverse is symmetric, so every product with it or its transpose is
     one dpotrs solve. The estimate calls only code that a fit runs anyway:
@@ -560,7 +544,7 @@ def _rcond(A, offdiagonal, diagonal):
     x = np.linspace(1.0, 2.0, p)
     x[1::2] *= -1.0
     estimate = max(estimate, 2.0 * np.abs(solve(x)).sum() / (3.0 * p))
-    rcond = 1.0 / (float(np.max(offdiagonal + diagonal)) * estimate)
+    rcond = 1.0 / (norm * estimate)
     return float(rcond) if np.isfinite(rcond) else 0.0
 
 

@@ -574,6 +574,28 @@ def _record_rconds(monkeypatch):
     return rconds
 
 
+@pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 200])
+def test_the_condition_estimate_matches_lapacks_dpocon(p):
+    # each factor step reads the 1-norm of the matrix it factors, in column
+    # panels, and the estimate from the factor agrees with dpocon's, which
+    # the solver does not call (its code would add to a fit's peak memory)
+    from scipy.linalg.lapack import dpocon
+
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        B = rng.standard_normal((p + 5, p)) * np.logspace(0, rng.uniform(0, 4), p)
+        M = B.T @ B
+        M = np.asfortranarray(np.tril(M) + np.tril(M, -1).T)
+        # the Gram walk leaves H'H in the lower triangle and zeros above it
+        A = np.asfortranarray(np.tril(M))
+        norm = solver._factor(A, M.diagonal().copy(), solver._Workspace())
+        # F-ordered, so numpy sums each column in the order the panels do
+        assert norm == np.linalg.norm(M, 1)
+        rcond, info = dpocon(A, norm)
+        assert info == 0
+        assert solver._rcond(A, norm) == pytest.approx(rcond, rel=1e-4)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_a_system_conditioned_like_wide_fit_stays_on_the_cholesky_route(monkeypatch, seed):
     # features at +110 put u / rcond near 1e-2, where wide_fit's p = 2155
