@@ -175,8 +175,8 @@ def vecf(x, spec: ConvSpec) -> np.ndarray:
     return band_products(x[None, :], spec, np.empty((1, spec.band_size)))[0]
 
 
-# The solver's Gram, correction and residual walks over H take blocks of
-# this many bytes: about 490 rows of H at p = 2155, where in-place dsyrk runs
+# The solver's Gram and correction walks over H take blocks of this many
+# bytes: about 490 rows of H at p = 2155, where in-place dsyrk runs
 # within 3% of its speed on 1000-row blocks, and 4600 at p = 230, where a row
 # source's buffer then holds 2.5% of a 100k-row H. The model's walks over
 # feature rows take half as many, so evaluation after a fit stays under it.

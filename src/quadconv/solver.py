@@ -1,9 +1,11 @@
 """Normal-equation and pseudoinverse solution of the training problem.
 
-The solver reads the regressor H only in row blocks, by four walks: one
+The solver reads the regressor H only in row blocks, by three walks: one
 accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
-falls back, one reads the correction of every Cholesky beta's weights from
-H, and one gives every beta's residual norm. H is a held 2-D array of any
+falls back, and one reads the correction of every Cholesky beta's weights
+from H. Each beta's residual norm comes from what its route already holds:
+the correction walk's residual of the uncorrected weights on the Cholesky
+route, the triangle of [H | y] on the QR route. H is a held 2-D array of any
 memory order or a row source (see core), which lets a fit assemble each
 block when a walk needs it, so no N x p array is ever held; a held H is read
 as the row source core._as_rows(H), a read-only view of it. Every walk reads
@@ -19,7 +21,8 @@ has the accuracy of a QR solve while kappa(H)^2 u is well below 1 (Björck,
 squares problems", BIT 27, 1987; Higham, "Accuracy and Stability of
 Numerical Algorithms", 2nd ed., ch. 20). A beta whose normal matrix is too
 ill-conditioned for that, by a condition estimate from its factor (the
-algorithm of LAPACK's dpocon), goes to the QR route instead.
+algorithm of LAPACK's dpocon), goes to the QR route instead. That one rule
+routes every beta, beta = 0 too; the QR route's SVD then finds the rank.
 
 A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
@@ -87,16 +90,15 @@ _QR_PANEL = 64
 # no p x p temporary is made.
 _MIRROR_PANEL = 64
 
-# Each walk calls one BLAS library only: the Gram walk, the correction walk,
-# and the QR walk with the SVD of its triangle, call scipy's, the residual
-# walk numpy's. numpy and scipy each bundle their own OpenBLAS, with its own
-# thread pool, and a pool whose threads still spin after a call slows the
-# other's next call. A numpy H'y product between dsyrk calls made the Gram
-# walk 1.9x slower at p = 2155, and a numpy product with each stacked block
-# between dgeqrt calls made the QR walk 2.2x slower at p = 230. The
-# correction walk runs between scipy's dpotrf and dpotrs: at p = 2155 it took
-# 0.09-0.10 s on scipy's dgemv and 0.14-0.19 s on numpy's products.
-# Assembling a block uses no BLAS.
+# Every walk calls scipy's BLAS and LAPACK only: the Gram walk, the
+# correction walk, and the QR walk with the SVD of its triangle. numpy and
+# scipy each bundle their own OpenBLAS, with its own thread pool, and a pool
+# whose threads still spin after a call slows the other's next call. A numpy
+# H'y product between dsyrk calls made the Gram walk 1.9x slower at
+# p = 2155, and a numpy product with each stacked block between dgeqrt calls
+# made the QR walk 2.2x slower at p = 230. The correction walk runs between
+# scipy's dpotrf and dpotrs: at p = 2155 it took 0.09-0.10 s on scipy's
+# dgemv and 0.14-0.19 s on numpy's products. Assembling a block uses no BLAS.
 
 
 class SolveStrategy(str, Enum):
@@ -109,13 +111,13 @@ class SolveReport:
     """Solution plus diagnostics of a single least-squares solve.
 
     `seconds` is the wall time this beta added to its sweep: the first beta
-    of a sweep also carries the shared Gram walk, the shared walk that reads
-    every Cholesky beta's correction from H, and the shared walk that
-    computes every beta's residual norm, and the first beta that falls back
-    also carries the sweep's one QR walk and SVD. When H comes from a row
-    source, these walks include assembling its blocks. `theta` is
+    of a sweep also carries the shared Gram walk and the shared walk that
+    reads every Cholesky beta's correction from H, and the first beta that
+    falls back also carries the sweep's one QR walk and SVD. When H comes
+    from a row source, these walks include assembling its blocks. `theta` is
     read-only, one weight per column of H, in the layout that
-    model.reconstruct inverts.
+    model.reconstruct inverts. `residual_norm` is ||y - H theta|| of the
+    reported theta, taken from the quantities of its own route.
 
     `rcond` estimates the reciprocal condition number of H'H + beta I: on
     the Cholesky route the estimate of 1 / cond_1 from the factor that
@@ -166,12 +168,13 @@ def solve_path(H, y, betas) -> list[SolveReport]:
 
     The Gram matrix H'H and H'y are formed once, by one walk over H. Each
     beta factors H'H + beta I by Cholesky and solves the normal equations,
-    and one walk reads every Cholesky beta's correction step from H (see the
-    module docstring). A beta whose factor is degenerate or too
-    ill-conditioned, or whose corrected weights fail the residual check,
-    falls back to one QR of [H | y] shared by the whole sweep, and one more
-    walk gives every beta's residual norm. So H is read three times, or four
-    times when a beta falls back (three when every beta does). Each report's
+    and one walk reads every Cholesky beta's correction step, and the
+    residual of its uncorrected weights, from H (see the module docstring).
+    A beta whose factor is degenerate or too ill-conditioned, or whose
+    corrected weights fail the residual check, falls back to one QR of
+    [H | y] shared by the whole sweep. Each beta's residual norm comes from
+    its own route, with no walk of its own. So H is read twice, or three
+    times when a beta falls back (twice when every beta does). Each report's
     weights and diagnostics equal solve_ridge's for its beta bit for bit.
     """
     return _solve_path(H, y, _check_betas(betas))
@@ -276,7 +279,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         nonlocal svd
         if svd is None:
             svd = _rank_revealing(H, y, workspace)
-        theta, rank_deficient, rcond = _pseudoinverse(*svd, fields["beta"], size)
+        theta, rank_deficient, rcond, residual = _pseudoinverse(*svd, fields["beta"], size)
         # an accepted Cholesky theta is finite, as its normal residual is
         if not np.isfinite(theta).all():
             raise NonFiniteInput(
@@ -284,7 +287,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
                 "regressor's entries are too small for the float range"
             )
         fields.update(
-            theta=theta, rank_deficient=rank_deficient, rcond=rcond,
+            theta=theta, rank_deficient=rank_deficient, rcond=rcond, residual_norm=residual,
             solve_strategy=SolveStrategy.PSEUDOINVERSE,
             normal_residual_norm=float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs))),
         )
@@ -297,11 +300,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         factored = None
         norm = _factor(A, diagonal, workspace)
         rcond = 0.0 if norm is None else _rcond(A, norm)
-        # a collapsed pivot means the normal matrix is numerically singular;
-        # neither the condition estimate nor the residual check is sure to
-        # see null-space components, so the factor diagonal is the
-        # rank-deficiency detector for beta = 0
-        if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT and (s["beta"] > 0 or not _collapsed(A, size)):
+        if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT:
             s.update(theta=lapack.dpotrs(A, rhs)[0], rank_deficient=False, rcond=rcond,
                      solve_strategy=SolveStrategy.CHOLESKY)
             pending.append(i)
@@ -309,9 +308,9 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         else:
             fall_back(s, diagonal)
         tick(s)
-    gradients = _normal_gradients(H, y, [solved[i]["theta"] for i in pending], workspace)
-    corrections = dict(zip(pending, gradients))
-    # the shared walks count towards the first beta, as the Gram does
+    thetas = [solved[i]["theta"] for i in pending]
+    corrections = dict(zip(pending, _normal_gradients(H, y, thetas, workspace)))
+    # the correction walk counts towards the first beta, as the Gram walk does
     tick(solved[0])
     # the beta whose factor A holds goes first; each other one makes its
     # factor again, from the same matrix, so with the same bits
@@ -321,17 +320,17 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         if i != factored:
             _factor(A, diagonal, workspace)
         factored = None  # the acceptance test writes over its diagonal
-        theta, norm = _correct(A, diagonal, s["theta"], corrections[i], rhs, s["beta"])
+        theta, norm, residual = _correct(
+            A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs
+        )
         if norm <= _CHOLESKY_ACCEPT * scale:
-            s.update(theta=theta, normal_residual_norm=norm)
+            s.update(theta=theta, normal_residual_norm=norm, residual_norm=residual)
         else:
             fall_back(s, diagonal)
         tick(s)
     for s in solved:
         s["theta"].setflags(write=False)
-    residual_norms = _residual_norms(H, y, [s["theta"] for s in solved], workspace)
-    tick(solved[0])
-    return [SolveReport(**s, residual_norm=float(r)) for s, r in zip(solved, residual_norms)]
+    return [SolveReport(**s) for s in solved]
 
 
 def _block_rows(p):
@@ -403,37 +402,26 @@ def _mirror(A):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _normal_gradients(H, y, thetas, workspace):
-    """H'(y - H theta) for every theta, from one walk over H, or none
-    without a walk when there are no thetas.
+    """(H'r0, ||r0||^2) with r0 = y - H theta for every theta, from one walk
+    over H, or none without a walk when there are no thetas.
 
-    As in _residual_norms, each theta gets its own products per block, so
-    its gradient does not depend on which other thetas share the walk. The
-    products are scipy's dgemv, the library of the factor calls around the
-    walk. A theta past the float range gives a non-finite gradient, which
-    the acceptance test refuses.
+    Each theta gets its own products per block, so what it gets does not
+    depend on which other thetas share the walk. The products are scipy's
+    dgemv, the library of the factor calls around the walk; ||r0||^2 too is
+    a dgemv, of r0 as a one-column matrix, so the walk runs no other kernel.
+    A theta past the float range gives a non-finite gradient, which the
+    acceptance test refuses.
     """
     blas, _ = _blas_lapack()
     gradients = [np.zeros(H.shape[1]) for _ in thetas]
+    squares = [0.0 for _ in thetas]
     if thetas:
         for block, labels in _blocks(H, y, workspace):
-            for g, theta in zip(gradients, thetas):
+            for j, (g, theta) in enumerate(zip(gradients, thetas)):
                 residual = blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
                 blas.dgemv(1.0, block, residual, beta=1.0, y=g, trans=1, overwrite_y=1)
-    return gradients
-
-
-def _residual_norms(H, y, thetas, workspace):
-    """||y - H theta|| for every theta, from one walk over H.
-
-    Each theta gets its own product per block, so its norm does not depend
-    on which other thetas share the walk.
-    """
-    squares = np.zeros(len(thetas))
-    for block, labels in _blocks(H, y, workspace):
-        for i, theta in enumerate(thetas):
-            r = labels - block @ theta
-            squares[i] += r @ r
-    return np.sqrt(squares)
+                squares[j] += blas.dgemv(1.0, residual[:, None], residual, trans=1)[0]
+    return list(zip(gradients, squares))
 
 
 def _normal_residual(A, diagonal, theta, rhs):
@@ -482,13 +470,6 @@ def _factor(A, diagonal, workspace):
     if info < 0:
         raise RuntimeError(f"dpotrf rejected argument {-info}")
     return float(sums.max()) if info == 0 else None
-
-
-def _collapsed(A, size):
-    """Whether a pivot of the factor in A's upper triangle is below
-    sqrt(eps * size) times the largest one."""
-    pivots = A.diagonal()
-    return pivots.min() <= np.sqrt(np.finfo(float).eps * size) * pivots.max()
 
 
 # a factor near the float range's ends may give solves past it, which make
@@ -551,20 +532,31 @@ def _rcond(A, norm):
 # weights past the float range, from a pivot near the smallest float, fail
 # the acceptance test, so computing them warns of nothing
 @np.errstate(over="ignore", invalid="ignore")
-def _correct(A, diagonal, theta0, g, rhs, beta):
+def _correct(A, gram_diagonal, beta, theta0, g, r0_square, rhs):
     """The CSNE step theta = theta0 + (H'H + beta I)^-1 (g - beta theta0),
-    with g = H'(y - H theta0), by the factor in A's upper triangle, and the
-    norm of theta's normal residual, which the acceptance test measures and
-    the report keeps; forming that residual writes over the factor's
-    diagonal."""
-    _, lapack = _blas_lapack()
+    with g = H'r0 and r0_square = ||r0||^2 for r0 = y - H theta0, by the
+    factor in A's upper triangle; the norm of theta's normal residual, which
+    the acceptance test measures and the report keeps; and ||y - H theta||.
+
+    With delta = theta - theta0, ||y - H theta||^2 = ||r0||^2 - 2 delta'g +
+    delta'H'H delta, whose terms are of the size of ||r0||^2, not ||y||^2,
+    so it resolves residuals far below sqrt(eps) ||y||; rounding may take it
+    below 0, where it is clamped. The last term reads the Gram in A's lower
+    triangle, with `gram_diagonal`, H'H's diagonal, written back on A's.
+    Forming the two products writes over the factor's diagonal.
+    """
+    blas, lapack = _blas_lapack()
     theta = theta0 + lapack.dpotrs(A, g - beta * theta0)[0]
-    return theta, float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs)))
+    norm = float(np.linalg.norm(_normal_residual(A, gram_diagonal + beta, theta, rhs)))
+    np.fill_diagonal(A, gram_diagonal)
+    delta = theta - theta0
+    square = r0_square - 2.0 * (delta @ g) + delta @ blas.dsymv(1.0, A, delta, lower=1)
+    return theta, norm, float(np.sqrt(max(0.0, square)))
 
 
 def _rank_revealing(H, y, workspace):
-    """Singular values s, right singular vectors Vt and U'y of H, from a
-    QR of [H | y] and an SVD of its small triangle.
+    """The triangle R of a QR of [H | y], and the singular values s, right
+    singular vectors Vt and U'y of H, from an SVD of R's first p columns.
 
     With [H | y] = Q [R z], H = (Q U_R) S Vt for the SVD R = U_R S Vt, so
     U'y = U_R' z. The QR is a tall-skinny QR over row blocks: the triangle
@@ -600,14 +592,18 @@ def _rank_revealing(H, y, workspace):
     U_R, s, Vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=0, overwrite_a=1)
     if info:
         raise RuntimeError(f"dgesdd failed: info {info}")
-    return s, Vt, U_R.T @ R[:k, p]
+    return R, s, Vt, U_R.T @ R[:k, p]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pseudoinverse(s, Vt, Uty, beta, size):
+def _pseudoinverse(R, s, Vt, Uty, beta, size):
     """Minimum-norm (beta = 0) or ridge (beta > 0) solution from the SVD
-    of H; also whether H is numerically rank deficient, and the reciprocal
-    condition number of H'H + beta I (0 when it is zero)."""
+    of H; also whether H is numerically rank deficient, the reciprocal
+    condition number of H'H + beta I (0 when it is zero), and the residual
+    norm ||y - H theta|| = ||R [theta; -1]||, from the triangle R of [H | y],
+    since Q's columns are orthonormal. That is the residual of the computed
+    theta, which the exact minimizer's residual, read from s and U'y, is
+    not."""
     smax = float(s[0])
     smin = float(s[-1]) if s.size == Vt.shape[1] else 0.0
     if beta > 0:
@@ -622,4 +618,5 @@ def _pseudoinverse(s, Vt, Uty, beta, size):
         gain = np.zeros_like(s)
         gain[nz] = 1.0 / s[nz]
     theta = Vt.T @ (gain * Uty)
-    return theta, int(np.count_nonzero(nz)) < Vt.shape[1], rcond
+    residual = float(np.linalg.norm(R[:, :-1] @ theta - R[:, -1]))
+    return theta, int(np.count_nonzero(nz)) < Vt.shape[1], rcond, residual

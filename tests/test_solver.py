@@ -325,8 +325,8 @@ def test_a_cholesky_sweep_forms_one_normal_residual_per_beta_and_walks_once_for_
 ):
     # each accepted Cholesky beta forms its normal residual once, for the
     # acceptance test, whose norm the report keeps; and one walk reads every
-    # beta's correction from H, so a row source fills each block three times
-    # (Gram, correction and residual walks)
+    # beta's correction and the norm of its uncorrected residual from H, so a
+    # row source fills each block twice (Gram and correction walks)
     residuals = []
     original = solver._normal_residual
 
@@ -355,7 +355,7 @@ def test_a_cholesky_sweep_forms_one_normal_residual_per_beta_and_walks_once_for_
     reports = solve_path(H, data.labels, betas)
     assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
     assert len(residuals) == len(betas)
-    assert len(fills) == 3 * walk_blocks
+    assert len(fills) == 2 * walk_blocks
     # the betas are corrected in the order that saves a factor, so match the
     # norms as sets; each has the same bits as the residual of its reported
     # theta, formed anew
@@ -496,9 +496,10 @@ def test_rank_deficient_fallback_in_small_row_blocks(monkeypatch, block_rows):
     assert blocked[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
     reference, _ = _lstsq(H, y)
     np.testing.assert_allclose(blocked[0].theta, reference, rtol=1e-8, atol=1e-10)
-    # the Cholesky beta does not read the QR; only its residual walk is blocked
+    # the Cholesky beta reads neither the QR nor its blocks, so its whole
+    # report is the same bits
     assert blocked[1].theta.tobytes() == whole[1].theta.tobytes()
-    assert blocked[1].residual_norm == pytest.approx(whole[1].residual_norm, rel=1e-12)
+    assert blocked[1].residual_norm == whole[1].residual_norm
 
 
 def _offset_system(offset, seed, scale=1.0):
@@ -525,12 +526,14 @@ def _assert_within_the_qr_bound(H, y, theta):
 
 
 # Unforced, each system takes the route its condition estimate picks: the
-# Cholesky route with one CSNE step at scale 1e4 and offset +50, the QR/SVD
-# route at +1e3; the largest ratio to the bound seen is 0.12.
+# Cholesky route with one CSNE step at scale 1e4 and offsets +50, +130 and
+# +150 (u / rcond 1.2e-4, 3.5e-2 and 8.2e-2), the QR/SVD route at +1e3; the
+# largest ratio to the bound seen is 0.35, at +150.
 @pytest.mark.parametrize("block_rows", [None, 7])
 @pytest.mark.parametrize(
     "scale, offset, route",
     [(1e4, 0.0, SolveStrategy.CHOLESKY), (1.0, 50.0, SolveStrategy.CHOLESKY),
+     (1.0, 130.0, SolveStrategy.CHOLESKY), (1.0, 150.0, SolveStrategy.CHOLESKY),
      (1.0, 1e3, SolveStrategy.PSEUDOINVERSE)],
 )
 @pytest.mark.parametrize("seed", [0, 1])
@@ -638,6 +641,47 @@ def test_features_at_1e3_are_routed_to_the_qr_by_their_condition_estimate(monkey
     _assert_within_the_qr_bound(H, y, rep.theta)
 
 
+def _rank_deficient_system(kind):
+    if kind == "narx":
+        # as quadconv train --d 20 --f 5 on a noise-free series: rank 212 of 230
+        data = narx_window(synth_narx(3000, seed=0), "u", "y", 20)
+        H = build_regressor(data, ConvSpec(40, 5), ActivationParams(0.0937, 0.5, 0.4688))
+        return H, data.labels
+    if kind == "fewer-rows-than-columns":
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((20, 31)), rng.standard_normal(20)
+    H, y = _offset_system(0.0, 0)
+    if kind == "duplicated-column":
+        H[:, 7] = H[:, 3]
+    elif kind == "zero-column":
+        H[:, 5] = 0.0
+    else:  # a dependent column, 1e8 times the size of the others
+        H[:, 9] = 1e8 * (H[:, 1] - 2.0 * H[:, 4])
+    return H, y
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["narx", "duplicated-column", "zero-column", "scaled-dependent-column",
+     "fewer-rows-than-columns"],
+)
+def test_rank_deficient_systems_are_routed_by_the_condition_estimate_and_flagged(
+    monkeypatch, kind
+):
+    # the condition estimate is the one routing rule, for beta = 0 as for
+    # every beta: a factor that stops, or one whose estimate exceeds the
+    # limit, sends the beta to the QR/SVD route, whose SVD finds the rank
+    rconds = _record_rconds(monkeypatch)
+    H, y = _rank_deficient_system(kind)
+    rep = solve_ridge(H, y, 0.0)
+    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert rep.rank_deficient
+    assert all(solver._UNIT_ROUNDOFF / rcond > solver._ROUTE_LIMIT for rcond in rconds)
+    reference, rank = _lstsq(H, y)
+    assert rank < H.shape[1]
+    np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-10)
+
+
 def test_solve_path_matches_per_beta_solves_where_the_correction_moves_theta():
     # at +50 the CSNE step moves theta well past rounding, and beta = 0's
     # factor, written over by the two later betas, is made again after the
@@ -650,6 +694,51 @@ def test_solve_path_matches_per_beta_solves_where_the_correction_moves_theta():
     assert np.linalg.norm(reports[0].theta - uncorrected) > 1e-9 * np.linalg.norm(uncorrected)
     for beta, rep in zip(betas, reports):
         _assert_same_report(rep, solve_ridge(H, y, beta))
+
+
+def _near_exact_system(noise):
+    # 800 x 21 rows and the labels of a random model, plus noise of `noise`
+    # times the labels' scale
+    rng = np.random.default_rng(14)
+    spec = ConvSpec(6, 3)
+    X = rng.uniform(-1, 1, size=(800, spec.n))
+    H = build_regressor(Dataset(X, np.zeros(800)), spec, ActivationParams(0.0937, 0.5, 0.4688))
+    y = H @ rng.uniform(-1, 1, size=spec.n_weights)
+    y += noise * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
+    return H, y
+
+
+_SYSTEMS = {
+    "offset-0": lambda: _offset_system(0.0, 0),
+    "offset-50": lambda: _offset_system(50.0, 0),
+    "offset-110": lambda: _offset_system(110.0, 0),
+    "offset-1e3": lambda: _offset_system(1e3, 0),
+    "narx": _narx_system,
+    "near-exact-1e-9": lambda: _near_exact_system(1e-9),
+    "near-exact-1e-13": lambda: _near_exact_system(1e-13),
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no more precise than float64 here",
+)
+@pytest.mark.parametrize("walk_rows", [None, 37], ids=["held", "walked"])
+@pytest.mark.parametrize("system", sorted(_SYSTEMS))
+def test_residual_norm_keeps_ten_digits_of_the_reported_weights_residual(
+    monkeypatch, system, walk_rows
+):
+    # each route's norm against the extended-precision residual of its own
+    # theta: within 1e-10 relative, or 100 u ||y|| absolute for a residual
+    # at rounding level, which no float64 method resolves
+    H, y = _SYSTEMS[system]()
+    if walk_rows is not None:
+        monkeypatch.setattr(core, "_WALK_BYTES", 8 * H.shape[1] * walk_rows)
+    floor = 100 * solver._UNIT_ROUNDOFF * np.linalg.norm(y)
+    for rep in solve_path(H, y, [0.0, 1e-3, 1.0]):
+        r = y.astype(np.longdouble) - H.astype(np.longdouble) @ rep.theta.astype(np.longdouble)
+        exact = float(np.sqrt(r @ r))
+        assert abs(rep.residual_norm - exact) <= 1e-10 * exact + floor, (rep.beta, rep.solve_strategy)
 
 
 def test_fallback_allocates_no_n_row_matrix(monkeypatch):
@@ -682,7 +771,7 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
 def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(monkeypatch):
     # at p = 230, as on a NARX series with d = 20 and f = 5, the QR stack of
     # a block (999,537 floats) fits in the Gram walk's buffer (1,048,570), so
-    # the Gram, QR and residual walks all fill the solve's one workspace
+    # the Gram, QR and correction walks all fill the solve's one workspace
     outs = []
     fill_rows = _RegressorRows.fill_rows
 
@@ -702,8 +791,8 @@ def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(mo
     walk_blocks = len(solver._slices(N, solver._walk_rows(p)))
     qr_blocks = len(solver._slices(N, solver._block_rows(p)))
     assert (walk_blocks, qr_blocks) == (3, 3)
-    # the Gram, correction (for beta = 1) and residual walks, and the QR walk
-    assert len(outs) == 3 * walk_blocks + qr_blocks
+    # the Gram and correction (for beta = 1) walks, and the QR walk
+    assert len(outs) == 2 * walk_blocks + qr_blocks
     assert all(np.shares_memory(out, outs[0]) for out in outs)
 
 
