@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadconv", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[], help="fit a banded quadratic model")
+    p = sub.add_parser("train", help="fit a banded quadratic model")
     _add_common_train_args(p)
     p.add_argument("--f", type=int, required=True, help="filter length")
     p.add_argument("--beta", default="0", help="comma-separated ridge weights (default 0)")

@@ -305,6 +305,17 @@ def _parse_int(token: str):
         raise MalformedModelFile(f"an integer of {digits} digits is too long") from None
 
 
+def _unique_fields(pairs):
+    # json.loads would keep the last of two equal names; a model file names
+    # each field once, as a CSV header names each column once
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise MalformedModelFile(f"field {key!r} appears twice")
+        doc[key] = value
+    return doc
+
+
 def _require_int(doc: dict, key: str) -> int:
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, int):
@@ -343,7 +354,8 @@ def _require_num_list(doc: dict, key: str, length: int, why: str) -> np.ndarray:
 def deserialize(text: str) -> QuadraticModel:
     """Parse a model file, reporting the offending line or field on error."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int,
+                         object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as e:
         raise MalformedModelFile(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"

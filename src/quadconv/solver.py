@@ -20,16 +20,15 @@ has the accuracy of a QR solve while kappa(H)^2 u is well below 1 (Björck,
 "Stability analysis of the method of seminormal equations for linear least
 squares problems", BIT 27, 1987; Higham, "Accuracy and Stability of
 Numerical Algorithms", 2nd ed., ch. 20). A beta whose normal matrix is too
-ill-conditioned for that, by a condition estimate from its factor (the
-algorithm of LAPACK's dpocon), goes to the QR route instead. That one rule
-routes every beta, beta = 0 too; the QR route's SVD then finds the rank.
+ill-conditioned for that, by LAPACK's condition estimate from its factor
+(dpocon), goes to the QR route instead. That one rule routes every beta,
+beta = 0 too; the QR route's SVD then finds the rank.
 
 A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
 blocks are already column-major is read in place and needs none), and a walk
 that needs more room drops it before making a larger one, so at most one
-block buffer is alive at a time. The column panels that each factor step
-reads its normal matrix's 1-norm from borrow it too.
+block buffer is alive at a time.
 
 A sweep holds one p x p array. The Gram walk writes H'H into its lower
 triangle, which every product with the normal matrix reads and nothing
@@ -39,10 +38,10 @@ Cholesky factor in place in the upper triangle, so no second p x p array
 is ever made; a beta whose factor a later beta overwrote makes it again
 for its correction step.
 
-The walks and factorizations call seven of scipy's f2py wrappers (dsyrk,
-dgemv, dsymv, dpotrf, dpotrs, dgeqrt, dgesdd), which live in its extension
-modules scipy.linalg._fblas and _flapack. _blas_lapack loads those two
-modules by the import system's path finder, without running
+The walks and factorizations call nine of scipy's f2py wrappers (dsyrk,
+dgemv, dsymv, dlange, dpotrf, dpotrs, dpocon, dgeqrt, dgesdd), which live
+in its extension modules scipy.linalg._fblas and _flapack. _blas_lapack
+loads those two modules by the import system's path finder, without running
 scipy/linalg/__init__: that package's array-API layer imports numpy.f2py,
 numpy.testing and numpy.ma, and after numpy it cost 0.25 s and 28 MB of RSS,
 where the two modules cost 0.03 s and 5 MB. The wrappers are the very
@@ -85,9 +84,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _BLOCK_ROWS = 4096
 _QR_PANEL = 64
 
-# Each beta copies the Gram up from the lower triangle of its array, and
-# reads the 1-norm of its normal matrix, in panels of this many columns, so
-# no p x p temporary is made.
+# Each beta copies the Gram up from the lower triangle of its array in
+# panels of this many columns, so no p x p temporary is made.
 _MIRROR_PANEL = 64
 
 # Every walk calls scipy's BLAS and LAPACK only: the Gram walk, the
@@ -120,8 +118,8 @@ class SolveReport:
     reported theta, taken from the quantities of its own route.
 
     `rcond` estimates the reciprocal condition number of H'H + beta I: on
-    the Cholesky route the estimate of 1 / cond_1 from the factor that
-    LAPACK's dpocon would give, on the QR/SVD route (s_min^2 + beta) / (s_max^2 + beta) from
+    the Cholesky route LAPACK's dpocon estimate of 1 / cond_1 from the
+    factor, on the QR/SVD route (s_min^2 + beta) / (s_max^2 + beta) from
     the singular values of H (s_min = 0 when H has fewer rows than columns).
     """
 
@@ -298,7 +296,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         # each factor writes over the last; this names the beta whose whole
         # factor A's upper triangle holds
         factored = None
-        norm = _factor(A, diagonal, workspace)
+        norm = _factor(A, diagonal)
         rcond = 0.0 if norm is None else _rcond(A, norm)
         if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT:
             s.update(theta=lapack.dpotrs(A, rhs)[0], rank_deficient=False, rcond=rcond,
@@ -318,7 +316,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         s = solved[i]
         diagonal = gram_diagonal + s["beta"]
         if i != factored:
-            _factor(A, diagonal, workspace)
+            _factor(A, diagonal)
         factored = None  # the acceptance test writes over its diagonal
         theta, norm, residual = _correct(
             A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs
@@ -428,105 +426,48 @@ def _normal_residual(A, diagonal, theta, rhs):
     """rhs - (H'H + beta I) theta, by scipy's dsymv on the Gram in A's lower
     triangle, after writing `diagonal`, H'H + beta I's diagonal, on A's.
 
-    The product must read the lower triangle: on the same values, dsymv's
-    upper-triangle kernel lost 0.04-0.38 digits of theta on each of
-    wide_fit's eight labels (seed 3) against numpy's full product, where
-    this one moved them by -0.19 to +0.23.
+    The product reads the lower triangle because it is the only one that
+    keeps H'H for the whole sweep: the upper one holds a Cholesky factor.
+    No theta passes through it; it gives the normal-residual norm that the
+    acceptance test measures and the report keeps, and _correct's
+    delta'H'H delta.
     """
     blas, _ = _blas_lapack()
     np.fill_diagonal(A, diagonal)
     return rhs - blas.dsymv(1.0, A, theta, lower=1)
 
 
-# a column sum past the float range makes the 1-norm inf, and so the
-# condition estimate 0
-@np.errstate(over="ignore")
-def _factor(A, diagonal, workspace):
+def _factor(A, diagonal):
     """Make the Cholesky factor of H'H + beta I in A's upper triangle, and
     return the 1-norm of H'H + beta I; None when the factor is degenerate.
 
     A holds H'H in its strict lower triangle, and `diagonal` is H'H + beta
     I's diagonal. Copying the strict lower triangle up and writing the
     diagonal puts H'H + beta I in the whole of A, exactly the matrix a lone
-    solve would see, whatever an earlier beta's factor left there. Its
-    1-norm, the largest column sum of its absolute values, is read then, in
-    column panels copied into the solve's workspace, which holds the column
-    sums too, so the pass makes no array. LAPACK's dpotrf then factors
-    the upper triangle in place, overwriting some or all of it (all when it
-    succeeds).
+    solve would see, whatever an earlier beta's factor left there. LAPACK's
+    dlange reads its 1-norm then (inf when a column sum passes the float
+    range), and dpotrf factors the upper triangle in place, overwriting some
+    or all of it (all when it succeeds).
     """
     _, lapack = _blas_lapack()
     _mirror(A)
     np.fill_diagonal(A, diagonal)
-    p = len(A)
-    width = min(p, _MIRROR_PANEL)
-    buffer = workspace.take(p * (width + 1))
-    sums = buffer[p * width : p * (width + 1)]
-    for j in range(0, p, _MIRROR_PANEL):
-        k = min(p, j + _MIRROR_PANEL)
-        panel = np.abs(A[:, j:k], out=buffer[: p * (k - j)].reshape((p, k - j), order="F"))
-        panel.sum(axis=0, out=sums[j:k])
+    norm = lapack.dlange("1", A)
     _, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise RuntimeError(f"dpotrf rejected argument {-info}")
-    return float(sums.max()) if info == 0 else None
+    return norm if info == 0 else None
 
 
-# a factor near the float range's ends may give solves past it, which make
-# the estimate 0
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _rcond(A, norm):
-    """An estimate of 1 / cond_1(H'H + beta I) from its factor in A's upper
-    triangle and its 1-norm `norm`, which _factor gives (dpocon's ANORM):
-    ||(H'H + beta I)^-1||_1 is estimated by Hager's method as Higham refined
-    it, the algorithm of LAPACK's dlacn2 and so of dpocon (Higham, ACM TOMS
-    14, 1988).
-
-    The inverse is symmetric, so every product with it or its transpose is
-    one dpotrs solve. The estimate calls only code that a fit runs anyway:
-    dpocon's first call made 0.5 MB of LAPACK code resident, and np.sign,
-    np.argmax, np.flatnonzero, np.where or np.arange 64 KiB each, against a
-    0.1 MB bound on a fit's peak memory.
-    """
+    """LAPACK's dpocon estimate of 1 / cond_1(H'H + beta I), from its factor
+    in A's upper triangle and its 1-norm `norm`, which _factor gives: 0 when
+    the norm or the estimated norm of the inverse passes the float range."""
     _, lapack = _blas_lapack()
-    p = len(A)
-
-    def solve(x):
-        return lapack.dpotrs(A, x)[0]
-
-    def signs(v):
-        # +1 or -1 by the sign of each entry, +1 at zero
-        s = v / np.abs(v)
-        s[v == 0] = 1.0
-        return s
-
-    def largest(v):
-        # the index of v's first largest entry
-        return max(range(p), key=v.__getitem__)
-
-    y = solve(np.full(p, 1.0 / p))
-    estimate = np.abs(y).sum()
-    xi = signs(y)
-    j = largest(np.abs(solve(xi)))
-    for _ in range(4):
-        x = np.zeros(p)
-        x[j] = 1.0
-        y = solve(x)
-        last, estimate = estimate, np.abs(y).sum()
-        if (signs(y) == xi).all() or not estimate > last:
-            break
-        xi = signs(y)
-        z = np.abs(solve(xi))
-        j, last_j = largest(z), j
-        if z[last_j] == z[j]:
-            break
-    # a vector of alternating signs, for the matrices that fool the
-    # iteration
-    x = np.linspace(1.0, 2.0, p)
-    x[1::2] *= -1.0
-    estimate = max(estimate, 2.0 * np.abs(solve(x)).sum() / (3.0 * p))
-    rcond = 1.0 / (norm * estimate)
-    return float(rcond) if np.isfinite(rcond) else 0.0
+    rcond, info = lapack.dpocon(A, norm)
+    if info < 0:
+        raise RuntimeError(f"dpocon rejected argument {-info}")
+    return rcond
 
 
 # weights past the float range, from a pivot near the smallest float, fail

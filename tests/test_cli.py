@@ -303,6 +303,10 @@ def scored(tmp_path_factory):
     # recursion limit, and an integer past Python's 4,300-digit limit
     (root / "deep.json").write_text("[" * 200_000)
     (root / "long_int.json").write_text('{"n": 1' + "0" * 5000 + "}")
+    # a valid model file that names a field a second time, with a value the
+    # first one could have had
+    text = (root / "model.json").read_text().rstrip().rstrip("}")
+    (root / "doubled.json").write_text(text + f', "zbar2": {json.dumps(doc["zbar2"][::-1])}}}\n')
     # finite inputs whose regressor entries, predictions or gradients
     # overflow float64
     rng = np.random.default_rng(0)
@@ -394,6 +398,10 @@ def _write_rows(path, header, rows):
                       "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
                      2, "data error: an integer of 5001 digits is too long",
                      id="predict-model-integer-too-long"),
+        pytest.param(["predict", "--model", "{root}/doubled.json",
+                      "--data", "{root}/features.csv", "--out", "{tmp}/p.csv"],
+                     2, "data error: field 'zbar2' appears twice",
+                     id="predict-model-field-twice"),
         pytest.param(["sensitivity", "--model", "{root}/deep.json",
                       "--x0", "{root}/features.csv", "--out", "{tmp}/g.csv"],
                      2, "data error: JSON arrays or objects are nested too deeply",

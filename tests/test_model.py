@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -488,17 +489,18 @@ def test_deserialize_reports_json_location():
         (lambda d: d.__setitem__("b", True), "number"),
         (lambda d: d.__setitem__("n", 2.5), "integer"),
         (lambda d: d.__setitem__("zbar2", [1.0, "x"]), "not a number"),
+        # a mutation that returns text is the document: a field named twice,
+        # each value valid alone, where JSON would keep the last
+        (lambda d: json.dumps(d)[:-1] + ', "zbar2": [7.0, 8.0]}', "'zbar2' appears twice"),
     ],
 )
 def test_deserialize_rejects_malformed_documents(mutation, fragment):
-    import json
-
     spec = ConvSpec(2, 2)
     m = reconstruct(np.arange(1.0, 6.0), spec, _RELU)
     doc = json.loads(serialize(m))
-    mutation(doc)
+    text = mutation(doc)
     with pytest.raises(MalformedModelFile, match=fragment):
-        deserialize(json.dumps(doc))
+        deserialize(text if isinstance(text, str) else json.dumps(doc))
 
 
 def test_deserialize_rejects_non_finite_numbers():

@@ -139,9 +139,10 @@ def test_labels_whose_h_y_norm_overflows_are_rejected():
 def test_weights_that_overflow_are_refused_with_one_line():
     # H'H underflows to zero while H'y does not, so the weights y / h pass
     # the float range: the beta = 0 factor is degenerate and the SVD's
-    # 1 / s overflows; a beta at the smallest float is factored, its weights
-    # fail the acceptance test and the fallback overflows as well. Any
-    # warning would fail this test (filterwarnings = error).
+    # 1 / s overflows; a beta at the smallest float is factored, but its
+    # condition estimate reads 0, which routes it to the QR, where the
+    # weights overflow as well. Any warning would fail this test
+    # (filterwarnings = error).
     H, y = np.array([[1e-165], [2e-165]]), np.full(2, 1e151)
     for beta in (0.0, 5e-324):
         with pytest.raises(NonFiniteInput, match=f"the least-squares weights overflow at beta={beta:g}"):
@@ -514,15 +515,18 @@ def _offset_system(offset, seed, scale=1.0):
     return H, y
 
 
-def _assert_within_the_qr_bound(H, y, theta):
+def _qr_bound_ratio(H, y, theta):
     # both solvers are backward stable, so on these full-rank, small-residual
     # systems their weights differ by at most c * eps * cond(H) relative,
-    # with c = 1
+    # with c = 1; this is the distance from lstsq's weights over that bound
     reference, _ = _lstsq(H, y)
     s = np.linalg.svd(H, compute_uv=False)
     bound = np.finfo(float).eps * s[0] / s[-1]
-    error = np.linalg.norm(theta - reference) / np.linalg.norm(reference)
-    assert error <= bound
+    return np.linalg.norm(theta - reference) / np.linalg.norm(reference) / bound
+
+
+def _assert_within_the_qr_bound(H, y, theta):
+    assert _qr_bound_ratio(H, y, theta) <= 1.0
 
 
 # Unforced, each system takes the route its condition estimate picks: the
@@ -579,11 +583,9 @@ def _record_rconds(monkeypatch):
 
 @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 200])
 def test_the_condition_estimate_matches_lapacks_dpocon(p):
-    # each factor step reads the 1-norm of the matrix it factors, in column
-    # panels, and the estimate from the factor agrees with dpocon's, which
-    # the solver does not call (its code would add to a fit's peak memory)
-    from scipy.linalg.lapack import dpocon
-
+    # each factor step reads the 1-norm of the matrix it factors, by
+    # LAPACK's dlange, and dpocon's estimate from the factor never
+    # overestimates cond_1, nor underestimates it by more than 3 here
     rng = np.random.default_rng(p)
     for _ in range(3):
         B = rng.standard_normal((p + 5, p)) * np.logspace(0, rng.uniform(0, 4), p)
@@ -591,12 +593,14 @@ def test_the_condition_estimate_matches_lapacks_dpocon(p):
         M = np.asfortranarray(np.tril(M) + np.tril(M, -1).T)
         # the Gram walk leaves H'H in the lower triangle and zeros above it
         A = np.asfortranarray(np.tril(M))
-        norm = solver._factor(A, M.diagonal().copy(), solver._Workspace())
-        # F-ordered, so numpy sums each column in the order the panels do
-        assert norm == np.linalg.norm(M, 1)
-        rcond, info = dpocon(A, norm)
-        assert info == 0
-        assert solver._rcond(A, norm) == pytest.approx(rcond, rel=1e-4)
+        norm = solver._factor(A, M.diagonal().copy())
+        # dlange sums each column in its own order, not numpy's pairwise one
+        assert norm == pytest.approx(np.linalg.norm(M, 1), rel=1e-15, abs=0)
+        rcond = solver._rcond(A, norm)
+        true = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1))
+        # numpy's inverse is exact to about cond_1(M) u, which the lower
+        # limit allows for
+        assert 1.0 - 10 * solver._UNIT_ROUNDOFF / true <= rcond / true <= 3.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -639,6 +643,39 @@ def test_features_at_1e3_are_routed_to_the_qr_by_their_condition_estimate(monkey
     s = np.linalg.svd(H, compute_uv=False)
     assert rep.rcond == pytest.approx((s[-1] / s[0]) ** 2, rel=1e-3)
     _assert_within_the_qr_bound(H, y, rep.theta)
+
+
+def _rescue_system(seed):
+    # 400 x 20 with singular values from 1 down to 1e-7, and labels that add
+    # to a random model's 1e3 times its size along the smallest singular
+    # direction, so that direction dominates the weights
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((400, 20)))
+    V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    H = U @ np.diag(np.logspace(0, -7, 20)) @ V.T
+    fit = H @ rng.standard_normal(20)
+    return H, fit + 1e3 * np.linalg.norm(fit) * U[:, -1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_acceptance_test_sends_a_step_that_misses_the_bound_to_the_qr(monkeypatch, seed):
+    # u / rcond reads 2.9e-2 to 5.1e-2, below the routing limit, so beta = 0
+    # is factored; one CSNE step then leaves theta 46 to 704 times the c = 1
+    # bound away, and its normal residual fails the acceptance test, which
+    # sends the beta to the QR/SVD route
+    rconds = _record_rconds(monkeypatch)
+    H, y = _rescue_system(seed)
+    rep = solve_ridge(H, y, 0.0)
+    assert len(rconds) == 1
+    assert 1e-2 < solver._UNIT_ROUNDOFF / rconds[0] < solver._ROUTE_LIMIT
+    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert not rep.rank_deficient
+    _assert_within_the_qr_bound(H, y, rep.theta)
+    # with no acceptance test the step's theta is kept
+    monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", np.inf)
+    rep = solve_ridge(H, y, 0.0)
+    assert rep.solve_strategy == SolveStrategy.CHOLESKY
+    assert _qr_bound_ratio(H, y, rep.theta) > 10.0
 
 
 def _rank_deficient_system(kind):
