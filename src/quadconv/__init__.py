@@ -65,7 +65,7 @@ from .model import (
 )
 from .regressor import Dataset, build_regressor
 from .solver import SolveReport, SolveStrategy, solve_path, solve_ridge
-from .train import FitResult, fit, fit_path
+from .train import FitResult, fit, fit_path, mean_squared_errors
 
 __version__ = "0.1.0"
 
@@ -101,6 +101,7 @@ __all__ = [
     "fit_path",
     "load_csv",
     "load_feature_csv",
+    "mean_squared_errors",
     "mse",
     "multichannel_window",
     "narx_window",

@@ -34,7 +34,7 @@ from .dataio import (
 from .errors import MalformedModelFile, NonFiniteInput, QuadconvError
 from .model import deserialize, predict_batch, sensitivity_batch, serialize
 from .solver import SolveStrategy, _check_betas
-from .train import fit, fit_path
+from .train import fit, fit_path, mean_squared_errors
 from .verify import run_all_checks
 
 class _ConfigError(Exception):
@@ -208,8 +208,9 @@ def cmd_train(args) -> int:
     # every beta is scored and serialized before the first file is written,
     # so a beta that fails leaves no model of an earlier one behind
     rows, texts = [], []
-    for beta, result in zip(betas, fit_path(train_set, spec, params, betas)):
-        train_mse, test_mse = _scores(result, n_train, test_set)
+    results = fit_path(train_set, spec, params, betas)
+    for beta, result, (train_mse, test_mse) in zip(betas, results,
+                                                   _scores(results, n_train, test_set)):
         theta_norm = float(np.linalg.norm(result.report.theta))
         texts.append(serialize(result.model))
         rows.append((beta, train_mse, test_mse, result.train_seconds, theta_norm))
@@ -252,12 +253,34 @@ def _evaluate(kernel, model, X, what: str):
     return out
 
 
-def _scores(result, n_train: int, test_set):
-    """(train_mse, test_mse) of a fit on n_train rows, after a warning on
-    stderr when the fit is rank deficient, or when it is of full rank but
-    left the normal equations for the QR route, which only an
-    ill-conditioned H'H + beta I does. The solve measured the training
-    residual, so only the test rows are evaluated."""
+def _scores(results, n_train: int, test_set):
+    """(train_mse, test_mse) of every fit of a sweep on n_train rows, each
+    after a warning on stderr when the fit is rank deficient, or when it is
+    of full rank but left the normal equations for the QR route, which only
+    an ill-conditioned H'H + beta I does.
+
+    The solve measured the training residual, so only the test rows are
+    read: by one walk over their rows of H for the whole sweep
+    (train.mean_squared_errors), on the BLAS library of the solve, so that
+    a run keeps to one BLAS thread pool. Where that walk's bound says that
+    it or the model kernel could overflow, every model is evaluated on the
+    test rows instead (predict_batch), one after another, and a prediction
+    that overflows is refused with the index of its row."""
+    test_mses = mean_squared_errors(results, test_set)
+    scores = []
+    for i, result in enumerate(results):
+        _warn(result, n_train)
+        if test_mses is None:
+            y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
+            test_mse = mse(y_test, test_set.labels)
+        else:
+            test_mse = test_mses[i]
+        scores.append((result.report.residual_norm ** 2 / n_train, test_mse))
+    return scores
+
+
+def _warn(result, n_train: int) -> None:
+    """Print the warning of _scores for a fit that needs one."""
     report = result.report
     if report.rank_deficient:
         print(
@@ -274,9 +297,6 @@ def _scores(result, n_train: int, test_set):
             "its weights come from a QR of the training rows, not the normal equations",
             file=sys.stderr,
         )
-    train_mse = report.residual_norm ** 2 / n_train
-    y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
-    return train_mse, mse(y_test, test_set.labels)
 
 
 def cmd_predict(args) -> int:
@@ -339,7 +359,7 @@ def cmd_bench(args) -> int:
     for spec in specs:
         fits = [fit(train_set, spec, params, 0.0) for _ in range(args.repeats)]
         method = "ls-qnn" if spec.f == n else "ls-cqnn"
-        rows.append((method, spec.f, *_scores(fits[-1], n_train, test_set),
+        rows.append((method, spec.f, *_scores(fits[-1:], n_train, test_set)[0],
                      min(result.train_seconds for result in fits)))
 
     _write_csv(args.out, ["method", "f", "train_mse", "test_mse", "train_time_s"],

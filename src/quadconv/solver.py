@@ -38,7 +38,9 @@ Cholesky factor in place in the upper triangle, so no second p x p array
 is ever made; a beta whose factor a later beta overwrote makes it again
 for its correction step.
 
-The walks and factorizations call nine of scipy's f2py wrappers (dsyrk,
+A fourth walk, _residual_squares, reads ||y - H theta||^2 for several
+thetas by the correction walk's block loop; train scores test rows with it.
+A solve and that walk call ten of scipy's f2py wrappers (ddot, dsyrk,
 dgemv, dsymv, dlange, dpotrf, dpotrs, dpocon, dgeqrt, dgesdd), which live
 in its extension modules scipy.linalg._fblas and _flapack. _blas_lapack
 loads those two modules by the import system's path finder, without running
@@ -88,15 +90,20 @@ _QR_PANEL = 64
 # panels of this many columns, so no p x p temporary is made.
 _MIRROR_PANEL = 64
 
-# Every walk calls scipy's BLAS and LAPACK only: the Gram walk, the
-# correction walk, and the QR walk with the SVD of its triangle. numpy and
-# scipy each bundle their own OpenBLAS, with its own thread pool, and a pool
-# whose threads still spin after a call slows the other's next call. A numpy
-# H'y product between dsyrk calls made the Gram walk 1.9x slower at
-# p = 2155, and a numpy product with each stacked block between dgeqrt calls
-# made the QR walk 2.2x slower at p = 230. The correction walk runs between
-# scipy's dpotrf and dpotrs: at p = 2155 it took 0.09-0.10 s on scipy's
-# dgemv and 0.14-0.19 s on numpy's products. Assembling a block uses no BLAS.
+# A solve calls scipy's BLAS and LAPACK for every product that OpenBLAS
+# may thread: the label check's y'y, the Gram walk, the correction walk,
+# the QR walk with the SVD of its triangle, and the pseudoinverse's
+# products with the SVD's factors and the triangle. numpy and scipy each
+# bundle their own OpenBLAS, with its own thread pool, and a pool whose
+# threads still spin after a call slows the other's next call. A numpy H'y
+# product between dsyrk calls made the Gram walk 1.9x slower at p = 2155,
+# and a numpy product with each stacked block between dgeqrt calls made the
+# QR walk 2.2x slower at p = 230. The correction walk runs between scipy's
+# dpotrf and dpotrs: at p = 2155 it took 0.09-0.10 s on scipy's dgemv and
+# 0.14-0.19 s on numpy's products. A numpy y'y on 99,990 labels, just
+# before the Gram walk, made that walk take 168-232 ms against 111-139 ms.
+# What numpy still computes in a solve is a product of p-vectors, which
+# OpenBLAS runs on the calling thread. Assembling a block uses no BLAS.
 
 
 class SolveStrategy(str, Enum):
@@ -222,7 +229,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     # scipy's BLAS and LAPACK load at the first solve, not on import, so
     # that serving a model never pays for them; loading them before the
     # clock starts keeps that one-time cost out of the first report's seconds
-    _blas_lapack()
+    blas, lapack = _blas_lapack()
 
     t = time.perf_counter()
     if not hasattr(H, "fill_rows"):
@@ -238,9 +245,8 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         raise NonFiniteInput("labels contain non-finite values")
     # finite labels whose squares sum past the float range would make the
     # acceptance scale and every residual norm infinite
-    with np.errstate(over="ignore"):
-        if not np.isfinite(y @ y):
-            raise NonFiniteInput("labels are too large: the sum of their squares overflows")
+    if not np.isfinite(blas.ddot(y, y)):
+        raise NonFiniteInput("labels are too large: the sum of their squares overflows")
 
     workspace = _Workspace()
     A, rhs = _gram(H, y, workspace)
@@ -290,7 +296,6 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
             normal_residual_norm=float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs))),
         )
 
-    _, lapack = _blas_lapack()
     for i, s in enumerate(solved):
         diagonal = gram_diagonal + s["beta"]
         # each factor writes over the last; this names the beta whose whole
@@ -398,28 +403,58 @@ def _mirror(A):
         block[above, below] = block[below, above]
 
 
+def _residuals(H, y, thetas, workspace):
+    """(j, block, y[r] - H[r] theta_j) for every row block r of H and every
+    theta_j, from one walk over H, or none without a walk when there are no
+    thetas.
+
+    Each theta gets its own product per block, so what it gets does not
+    depend on which other thetas share the walk. The products are scipy's
+    dgemv, the library of the factor calls around the walk; the callers'
+    sums of squares are dgemv products too (see _square), so a walk runs no
+    other kernel. The generator runs under its caller's error state.
+    """
+    blas, _ = _blas_lapack()
+    if thetas:
+        for block, labels in _blocks(H, y, workspace):
+            for j, theta in enumerate(thetas):
+                yield j, block, blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
+
+
+def _square(residual):
+    """||residual||^2, by scipy's dgemv on the residual as a one-column
+    matrix."""
+    blas, _ = _blas_lapack()
+    return blas.dgemv(1.0, residual[:, None], residual, trans=1)[0]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _normal_gradients(H, y, thetas, workspace):
     """(H'r0, ||r0||^2) with r0 = y - H theta for every theta, from one walk
-    over H, or none without a walk when there are no thetas.
-
-    Each theta gets its own products per block, so what it gets does not
-    depend on which other thetas share the walk. The products are scipy's
-    dgemv, the library of the factor calls around the walk; ||r0||^2 too is
-    a dgemv, of r0 as a one-column matrix, so the walk runs no other kernel.
-    A theta past the float range gives a non-finite gradient, which the
-    acceptance test refuses.
+    over H (see _residuals), or none without a walk when there are no
+    thetas. A theta past the float range gives a non-finite gradient, which
+    the acceptance test refuses.
     """
     blas, _ = _blas_lapack()
     gradients = [np.zeros(H.shape[1]) for _ in thetas]
     squares = [0.0 for _ in thetas]
-    if thetas:
-        for block, labels in _blocks(H, y, workspace):
-            for j, (g, theta) in enumerate(zip(gradients, thetas)):
-                residual = blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
-                blas.dgemv(1.0, block, residual, beta=1.0, y=g, trans=1, overwrite_y=1)
-                squares[j] += blas.dgemv(1.0, residual[:, None], residual, trans=1)[0]
+    for j, block, residual in _residuals(H, y, thetas, workspace):
+        blas.dgemv(1.0, block, residual, beta=1.0, y=gradients[j], trans=1, overwrite_y=1)
+        squares[j] += _square(residual)
     return list(zip(gradients, squares))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _residual_squares(H, y, thetas) -> list[float]:
+    """||y - H theta||^2 for every theta, from one walk over H, a 2-D array
+    or a row source, in a workspace of its own: the walk of _normal_gradients
+    without the gradients. A residual past the float range gives inf."""
+    if not hasattr(H, "fill_rows"):
+        H = _as_rows(H)
+    squares = [0.0 for _ in thetas]
+    for j, _, residual in _residuals(H, np.asarray(y, dtype=float), thetas, _Workspace()):
+        squares[j] += _square(residual)
+    return [float(s) for s in squares]
 
 
 def _normal_residual(A, diagonal, theta, rhs):
@@ -507,7 +542,7 @@ def _rank_revealing(H, y, workspace):
     the N-row left factor U is formed; fill_rows writes each block
     straight into the buffer, which the solve's workspace lends.
     """
-    _, lapack = _blas_lapack()
+    blas, lapack = _blas_lapack()
     N, p = H.shape
     width = p + 1
     buffer = workspace.take((min(N, _block_rows(p)) + width) * width)
@@ -533,7 +568,7 @@ def _rank_revealing(H, y, workspace):
     U_R, s, Vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=0, overwrite_a=1)
     if info:
         raise RuntimeError(f"dgesdd failed: info {info}")
-    return R, s, Vt, U_R.T @ R[:k, p]
+    return R, s, Vt, blas.dgemv(1.0, U_R, R[:k, p], trans=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -558,6 +593,11 @@ def _pseudoinverse(R, s, Vt, Uty, beta, size):
     else:
         gain = np.zeros_like(s)
         gain[nz] = 1.0 / s[nz]
-    theta = Vt.T @ (gain * Uty)
-    residual = float(np.linalg.norm(R[:, :-1] @ theta - R[:, -1]))
+    blas, _ = _blas_lapack()
+    theta = blas.dgemv(1.0, Vt, gain * Uty, trans=1)
+    # R's transpose is Fortran-ordered, so dgemv reads it in place; the
+    # zero that theta gains pairs with R's last column, so the product is
+    # R[:, :-1] theta
+    residual = float(np.linalg.norm(
+        blas.dgemv(1.0, R.T, np.append(theta, 0.0), trans=1) - R[:, -1]))
     return theta, int(np.count_nonzero(nz)) < Vt.shape[1], rcond, residual

@@ -193,24 +193,91 @@ def test_windowed_dataset_is_freed_before_the_fit(series_csv, tmp_path, monkeypa
 
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_only_the_test_rows_are_evaluated(series_csv, tmp_path, monkeypatch, command):
-    # the training error comes from the solve's residual norm, so each fit
-    # evaluates its model once, on the 298 test rows
+    # the training error comes from the solve's residual norm, so only the
+    # 298 test rows are read: by one scoring walk for the whole train sweep,
+    # and one per f in bench, and no model is evaluated
     import quadconv.cli as cli
 
-    rows = []
+    walks, evaluated = [], []
+    original = cli.mean_squared_errors
 
-    def recorded(model, X):
-        rows.append(X.shape[0])
+    def recorded(results, data):
+        walks.append((len(results), data.n_samples))
+        return original(results, data)
+
+    monkeypatch.setattr(cli, "mean_squared_errors", recorded)
+    monkeypatch.setattr(cli, "predict_batch", lambda model, X: evaluated.append(X.shape[0]))
+    if command == "train":
+        argv, want = _train_args(series_csv, tmp_path, **{"--beta": "0,1,10"}), [(3, 298)]
+    else:
+        argv, want = ["bench", "--data", series_csv, "--d", "5", "--f-list", "3",
+                      "--out", str(tmp_path / "b.csv"), "--repeats", "1"], [(1, 298)] * 2
+    assert main(argv) == 0
+    assert walks == want  # bench: f = 3, 10
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("samples, deficient", [(800, False), (30, True)])
+def test_test_mse_agrees_with_the_models_predictions(tmp_path, command, samples, deficient):
+    # test_mse comes from the scoring walk over the test rows of H; as a
+    # residual norm it agrees with the model's predictions to about 10
+    # digits, or 100 u ||y_test|| at rounding level
+    import csv
+
+    from quadconv import TimeSeries, fit
+
+    rng = np.random.default_rng(samples)
+    path = tmp_path / "random.csv"
+    series_to_csv(TimeSeries({"u": rng.normal(size=samples), "y": rng.normal(size=samples)}), path)
+    train, test = split(narx_window(load_csv(str(path)), "u", "y", 5), SplitSpec(0.5))
+    out = tmp_path / "out.csv"
+    if command == "train":
+        argv = _train_args(str(path), tmp_path, **{"--beta": "0,1e-3,1", "--metrics": str(out)})
+    else:
+        argv = ["bench", "--data", str(path), "--d", "5", "--f-list", "3", "--out", str(out),
+                "--repeats", "1"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    if command == "train":
+        models = [deserialize((tmp_path / f"model_beta{float(r['beta']):g}.json").read_text())
+                  for r in rows]
+    else:  # the same fits again: f = 3 and the dense f = 10, at beta = 0
+        models = [fit(train, ConvSpec(10, f), RELU_MIMIC).model for f in (3, 10)]
+    assert len(models) == len(rows) > 1
+    y = test.labels
+    floor = 100 * np.finfo(float).eps / 2 * np.linalg.norm(y)
+    for row, model in zip(rows, models):
+        want = np.linalg.norm(y - predict_batch(model, test.features))
+        got = np.sqrt(len(y) * float(row["test_mse"]))
+        assert abs(got - want) <= 1e-9 * want + floor
+    assert fit(train, ConvSpec(10, 3), RELU_MIMIC).report.rank_deficient == deficient
+
+
+def test_test_rows_past_the_walks_bound_are_scored_by_the_models(monkeypatch):
+    # test rows whose scale puts the scoring walk's bound past 2^1000: every
+    # beta of the sweep is scored by predict_batch, as it would be if the
+    # walk did not exist, and gets the same test_mse
+    import quadconv.cli as cli
+    from quadconv import Dataset, fit_path, mse
+
+    train, test = split(narx_window(synth_narx(600, seed=4), "u", "y", 5), SplitSpec(0.5))
+    results = fit_path(train, ConvSpec(10, 3), RELU_MIMIC, [0.0, 1.0, 10.0])
+    # max |x| = 1e75 takes N (T + Y)^2 past 2^1000, with every prediction finite
+    X = test.inputs / np.abs(test.inputs).max() * 1e75
+    huge = Dataset(X, test.labels)
+    evaluated = []
+
+    def counted(model, X):
+        evaluated.append(X.shape[0])
         return predict_batch(model, X)
 
-    monkeypatch.setattr(cli, "predict_batch", recorded)
-    if command == "train":
-        argv, fits = _train_args(series_csv, tmp_path, **{"--beta": "0,1,10"}), 3
-    else:
-        argv, fits = ["bench", "--data", series_csv, "--d", "5", "--f-list", "3",
-                      "--out", str(tmp_path / "b.csv"), "--repeats", "1"], 2  # f = 3, 10
-    assert main(argv) == 0
-    assert rows == [298] * fits
+    monkeypatch.setattr(cli, "predict_batch", counted)
+    scores = cli._scores(results, train.n_samples, huge)
+    assert evaluated == [test.n_samples] * 3
+    want = [mse(predict_batch(r.model, X), test.labels) for r in results]
+    assert [s[1] for s in scores] == want
+    assert np.isfinite(want).all()
 
 
 def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):

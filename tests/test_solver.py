@@ -973,3 +973,17 @@ def test_a_solve_falls_back_to_scipy_linalg_where_the_path_finder_misses(monkeyp
     ]
     for a, b in zip(fallen, direct):
         _assert_same_report(a, b)
+
+
+def test_the_scoring_walk_reads_the_correction_walks_residual_squares():
+    # one block loop serves both walks, so each theta's ||y - H theta||^2 is
+    # the same bits in each, and does not depend on the thetas beside it
+    rng = np.random.default_rng(8)
+    H, y = rng.normal(size=(3000, 40)), rng.normal(size=3000)
+    thetas = [rng.normal(size=40) for _ in range(3)]
+    squares = [float(s) for _, s in solver._normal_gradients(
+        solver._as_rows(H), y, thetas, solver._Workspace())]
+    assert solver._residual_squares(H, y, thetas) == squares
+    assert solver._residual_squares(H, y, thetas[1:2]) == squares[1:2]
+    assert squares == pytest.approx([np.sum((y - H @ t) ** 2) for t in thetas], rel=1e-12)
+    assert solver._residual_squares(H, y, []) == []

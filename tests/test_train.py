@@ -13,11 +13,16 @@ from quadconv import (
     NegativeRegularizer,
     NonFiniteInput,
     SolveStrategy,
+    SplitSpec,
     build_regressor,
     fit,
     fit_path,
+    mean_squared_errors,
+    mse,
     narx_window,
+    predict_batch,
     solve_ridge,
+    split,
     synth_narx,
 )
 from quadconv import core, solver
@@ -166,3 +171,70 @@ def test_residual_norm_is_read_from_the_rows(monkeypatch, blocks):
     residual = np.linalg.norm(y - H @ report.theta)
     assert 1e-10 < residual / np.linalg.norm(y) < 1e-8
     assert report.residual_norm == pytest.approx(residual, rel=1e-8)
+
+
+def _series_data(samples, seed):
+    # random input and output channels: of full rank at 800 samples, rank
+    # deficient at 30 (12 training rows for 37 weights at d = 5, f = 3)
+    from quadconv import TimeSeries
+
+    rng = np.random.default_rng(seed)
+    ts = TimeSeries({"u": rng.normal(size=samples), "y": rng.normal(size=samples)})
+    return split(narx_window(ts, "u", "y", 5), SplitSpec(0.5))
+
+
+def _assert_agrees(got, want, labels):
+    # each test_mse as a residual norm: about 10 digits of it, or 100 u ||y||
+    # absolute at rounding level
+    floor = 100 * np.finfo(float).eps / 2 * np.linalg.norm(labels)
+    for g, w in zip(got, want, strict=True):
+        r = np.sqrt(labels.size * w)
+        assert abs(np.sqrt(labels.size * g) - r) <= 1e-9 * r + floor
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("samples, deficient", [(800, False), (30, True)])
+def test_mean_squared_errors_agree_with_the_models(held, samples, deficient):
+    train, test = _series_data(samples, 5)
+    if held:
+        test = Dataset(test.inputs.copy(), test.labels)
+    spec = ConvSpec(10, 3)
+    results = fit_path(train, spec, _PARAMS, [0.0, 1e-3, 1.0])
+    assert results[0].report.rank_deficient == deficient
+    want = [mse(predict_batch(r.model, test.features), test.labels) for r in results]
+    _assert_agrees(mean_squared_errors(results, test), want, test.labels)
+    # one result alone gets what it gets within the sweep
+    assert mean_squared_errors(results[1:2], test) == mean_squared_errors(results, test)[1:2]
+
+
+def _scaled_test_rows(results, test, ratio):
+    # test rows scaled so that mean_squared_errors' bound N (T + Y)^2 reads
+    # `ratio` times 2^1000, computed here from its documented terms
+    spec, p = results[0].model.spec, results[0].model.params
+    U = test.inputs / np.abs(test.inputs).max()
+    N, Y = test.n_samples, np.abs(test.labels).max()
+    K = max(1.0, p.a, abs(p.b), p.c)
+    W = max(max(1.0, np.abs(r.model.zbar1_band).max(), np.abs(r.model.zbar2).max())
+            for r in results)
+    T = np.sqrt(ratio * 2.0 ** 1000 / N) - Y
+    s = np.sqrt(T / (3 * spec.n * (2 * spec.f - 1) * K * W))
+    return Dataset(s * U, test.labels)
+
+
+def test_the_scoring_walk_keeps_to_its_bound():
+    train, test = _series_data(800, 6)
+    results = fit_path(train, ConvSpec(10, 3), _PARAMS, [0.0, 1.0])
+    assert mean_squared_errors(results, _scaled_test_rows(results, test, 1.1)) is None
+    inside = _scaled_test_rows(results, test, 0.9)
+    got = mean_squared_errors(results, inside)
+    assert got is not None and np.isfinite(got).all()
+    want = [mse(predict_batch(r.model, inside.features), inside.labels) for r in results]
+    _assert_agrees(got, want, inside.labels)
+
+
+def test_mean_squared_errors_refuses_results_of_two_specs():
+    train, test = _series_data(800, 7)
+    results = [fit(train, ConvSpec(10, f), _PARAMS) for f in (2, 3)]
+    with pytest.raises(ValueError, match="one spec and activation"):
+        mean_squared_errors(results, test)
+    assert mean_squared_errors([], test) == []
