@@ -39,7 +39,8 @@ is ever made; a beta whose factor a later beta overwrote makes it again
 for its correction step.
 
 A fourth walk, _residual_squares, reads ||y - H theta||^2 for several
-thetas by the correction walk's block loop; train scores test rows with it.
+thetas from a row source by the correction walk's block loop, and both sum
+each residual's squares by ddot; train scores test rows with it.
 A solve and that walk call ten of scipy's f2py wrappers (ddot, dsyrk,
 dgemv, dsymv, dlange, dpotrf, dpotrs, dpocon, dgeqrt, dgesdd), which live
 in its extension modules scipy.linalg._fblas and _flapack. _blas_lapack
@@ -410,22 +411,15 @@ def _residuals(H, y, thetas, workspace):
 
     Each theta gets its own product per block, so what it gets does not
     depend on which other thetas share the walk. The products are scipy's
-    dgemv, the library of the factor calls around the walk; the callers'
-    sums of squares are dgemv products too (see _square), so a walk runs no
-    other kernel. The generator runs under its caller's error state.
+    dgemv, the library of the factor calls around the walk, and the callers
+    sum each residual's squares by scipy's ddot. The generator runs under
+    its caller's error state.
     """
     blas, _ = _blas_lapack()
     if thetas:
         for block, labels in _blocks(H, y, workspace):
             for j, theta in enumerate(thetas):
                 yield j, block, blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
-
-
-def _square(residual):
-    """||residual||^2, by scipy's dgemv on the residual as a one-column
-    matrix."""
-    blas, _ = _blas_lapack()
-    return blas.dgemv(1.0, residual[:, None], residual, trans=1)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -440,21 +434,21 @@ def _normal_gradients(H, y, thetas, workspace):
     squares = [0.0 for _ in thetas]
     for j, block, residual in _residuals(H, y, thetas, workspace):
         blas.dgemv(1.0, block, residual, beta=1.0, y=gradients[j], trans=1, overwrite_y=1)
-        squares[j] += _square(residual)
+        squares[j] += blas.ddot(residual, residual)
     return list(zip(gradients, squares))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _residual_squares(H, y, thetas) -> list[float]:
-    """||y - H theta||^2 for every theta, from one walk over H, a 2-D array
-    or a row source, in a workspace of its own: the walk of _normal_gradients
-    without the gradients. A residual past the float range gives inf."""
-    if not hasattr(H, "fill_rows"):
-        H = _as_rows(H)
+    """||y - H theta||^2 for every theta, from one walk over the row source
+    H with float labels y, in a workspace of its own: the walk of
+    _normal_gradients without the gradients. A residual past the float
+    range gives inf."""
+    blas, _ = _blas_lapack()
     squares = [0.0 for _ in thetas]
-    for j, _, residual in _residuals(H, np.asarray(y, dtype=float), thetas, _Workspace()):
-        squares[j] += _square(residual)
-    return [float(s) for s in squares]
+    for j, _, residual in _residuals(H, y, thetas, _Workspace()):
+        squares[j] += blas.ddot(residual, residual)
+    return squares
 
 
 def _normal_residual(A, diagonal, theta, rhs):
@@ -595,9 +589,5 @@ def _pseudoinverse(R, s, Vt, Uty, beta, size):
         gain[nz] = 1.0 / s[nz]
     blas, _ = _blas_lapack()
     theta = blas.dgemv(1.0, Vt, gain * Uty, trans=1)
-    # R's transpose is Fortran-ordered, so dgemv reads it in place; the
-    # zero that theta gains pairs with R's last column, so the product is
-    # R[:, :-1] theta
-    residual = float(np.linalg.norm(
-        blas.dgemv(1.0, R.T, np.append(theta, 0.0), trans=1) - R[:, -1]))
+    residual = float(np.linalg.norm(blas.dgemv(1.0, R.T, np.append(theta, -1.0), trans=1)))
     return theta, int(np.count_nonzero(nz)) < Vt.shape[1], rcond, residual

@@ -540,6 +540,10 @@ def _write_rows(path, header, rows):
         pytest.param(_WINDOW + ["--data", "{root}/label_only.csv", "--out", "{tmp}/m.json"],
                      1, "config error: window mode needs a feature channel",
                      id="window-no-feature-channel"),
+        # narx mode over a one-column file, with no --channels to name two
+        pytest.param(_TRAIN + ["--data", "{root}/label_only.csv", "--out", "{tmp}/m.json"],
+                     1, "config error: narx mode needs an input and an output channel",
+                     id="narx-one-column-file"),
         # config errors win over a missing data file
         pytest.param(_WINDOW[:5] + ["--f", "1", "--data", "{tmp}/missing.csv",
                                     "--out", "{tmp}/m.json"],

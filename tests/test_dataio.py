@@ -327,6 +327,8 @@ def test_multichannel_window_errors():
         multichannel_window(ts, ["a"], 3, "p")
     with pytest.raises(ValueError):
         multichannel_window(ts, [], 1, "p")
+    with pytest.raises(ValueError, match="window length r must be >= 1, got 0"):
+        multichannel_window(ts, ["a"], 0, "p")
 
 
 def test_split_sizes():
@@ -603,3 +605,5 @@ def test_timeseries_validation():
         TimeSeries({"a": [1.0, 2.0], "b": [1.0]})
     with pytest.raises(ValueError):
         TimeSeries({"a": [1.0, np.nan]})
+    with pytest.raises(ValueError, match=r"channel 'a' must be 1-D, got shape \(2, 1\)"):
+        TimeSeries({"a": [[1.0], [2.0]]})

@@ -328,6 +328,22 @@ def test_trace_tie_holds_by_construction():
         assert m.zbar4 == float(np.trace(dense_zbar1(m)))
 
 
+@pytest.mark.parametrize(
+    "band, zbar2, message",
+    [(np.zeros(4), np.zeros(3), r"band must have length 5, got shape \(4,\)"),
+     (np.zeros(5), np.zeros((3, 1)), r"zbar2 must have length 3, got shape \(3, 1\)")],
+    ids=["band", "zbar2"],
+)
+def test_model_validates_lengths(band, zbar2, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        QuadraticModel(band, zbar2, ConvSpec(3, 2), _RELU)
+
+
+def test_from_dense_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatch, match=r"expected 3 x 3 matrix, got \(3, 4\)"):
+        QuadraticModel.from_dense(np.zeros((3, 4)), np.zeros(3), ConvSpec(3, 2), _RELU)
+
+
 def test_from_dense_rejects_out_of_band():
     Z = np.zeros((4, 4))
     Z[0, 3] = Z[3, 0] = 1.0
@@ -483,6 +499,7 @@ def test_deserialize_reports_json_location():
         (lambda d: d.pop("zbar2"), "missing"),
         (lambda d: d.__setitem__("extra", 1), "unexpected"),
         (lambda d: d.__setitem__("zbar1_band", [1.0, 2.0]), "zbar1_band"),
+        (lambda d: d.__setitem__("zbar1_band", 1.0), "'zbar1_band' must be an array, got float"),
         (lambda d: d.__setitem__("zbar2", [1.0]), "zbar2"),
         (lambda d: d.__setitem__("f", 9), "n"),
         (lambda d: d.__setitem__("a", -1.0), "activation"),

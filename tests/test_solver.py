@@ -937,6 +937,34 @@ def test_first_solves_in_several_threads_share_one_blas_and_lapack_module():
     ) == "shared"
 
 
+def test_a_module_that_fails_to_load_leaves_no_entry_and_loads_at_the_next_call():
+    # a failed load must not leave a half-made module in sys.modules, where
+    # the next call, or scipy.linalg.blas, would take it as loaded
+    assert _fresh_interpreter(
+        "import sys\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "from quadconv import solver\n"
+        "run = ExtensionFileLoader.exec_module\n"
+        "def refused(self, module):\n"
+        "    if module.__name__ == 'scipy.linalg._fblas':\n"
+        "        raise ImportError('refused')\n"
+        "    return run(self, module)\n"
+        "ExtensionFileLoader.exec_module = refused\n"
+        "try:\n"
+        "    solver._blas_lapack()\n"
+        "except ImportError as e:\n"
+        "    assert str(e) == 'refused', e\n"
+        "else:\n"
+        "    raise AssertionError('the load did not fail')\n"
+        "assert 'scipy.linalg._fblas' not in sys.modules\n"
+        "ExtensionFileLoader.exec_module = run\n"
+        "blas, _ = solver._blas_lapack()\n"
+        "assert blas is sys.modules['scipy.linalg._fblas']\n"
+        "assert blas.ddot([1.0, 2.0], [3.0, 4.0]) == 11.0\n"
+        "print('loaded')\n"
+    ) == "loaded"
+
+
 def test_a_solve_falls_back_to_scipy_linalg_where_the_path_finder_misses(monkeypatch):
     # as in an editable build, whose extension modules the path finder does
     # not see: the solver calls scipy.linalg.blas and scipy.linalg.lapack,
@@ -981,9 +1009,10 @@ def test_the_scoring_walk_reads_the_correction_walks_residual_squares():
     rng = np.random.default_rng(8)
     H, y = rng.normal(size=(3000, 40)), rng.normal(size=3000)
     thetas = [rng.normal(size=40) for _ in range(3)]
+    rows = solver._as_rows(H)
     squares = [float(s) for _, s in solver._normal_gradients(
-        solver._as_rows(H), y, thetas, solver._Workspace())]
-    assert solver._residual_squares(H, y, thetas) == squares
-    assert solver._residual_squares(H, y, thetas[1:2]) == squares[1:2]
+        rows, y, thetas, solver._Workspace())]
+    assert solver._residual_squares(rows, y, thetas) == squares
+    assert solver._residual_squares(rows, y, thetas[1:2]) == squares[1:2]
     assert squares == pytest.approx([np.sum((y - H @ t) ** 2) for t in thetas], rel=1e-12)
-    assert solver._residual_squares(H, y, []) == []
+    assert solver._residual_squares(rows, y, []) == []
