@@ -260,21 +260,19 @@ def _scores(results, n_train: int, test_set):
     an ill-conditioned H'H + beta I does.
 
     The solve measured the training residual, so only the test rows are
-    read: by one walk over their rows of H for the whole sweep
-    (train.mean_squared_errors), on the BLAS library of the solve, so that
-    a run keeps to one BLAS thread pool. Where that walk's bound says that
-    it or the model kernel could overflow, every model is evaluated on the
-    test rows instead (predict_batch), one after another, and a prediction
-    that overflows is refused with the index of its row."""
-    test_mses = mean_squared_errors(results, test_set)
+    read: by one walk over them for the whole sweep that multiplies by each
+    model's band tiles on the BLAS library of the solve
+    (train.mean_squared_errors), so that a run keeps to one BLAS thread
+    pool. It groups the products as the model kernel does, so a prediction
+    that overflows makes the score inf or nan; only such a model is
+    evaluated on the test rows again (predict_batch), which refuses the
+    prediction with the index of its row."""
     scores = []
-    for i, result in enumerate(results):
+    for result, test_mse in zip(results, mean_squared_errors(results, test_set)):
         _warn(result, n_train)
-        if test_mses is None:
+        if not np.isfinite(test_mse):
             y_test = _evaluate(predict_batch, result.model, test_set.features, "test prediction")
             test_mse = mse(y_test, test_set.labels)
-        else:
-            test_mse = test_mses[i]
         scores.append((result.report.residual_norm ** 2 / n_train, test_mse))
     return scores
 
@@ -344,6 +342,9 @@ def cmd_bench(args) -> int:
     f_values = _comma_list("--f-list", args.f_list, int)
     if not f_values:
         raise _ConfigError("--f-list must contain at least one value")
+    twice = [f for i, f in enumerate(f_values) if f in f_values[:i]]
+    if twice:
+        raise _ConfigError(f"--f-list names the filter length {twice[0]} twice")
     if args.repeats < 1:
         raise _ConfigError("--repeats must be >= 1")
     _check_outputs([args.out], [args.data])

@@ -38,12 +38,10 @@ Cholesky factor in place in the upper triangle, so no second p x p array
 is ever made; a beta whose factor a later beta overwrote makes it again
 for its correction step.
 
-A fourth walk, _residual_squares, reads ||y - H theta||^2 for several
-thetas from a row source by the correction walk's block loop, and both sum
-each residual's squares by ddot; train scores test rows with it.
-A solve and that walk call ten of scipy's f2py wrappers (ddot, dsyrk,
-dgemv, dsymv, dlange, dpotrf, dpotrs, dpocon, dgeqrt, dgesdd), which live
-in its extension modules scipy.linalg._fblas and _flapack. _blas_lapack
+A solve calls ten of scipy's f2py wrappers (ddot, dsyrk, dgemv, dsymv,
+dlange, dpotrf, dpotrs, dpocon, dgeqrt, dgesdd), and train's scoring of
+test rows two (dgemm, dgemv), which live in its extension modules
+scipy.linalg._fblas and _flapack. _blas_lapack
 loads those two modules by the import system's path finder, without running
 scipy/linalg/__init__: that package's array-API layer imports numpy.f2py,
 numpy.testing and numpy.ma, and after numpy it cost 0.25 s and 28 MB of RSS,
@@ -404,51 +402,28 @@ def _mirror(A):
         block[above, below] = block[below, above]
 
 
-def _residuals(H, y, thetas, workspace):
-    """(j, block, y[r] - H[r] theta_j) for every row block r of H and every
-    theta_j, from one walk over H, or none without a walk when there are no
-    thetas.
-
-    Each theta gets its own product per block, so what it gets does not
-    depend on which other thetas share the walk. The products are scipy's
-    dgemv, the library of the factor calls around the walk, and the callers
-    sum each residual's squares by scipy's ddot. The generator runs under
-    its caller's error state.
-    """
-    blas, _ = _blas_lapack()
-    if thetas:
-        for block, labels in _blocks(H, y, workspace):
-            for j, theta in enumerate(thetas):
-                yield j, block, blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _normal_gradients(H, y, thetas, workspace):
     """(H'r0, ||r0||^2) with r0 = y - H theta for every theta, from one walk
-    over H (see _residuals), or none without a walk when there are no
-    thetas. A theta past the float range gives a non-finite gradient, which
-    the acceptance test refuses.
+    over H, or none without a walk when there are no thetas.
+
+    Each theta gets its own products per block, so what it gets does not
+    depend on which other thetas share the walk: scipy's dgemv forms r0 and
+    adds H'r0, and ddot sums r0's squares, the library of the factor calls
+    around the walk. A theta past the float range gives a non-finite
+    gradient, which the acceptance test refuses.
     """
     blas, _ = _blas_lapack()
     gradients = [np.zeros(H.shape[1]) for _ in thetas]
     squares = [0.0 for _ in thetas]
-    for j, block, residual in _residuals(H, y, thetas, workspace):
-        blas.dgemv(1.0, block, residual, beta=1.0, y=gradients[j], trans=1, overwrite_y=1)
-        squares[j] += blas.ddot(residual, residual)
+    if thetas:
+        for block, labels in _blocks(H, y, workspace):
+            for j, theta in enumerate(thetas):
+                residual = blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
+                blas.dgemv(1.0, block, residual, beta=1.0, y=gradients[j], trans=1,
+                           overwrite_y=1)
+                squares[j] += blas.ddot(residual, residual)
     return list(zip(gradients, squares))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _residual_squares(H, y, thetas) -> list[float]:
-    """||y - H theta||^2 for every theta, from one walk over the row source
-    H with float labels y, in a workspace of its own: the walk of
-    _normal_gradients without the gradients. A residual past the float
-    range gives inf."""
-    blas, _ = _blas_lapack()
-    squares = [0.0 for _ in thetas]
-    for j, _, residual in _residuals(H, y, thetas, _Workspace()):
-        squares[j] += blas.ddot(residual, residual)
-    return squares
 
 
 def _normal_residual(A, diagonal, theta, rhs):

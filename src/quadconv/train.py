@@ -5,15 +5,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import ActivationParams, ConvSpec, _walk_rows
+import numpy as np
+
+from .core import ActivationParams, ConvSpec, _slices, _walk_rows
+from .dataio import mse
+from .errors import DimensionMismatch
 from .model import QuadraticModel, reconstruct
 from .regressor import Dataset, _RegressorRows, build_regressor
-from .solver import SolveReport, _check_betas, _residual_squares, solve_path, solve_ridge
-
-# mean_squared_errors walks H only while its bound on every intermediate of
-# the walk and of the model kernel stays at or below this; the float range
-# ends at 2^1024, and the 2^24 between them covers the rounding of every sum.
-_SCORE_LIMIT = 2.0 ** 1000
+from .solver import SolveReport, _blas_lapack, _check_betas, solve_path, solve_ridge
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,50 +64,49 @@ def _fit(data, spec, params, solve):
     ]
 
 
-def mean_squared_errors(results, data: Dataset) -> list[float] | None:
-    """The mean squared error of every result's model on `data`, as
-    ||y - H theta||^2 / N for the rows of H on `data` and each result's
-    theta, from one walk over them (solver._residual_squares) on scipy's
-    BLAS, the library of the solve before it; or None, without a walk, when
-    the bound below passes 2^1000 for any result. The results share one
-    spec and activation, as a sweep's do. H theta and the model kernel
-    group the same products differently, so they agree to rounding, not
-    bit for bit.
+def mean_squared_errors(results, data: Dataset) -> list[float]:
+    """The mean squared error (dataio.mse) of every result's model on
+    `data`, inf or nan where a prediction or its squared error passes the
+    float range, from one walk over its feature rows (_predictions)."""
+    return [mse(pred, data.labels)
+            for pred in _predictions([r.model for r in results], data.features)]
 
-    The bound makes the walk stand in for the model kernel (predict_batch)
-    only where neither can overflow. Let X = max(1, max |x|) over the rows
-    of `data`, Y = max |y| over its labels, W = max(1, max |band|, max
-    |zbar2|) of a model, K = max(1, a, |b|, c) and T = 3 n (2f - 1) K X^2 W.
-    The model kernel forms x'Zbar1, whose entries each sum at most 2f - 1
-    nonzero products of size X max|band| (a tile's zeros give exact
-    zeros), then x'Zbar1 x, a sum of n such entries times x, and x'zbar2,
-    and scales them by a and b and the trace, at most n max|band|, by c:
-    every one of these is at most T. A row of H holds a x_r x_c, plus c on
-    the n diagonal entries, and b x; theta holds the band, its
-    off-diagonal entries doubled, and zbar2. So an entry of H is at most
-    2 K X^2, and H theta sums n diagonal terms of at most (a X^2 + c)
-    max|band|, at most (f - 1) n off-diagonal ones of at most 2 a X^2
-    max|band| and n of at most |b| X max|zbar2|: at most T. A residual is
-    then at most T + Y, and the N squared residuals sum to at most
-    N (T + Y)^2, the bound. Each computed partial sum exceeds its sum of
-    magnitudes by a factor (1 + u)^k for k roundings, far below 2^24. When
-    None is returned the caller evaluates the models instead.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _predictions(models, X) -> np.ndarray:
+    """predict_batch of every model over the rows of X, a core._Rows, one
+    row of the result per model, from one walk over X on scipy's BLAS, the
+    library of the solve before it, so a train run keeps to one BLAS
+    thread pool (see solver).
+
+    Each block of X is filled column-major into one reused buffer, so
+    every band tile's operand is a contiguous column slice of it, and each
+    model's prediction is the formula of model._predict_block in its order,
+    a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4, with X Zbar1 taken
+    by dgemm over the model's own band tiles, the wide ones for a one-row
+    block and the narrow ones for more, as model._times_zbar1 picks them.
+    It groups the same products as predict_batch, so the two overflow on
+    the same rows, but it may round each product differently: they agree
+    to rounding, not bit for bit. A prediction past the float range is
+    inf or nan, without a warning.
     """
-    if not results:
-        return []
-    spec, params = results[0].model.spec, results[0].model.params
-    if any(r.model.spec != spec or r.model.params != params for r in results):
-        raise ValueError("the results must share one spec and activation")
-    N, y = data.n_samples, data.labels
-    X = max([1.0] + [float(max(part.max(), -part.min())) for part in data.features.parts])
-    Y = float(max(y.max(), -y.min()))
-    K = max(1.0, params.a, abs(params.b), params.c)
-    for r in results:
-        W = max(1.0, float(abs(r.model.zbar1_band).max()), float(abs(r.model.zbar2).max()))
-        T = 3.0 * spec.n * (2 * spec.f - 1) * K * X * X * W
-        # Python floats: a product past the float range is inf, not an error
-        if not N * (T + Y) * (T + Y) <= _SCORE_LIMIT:
-            return None
-    squares = _residual_squares(_RegressorRows(data, spec, params), y,
-                                [r.report.theta for r in results])
-    return [square / N for square in squares]
+    blas, _ = _blas_lapack()
+    N, n = X.shape
+    for model in models:
+        if model.spec.n != n:
+            raise DimensionMismatch(f"dataset has {n} features but spec.n = {model.spec.n}")
+    rows = _walk_rows(4 * n)
+    buffer = np.empty(2 * min(N, rows) * n)
+    out = np.empty((len(models), N))
+    for r in _slices(N, rows):
+        m = r.stop - r.start
+        block = X.fill_rows(r, buffer[: m * n].reshape((m, n), order="F"))
+        XZ = buffer[m * n : 2 * m * n].reshape((m, n), order="F")
+        for model, predictions in zip(models, out):
+            p = model.params
+            tiles = model.zbar1_tiles if m == 1 else model.zbar1_block_tiles
+            for tile_rows, cols, Z in tiles:
+                blas.dgemm(1.0, block[tile_rows], Z.T, trans_b=1, c=XZ[cols], overwrite_c=1)
+            predictions[r] = (p.a * np.einsum("ij,ij->i", block, XZ)
+                              + p.b * blas.dgemv(1.0, block, model.zbar2) + p.c * model.zbar4)
+    return out

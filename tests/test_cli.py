@@ -220,9 +220,10 @@ def test_only_the_test_rows_are_evaluated(series_csv, tmp_path, monkeypatch, com
 @pytest.mark.parametrize("command", ["train", "bench"])
 @pytest.mark.parametrize("samples, deficient", [(800, False), (30, True)])
 def test_test_mse_agrees_with_the_models_predictions(tmp_path, command, samples, deficient):
-    # test_mse comes from the scoring walk over the test rows of H; as a
-    # residual norm it agrees with the model's predictions to about 10
-    # digits, or 100 u ||y_test|| at rounding level
+    # test_mse comes from each model's band tiles over the test rows, in
+    # the model kernel's formula; as a residual norm it agrees with the
+    # model's predictions to about 12 digits, or 100 u ||y_test|| at
+    # rounding level
     import csv
 
     from quadconv import TimeSeries, fit
@@ -250,22 +251,13 @@ def test_test_mse_agrees_with_the_models_predictions(tmp_path, command, samples,
     for row, model in zip(rows, models):
         want = np.linalg.norm(y - predict_batch(model, test.features))
         got = np.sqrt(len(y) * float(row["test_mse"]))
-        assert abs(got - want) <= 1e-9 * want + floor
+        assert abs(got - want) <= 1e-12 * want + floor
     assert fit(train, ConvSpec(10, 3), RELU_MIMIC).report.rank_deficient == deficient
 
 
-def test_test_rows_past_the_walks_bound_are_scored_by_the_models(monkeypatch):
-    # test rows whose scale puts the scoring walk's bound past 2^1000: every
-    # beta of the sweep is scored by predict_batch, as it would be if the
-    # walk did not exist, and gets the same test_mse
+def _count_evaluations(monkeypatch):
     import quadconv.cli as cli
-    from quadconv import Dataset, fit_path, mse
 
-    train, test = split(narx_window(synth_narx(600, seed=4), "u", "y", 5), SplitSpec(0.5))
-    results = fit_path(train, ConvSpec(10, 3), RELU_MIMIC, [0.0, 1.0, 10.0])
-    # max |x| = 1e75 takes N (T + Y)^2 past 2^1000, with every prediction finite
-    X = test.inputs / np.abs(test.inputs).max() * 1e75
-    huge = Dataset(X, test.labels)
     evaluated = []
 
     def counted(model, X):
@@ -273,11 +265,46 @@ def test_test_rows_past_the_walks_bound_are_scored_by_the_models(monkeypatch):
         return predict_batch(model, X)
 
     monkeypatch.setattr(cli, "predict_batch", counted)
+    return evaluated
+
+
+def test_test_rows_near_the_float_range_are_scored_without_the_models(monkeypatch):
+    # test rows scaled to max |x| = 1e75, where every prediction and score
+    # is finite: the sweep is scored by its band tiles alone, with no
+    # predict_batch call, and gets predict_batch's test_mse
+    import quadconv.cli as cli
+    from quadconv import Dataset, fit_path, mse
+
+    train, test = split(narx_window(synth_narx(600, seed=4), "u", "y", 5), SplitSpec(0.5))
+    results = fit_path(train, ConvSpec(10, 3), RELU_MIMIC, [0.0, 1.0, 10.0])
+    X = test.inputs / np.abs(test.inputs).max() * 1e75
+    huge = Dataset(X, test.labels)
+    evaluated = _count_evaluations(monkeypatch)
     scores = cli._scores(results, train.n_samples, huge)
-    assert evaluated == [test.n_samples] * 3
+    assert evaluated == []
     want = [mse(predict_batch(r.model, X), test.labels) for r in results]
-    assert [s[1] for s in scores] == want
     assert np.isfinite(want).all()
+    for (_, got), w in zip(scores, want):
+        assert abs(got - w) <= 1e-12 * w
+
+
+def test_only_a_model_whose_test_score_is_not_finite_is_evaluated(monkeypatch):
+    # at max |x| = 1e79 every prediction is finite, but the beta = 0 ones
+    # square past the float range, so its score is inf: that model alone is
+    # evaluated again, and keeps the inf that its predictions give, while
+    # the beta = 1e12 model, whose weights are about 1e-11, keeps its score
+    import quadconv.cli as cli
+    from quadconv import Dataset, fit_path, mse
+
+    train, test = split(narx_window(synth_narx(600, seed=4), "u", "y", 5), SplitSpec(0.5))
+    results = fit_path(train, ConvSpec(10, 3), RELU_MIMIC, [0.0, 1e12])
+    X = test.inputs / np.abs(test.inputs).max() * 1e79
+    evaluated = _count_evaluations(monkeypatch)
+    scores = cli._scores(results, train.n_samples, Dataset(X, test.labels))
+    assert evaluated == [test.n_samples]
+    assert scores[0][1] == np.inf
+    want = mse(predict_batch(results[1].model, X), test.labels)
+    assert np.isfinite(want) and abs(scores[1][1] - want) <= 1e-12 * want
 
 
 def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
@@ -583,6 +610,11 @@ def _write_rows(path, header, rows):
                       "--out", "{tmp}/b.csv"],
                      1, "config error: --f-list must contain at least one value",
                      id="bench-f-list-blank"),
+        # one filter length twice would fit it twice and write two rows
+        pytest.param(["bench", "--d", "3", "--f-list", "6,6,2", "--data", "{tmp}/missing.csv",
+                      "--out", "{tmp}/b.csv"],
+                     1, "config error: --f-list names the filter length 6 twice",
+                     id="bench-f-list-repeats"),
         pytest.param(["bench", "--d", "3", "--f-list", "1", "--repeats", "0",
                       "--data", "{tmp}/missing.csv", "--out", "{tmp}/b.csv"],
                      1, "config error: --repeats must be >= 1", id="bench-repeats-zero"),

@@ -1003,16 +1003,20 @@ def test_a_solve_falls_back_to_scipy_linalg_where_the_path_finder_misses(monkeyp
         _assert_same_report(a, b)
 
 
-def test_the_scoring_walk_reads_the_correction_walks_residual_squares():
-    # one block loop serves both walks, so each theta's ||y - H theta||^2 is
-    # the same bits in each, and does not depend on the thetas beside it
+def test_the_correction_walk_reads_each_thetas_residual_squares_alone():
+    # each theta gets its own products per block, so its H'r0 and ||r0||^2
+    # are the same bits whichever thetas share the walk
     rng = np.random.default_rng(8)
     H, y = rng.normal(size=(3000, 40)), rng.normal(size=3000)
     thetas = [rng.normal(size=40) for _ in range(3)]
     rows = solver._as_rows(H)
-    squares = [float(s) for _, s in solver._normal_gradients(
-        rows, y, thetas, solver._Workspace())]
-    assert solver._residual_squares(rows, y, thetas) == squares
-    assert solver._residual_squares(rows, y, thetas[1:2]) == squares[1:2]
+
+    def walk(thetas):
+        return solver._normal_gradients(rows, y, thetas, solver._Workspace())
+
+    together, alone = walk(thetas), walk(thetas[1:2])
+    assert together[1][0].tobytes() == alone[0][0].tobytes()
+    assert together[1][1] == alone[0][1]
+    squares = [float(s) for _, s in together]
     assert squares == pytest.approx([np.sum((y - H @ t) ** 2) for t in thetas], rel=1e-12)
-    assert solver._residual_squares(rows, y, []) == []
+    assert walk([]) == []

@@ -10,17 +10,22 @@ from quadconv import (
     ActivationParams,
     ConvSpec,
     Dataset,
+    DimensionMismatch,
     NegativeRegularizer,
     NonFiniteInput,
+    QuadraticModel,
     SolveStrategy,
     SplitSpec,
+    TimeSeries,
     build_regressor,
     fit,
     fit_path,
     mean_squared_errors,
     mse,
+    multichannel_window,
     narx_window,
     predict_batch,
+    reconstruct,
     solve_ridge,
     split,
     synth_narx,
@@ -184,12 +189,12 @@ def _series_data(samples, seed):
 
 
 def _assert_agrees(got, want, labels):
-    # each test_mse as a residual norm: about 10 digits of it, or 100 u ||y||
+    # each test_mse as a residual norm: about 12 digits of it, or 100 u ||y||
     # absolute at rounding level
     floor = 100 * np.finfo(float).eps / 2 * np.linalg.norm(labels)
     for g, w in zip(got, want, strict=True):
         r = np.sqrt(labels.size * w)
-        assert abs(np.sqrt(labels.size * g) - r) <= 1e-9 * r + floor
+        assert abs(np.sqrt(labels.size * g) - r) <= 1e-12 * r + floor
 
 
 @pytest.mark.parametrize("held", [False, True])
@@ -207,34 +212,80 @@ def test_mean_squared_errors_agree_with_the_models(held, samples, deficient):
     assert mean_squared_errors(results[1:2], test) == mean_squared_errors(results, test)[1:2]
 
 
-def _scaled_test_rows(results, test, ratio):
-    # test rows scaled so that mean_squared_errors' bound N (T + Y)^2 reads
-    # `ratio` times 2^1000, computed here from its documented terms
-    spec, p = results[0].model.spec, results[0].model.params
-    U = test.inputs / np.abs(test.inputs).max()
-    N, Y = test.n_samples, np.abs(test.labels).max()
-    K = max(1.0, p.a, abs(p.b), p.c)
-    W = max(max(1.0, np.abs(r.model.zbar1_band).max(), np.abs(r.model.zbar2).max())
-            for r in results)
-    T = np.sqrt(ratio * 2.0 ** 1000 / N) - Y
-    s = np.sqrt(T / (3 * spec.n * (2 * spec.f - 1) * K * W))
-    return Dataset(s * U, test.labels)
-
-
-def test_the_scoring_walk_keeps_to_its_bound():
+def test_mean_squared_errors_overflow_where_the_model_kernel_does():
+    # the score groups the products as predict_batch does, so it passes the
+    # float range on the rows where the model kernel does: at 1e75 every
+    # prediction is finite, at 1e155 the square of the largest input is not
     train, test = _series_data(800, 6)
     results = fit_path(train, ConvSpec(10, 3), _PARAMS, [0.0, 1.0])
-    assert mean_squared_errors(results, _scaled_test_rows(results, test, 1.1)) is None
-    inside = _scaled_test_rows(results, test, 0.9)
-    got = mean_squared_errors(results, inside)
-    assert got is not None and np.isfinite(got).all()
-    want = [mse(predict_batch(r.model, inside.features), inside.labels) for r in results]
-    _assert_agrees(got, want, inside.labels)
+    U = test.inputs / np.abs(test.inputs).max()
+    finite = []
+    for scale in (1e75, 1e155):
+        rows = Dataset(scale * U, test.labels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [mse(predict_batch(r.model, rows.features), rows.labels) for r in results]
+        got = mean_squared_errors(results, rows)
+        assert list(np.isfinite(got)) == list(np.isfinite(want))
+        finite += list(np.isfinite(got))
+        for g, w in zip(got, want):
+            if np.isfinite(w):
+                assert abs(g - w) <= 1e-12 * w
+    assert finite == [True, True, False, False]
 
 
-def test_mean_squared_errors_refuses_results_of_two_specs():
+def test_mean_squared_errors_score_each_result_by_its_own_tiles():
+    # results of two filter lengths in one call: each is scored as it is
+    # alone, by its own band tiles
     train, test = _series_data(800, 7)
     results = [fit(train, ConvSpec(10, f), _PARAMS) for f in (2, 3)]
-    with pytest.raises(ValueError, match="one spec and activation"):
-        mean_squared_errors(results, test)
+    got = mean_squared_errors(results, test)
+    assert got == [mean_squared_errors([r], test)[0] for r in results]
+    want = [mse(predict_batch(r.model, test.features), test.labels) for r in results]
+    _assert_agrees(got, want, test.labels)
     assert mean_squared_errors([], test) == []
+    with pytest.raises(DimensionMismatch, match="dataset has 9 features but spec.n = 10"):
+        mean_squared_errors(results, Dataset(test.inputs[:, :9], test.labels))
+
+
+def _doubled(tiles):
+    return tuple((rows, cols, 2.0 * Z) for rows, cols, Z in tiles)
+
+
+def _rounding_scale(model, X):
+    # |a| |x|'|Zbar1| |x| + |b| |zbar2|'|x| + c |Zbar4| at every row: the
+    # size of the sums whose rounding a prediction carries, which random
+    # signs can make far larger than the prediction itself
+    p = model.params
+    absolute = QuadraticModel(np.abs(model.zbar1_band), np.abs(model.zbar2), model.spec,
+                              ActivationParams(abs(p.a), abs(p.b), abs(p.c)))
+    return predict_batch(absolute, np.abs(X))
+
+
+@pytest.mark.parametrize("n, f", [(n, f) for n in (1, 40, 63, 64, 65, 128, 129, 200)
+                                  for f in (1, 3, 10) if f <= n])
+def test_the_scoring_predictor_agrees_with_predict_batch(n, f):
+    # two models, one with its wide tiles doubled and one with its narrow
+    # tiles doubled, so that multiplying a block by the other tile set than
+    # predict_batch, or by another model's tiles, changes the prediction
+    rng = np.random.default_rng(1000 * n + f)
+    spec = ConvSpec(n, f)
+    models = [reconstruct(rng.uniform(-1, 1, spec.n_weights), spec, _PARAMS) for _ in range(2)]
+    object.__setattr__(models[0], "zbar1_tiles", _doubled(models[0].zbar1_tiles))
+    object.__setattr__(models[1], "zbar1_block_tiles", _doubled(models[1].zbar1_block_tiles))
+    # one row; a few rows; and two blocks of the walk, the last of one row
+    rows = core._walk_rows(4 * n)
+    # held rows, and windowed ones: blocks of r = n samples of one channel,
+    # or of n / 2 samples of each of two channels
+    channels = 1 + (n % 2 == 0)
+    r = n // channels
+    for N in (1, 7, rows + 1):
+        X = rng.uniform(-1, 1, size=(N, n))
+        series = TimeSeries({"lat": np.zeros(N * r), **{f"u{k}": X[:, k * r:(k + 1) * r].ravel()
+                                                        for k in range(channels)}})
+        windowed = multichannel_window(series, [f"u{k}" for k in range(channels)], r, "lat")
+        assert np.array_equal(windowed.inputs, X)
+        for data in (Dataset(X, np.zeros(N)), windowed):
+            got = quadconv.train._predictions(models, data.features)
+            for model, predictions in zip(models, got):
+                want = predict_batch(model, X)
+                assert np.all(np.abs(predictions - want) <= 1e-13 * _rounding_scale(model, X))
