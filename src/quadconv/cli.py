@@ -284,7 +284,7 @@ def _warn(result, n_train: int) -> None:
         print(
             f"warning: beta={report.beta:g} fit is rank deficient "
             f"(route {report.solve_strategy.value}, {n_train} training rows, "
-            f"{result.model.spec.n_weights} weights); "
+            f"rank {report.rank} of {result.model.spec.n_weights} weights); "
             "the training data do not determine every weight",
             file=sys.stderr,
         )

@@ -2,10 +2,11 @@
 
 The solver reads the regressor H only in row blocks, by three walks: one
 accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
-falls back, and one reads the correction of every Cholesky beta's weights
-from H. Each beta's residual norm comes from what its route already holds:
-the correction walk's residual of the uncorrected weights on the Cholesky
-route, the triangle of [H | y] on the QR route. H is a held 2-D array of any
+falls back, and one reads the correction of every Cholesky beta's weights,
+and of a rank-deficient beta's null block, from H. Each beta's residual
+norm comes from what its route already holds: the correction walk's
+residual of the uncorrected weights on the Cholesky route, the triangle of
+[H | y] on the QR route. H is a held 2-D array of any
 memory order or a row source (see core), which lets a fit assemble each
 block when a walk needs it, so no N x p array is ever held; a held H is read
 as the row source core._as_rows(H), a read-only view of it. Every walk reads
@@ -22,7 +23,24 @@ squares problems", BIT 27, 1987; Higham, "Accuracy and Stability of
 Numerical Algorithms", 2nd ed., ch. 20). A beta whose normal matrix is too
 ill-conditioned for that, by LAPACK's condition estimate from its factor
 (dpocon), goes to the QR route instead. That one rule routes every beta,
-beta = 0 too; the QR route's SVD then finds the rank.
+beta = 0 too.
+
+A beta = 0 that the rule refuses may have a rank-deficient H, as noise-free
+NARX rows do. Before it falls back, LAPACK's pivoted Cholesky (dpstrf, at
+its default tolerance) factors P'H'HP = R'R with R = [R11 R12; 0 0] of rank
+r < p. If R11 passes the same rule, the beta stays on the Cholesky route:
+it solves the basic columns' normal equations for theta0 = P [x_B; 0], and
+the correction walk reads, besides theta0's g, G = H'(-H N0) and ||H N0||_F^2
+for the null block N0 = P [-W0; I], W0 = R11^-1 R12. The CSNE step corrects
+both x_B and W through R11, and theta = P [x_B - W z; z] is the minimum-norm
+solution, z = (I + W'W)^-1 W'x_B. It is accepted only if its normal residual
+passes the acceptance test and the corrected null block N has ||H N||_F at
+most the QR route's SVD cutoff, sqrt(max diag H'H) eps max(N, p), which
+bounds s_max eps max(N, p) from below: so a direction is dropped only where
+the SVD would drop it. Any other beta goes to the QR route, whose SVD finds
+the rank. A Gram hides H's rank once kappa(H)^2 u nears 1, as at features
+that sit at +1e3, where LAPACK's tolerance drops directions that H keeps;
+the null check sends those to the QR.
 
 A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
@@ -36,18 +54,19 @@ else writes, so with a saved copy of its diagonal it keeps H'H for the
 whole sweep. Each beta copies the strict lower triangle up and makes its
 Cholesky factor in place in the upper triangle, so no second p x p array
 is ever made; a beta whose factor a later beta overwrote makes it again
-for its correction step.
+for its correction step. A beta on the pivoted route keeps a copy of its
+r x r factor R11 instead, and its p x (p - r) null block.
 
-A solve calls ten of scipy's f2py wrappers (ddot, dsyrk, dgemv, dsymv,
-dlange, dpotrf, dpotrs, dpocon, dgeqrt, dgesdd), and train's scoring of
-test rows two (dgemm, dgemv), which live in its extension modules
-scipy.linalg._fblas and _flapack. _blas_lapack
-loads those two modules by the import system's path finder, without running
-scipy/linalg/__init__: that package's array-API layer imports numpy.f2py,
-numpy.testing and numpy.ma, and after numpy it cost 0.25 s and 28 MB of RSS,
-where the two modules cost 0.03 s and 5 MB. The wrappers are the very
-objects that scipy.linalg.blas and scipy.linalg.lapack re-export, so the
-results are the same bits.
+A solve calls fifteen of scipy's f2py wrappers (ddot, dsyrk, dgemv, dgemm,
+dsymv, dsymm, dlange, dpotrf, dpotrs, dposv, dpocon, dpstrf, dtrtrs,
+dgeqrt, dgesdd), and train's scoring of test rows two (dgemm, dgemv),
+which live in its extension modules scipy.linalg._fblas and _flapack.
+_blas_lapack loads those two modules by the import system's path finder,
+without running scipy/linalg/__init__: that package's array-API layer
+imports numpy.f2py, numpy.testing and numpy.ma, and after numpy it cost
+0.25 s and 28 MB of RSS, where the two modules cost 0.03 s and 5 MB. The
+wrappers are the very objects that scipy.linalg.blas and
+scipy.linalg.lapack re-export, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -127,6 +146,13 @@ class SolveReport:
     the Cholesky route LAPACK's dpocon estimate of 1 / cond_1 from the
     factor, on the QR/SVD route (s_min^2 + beta) / (s_max^2 + beta) from
     the singular values of H (s_min = 0 when H has fewer rows than columns).
+    A rank-deficient beta = 0 on the Cholesky route (its pivoted factor; see
+    the module docstring) reports 0.0, since its H'H is singular.
+
+    `rank` is the numerical rank: p on a full-rank Cholesky beta, the rank
+    of the pivoted factor on a rank-deficient one, and the count of
+    singular values the SVD keeps on the QR/SVD route. `rank_deficient` is
+    rank < p.
     """
 
     theta: np.ndarray
@@ -134,6 +160,7 @@ class SolveReport:
     residual_norm: float
     normal_residual_norm: float
     rank_deficient: bool
+    rank: int
     solve_strategy: SolveStrategy
     seconds: float
     rcond: float
@@ -174,12 +201,16 @@ def solve_path(H, y, betas) -> list[SolveReport]:
     beta factors H'H + beta I by Cholesky and solves the normal equations,
     and one walk reads every Cholesky beta's correction step, and the
     residual of its uncorrected weights, from H (see the module docstring).
-    A beta whose factor is degenerate or too ill-conditioned, or whose
-    corrected weights fail the residual check, falls back to one QR of
-    [H | y] shared by the whole sweep. Each beta's residual norm comes from
-    its own route, with no walk of its own. So H is read twice, or three
-    times when a beta falls back (twice when every beta does). Each report's
-    weights and diagnostics equal solve_ridge's for its beta bit for bit.
+    A beta = 0 whose factor is degenerate or too ill-conditioned tries the
+    pivoted Cholesky factor of the Gram, whose null block rides the same
+    walk. A beta whose factor is degenerate or too ill-conditioned, or
+    whose corrected weights fail the checks, falls back to one QR of [H | y]
+    shared by the whole sweep. Each beta's residual norm comes from its own
+    route, with no walk of its own. So H is read twice, a rank-deficient
+    beta = 0 that the pivoted route takes included, or three times when a
+    beta falls back (twice when every beta falls back before the
+    correction walk). Each report's weights and diagnostics equal
+    solve_ridge's for its beta bit for bit.
     """
     return _solve_path(H, y, _check_betas(betas))
 
@@ -267,9 +298,15 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     if not np.isfinite(scale):
         raise NonFiniteInput("the norm of H'y overflows: the labels are too large")
     size = max(H.shape)
+    p = H.shape[1]
+    # a pivoted beta's null vectors are dropped only where the SVD route's
+    # cutoff, s_max eps max(N, p), would drop them, with s_max bounded from
+    # below by the largest column norm of H
+    null_cutoff = np.sqrt(gram_diagonal.max()) * np.finfo(float).eps * size
     svd = None
     solved = [dict(beta=beta, seconds=0.0) for beta in betas]
     pending = []  # the Cholesky betas, by index, that await their correction
+    bases = {}  # the pending betas on the pivoted route, by index (see _pivoted)
 
     def tick(fields):
         # add the time since the last tick to a beta's seconds
@@ -282,7 +319,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         nonlocal svd
         if svd is None:
             svd = _rank_revealing(H, y, workspace)
-        theta, rank_deficient, rcond, residual = _pseudoinverse(*svd, fields["beta"], size)
+        theta, rank, rcond, residual = _pseudoinverse(*svd, fields["beta"], size)
         # an accepted Cholesky theta is finite, as its normal residual is
         if not np.isfinite(theta).all():
             raise NonFiniteInput(
@@ -290,8 +327,8 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
                 "regressor's entries are too small for the float range"
             )
         fields.update(
-            theta=theta, rank_deficient=rank_deficient, rcond=rcond, residual_norm=residual,
-            solve_strategy=SolveStrategy.PSEUDOINVERSE,
+            theta=theta, rank_deficient=rank < p, rank=rank, rcond=rcond,
+            residual_norm=residual, solve_strategy=SolveStrategy.PSEUDOINVERSE,
             normal_residual_norm=float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs))),
         )
 
@@ -303,15 +340,24 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         norm = _factor(A, diagonal)
         rcond = 0.0 if norm is None else _rcond(A, norm)
         if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT:
-            s.update(theta=lapack.dpotrs(A, rhs)[0], rank_deficient=False, rcond=rcond,
+            s.update(theta=lapack.dpotrs(A, rhs)[0], rank_deficient=False, rank=p, rcond=rcond,
                      solve_strategy=SolveStrategy.CHOLESKY)
             pending.append(i)
             factored = i
+        elif s["beta"] == 0 and (pivoted := _pivoted(A, diagonal, rhs)) is not None:
+            bases[i], theta = pivoted
+            # H'H is singular, so its reciprocal condition number is 0
+            s.update(theta=theta, rank_deficient=True, rank=len(bases[i].factor), rcond=0.0,
+                     solve_strategy=SolveStrategy.CHOLESKY)
+            pending.append(i)
         else:
             fall_back(s, diagonal)
         tick(s)
-    thetas = [solved[i]["theta"] for i in pending]
-    corrections = dict(zip(pending, _normal_gradients(H, y, thetas, workspace)))
+    walked = _normal_gradients(
+        H, y, [solved[i]["theta"] for i in pending] + [bases[i].null for i in bases], workspace
+    )
+    corrections = dict(zip(pending, walked))
+    nulls = dict(zip(bases, walked[len(pending):]))
     # the correction walk counts towards the first beta, as the Gram walk does
     tick(solved[0])
     # the beta whose factor A holds goes first; each other one makes its
@@ -319,13 +365,20 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     for i in sorted(pending, key=lambda i: i != factored):
         s = solved[i]
         diagonal = gram_diagonal + s["beta"]
-        if i != factored:
-            _factor(A, diagonal)
+        if i in bases:
+            theta, norm, residual, null_square = _correct_basic(
+                A, gram_diagonal, bases[i], s["theta"], *corrections[i], *nulls[i], rhs
+            )
+            accepted = null_square <= null_cutoff**2
+        else:
+            if i != factored:
+                _factor(A, diagonal)
+            theta, norm, residual = _correct(
+                A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs
+            )
+            accepted = True
         factored = None  # the acceptance test writes over its diagonal
-        theta, norm, residual = _correct(
-            A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs
-        )
-        if norm <= _CHOLESKY_ACCEPT * scale:
+        if accepted and norm <= _CHOLESKY_ACCEPT * scale:
             s.update(theta=theta, normal_residual_norm=norm, residual_norm=residual)
         else:
             fall_back(s, diagonal)
@@ -405,23 +458,31 @@ def _mirror(A):
 @np.errstate(over="ignore", invalid="ignore")
 def _normal_gradients(H, y, thetas, workspace):
     """(H'r0, ||r0||^2) with r0 = y - H theta for every theta, from one walk
-    over H, or none without a walk when there are no thetas.
+    over H, or none without a walk when there are no thetas. A theta may
+    also be a column-major p x k block N of null vectors, whose labels are
+    0: it gets (H'r0, ||r0||_F^2) with r0 = -H N.
 
     Each theta gets its own products per block, so what it gets does not
     depend on which other thetas share the walk: scipy's dgemv forms r0 and
-    adds H'r0, and ddot sums r0's squares, the library of the factor calls
-    around the walk. A theta past the float range gives a non-finite
-    gradient, which the acceptance test refuses.
+    adds H'r0 (dgemm for a block), and ddot sums r0's squares, the library
+    of the factor calls around the walk. A theta past the float range gives
+    a non-finite gradient, which the acceptance test refuses.
     """
     blas, _ = _blas_lapack()
-    gradients = [np.zeros(H.shape[1]) for _ in thetas]
+    gradients = [np.zeros(theta.shape, order="F") for theta in thetas]
     squares = [0.0 for _ in thetas]
     if thetas:
         for block, labels in _blocks(H, y, workspace):
             for j, theta in enumerate(thetas):
-                residual = blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
-                blas.dgemv(1.0, block, residual, beta=1.0, y=gradients[j], trans=1,
-                           overwrite_y=1)
+                if theta.ndim == 1:
+                    residual = blas.dgemv(-1.0, block, theta, beta=1.0, y=labels)
+                    blas.dgemv(1.0, block, residual, beta=1.0, y=gradients[j], trans=1,
+                               overwrite_y=1)
+                else:
+                    residual = blas.dgemm(-1.0, block, theta)
+                    blas.dgemm(1.0, block, residual, beta=1.0, c=gradients[j], trans_a=1,
+                               overwrite_c=1)
+                residual = residual.reshape(-1, order="F")
                 squares[j] += blas.ddot(residual, residual)
     return list(zip(gradients, squares))
 
@@ -441,22 +502,31 @@ def _normal_residual(A, diagonal, theta, rhs):
     return rhs - blas.dsymv(1.0, A, theta, lower=1)
 
 
-def _factor(A, diagonal):
-    """Make the Cholesky factor of H'H + beta I in A's upper triangle, and
-    return the 1-norm of H'H + beta I; None when the factor is degenerate.
+def _lay_out(A, diagonal):
+    """Put H'H + beta I in the whole of A and return its 1-norm.
 
     A holds H'H in its strict lower triangle, and `diagonal` is H'H + beta
     I's diagonal. Copying the strict lower triangle up and writing the
     diagonal puts H'H + beta I in the whole of A, exactly the matrix a lone
     solve would see, whatever an earlier beta's factor left there. LAPACK's
     dlange reads its 1-norm then (inf when a column sum passes the float
-    range), and dpotrf factors the upper triangle in place, overwriting some
-    or all of it (all when it succeeds).
+    range).
     """
     _, lapack = _blas_lapack()
     _mirror(A)
     np.fill_diagonal(A, diagonal)
-    norm = lapack.dlange("1", A)
+    return lapack.dlange("1", A)
+
+
+def _factor(A, diagonal):
+    """Make the Cholesky factor of H'H + beta I in A's upper triangle, and
+    return the 1-norm of H'H + beta I; None when the factor is degenerate.
+
+    _lay_out puts the matrix in A, and dpotrf factors the upper triangle in
+    place, overwriting some or all of it (all when it succeeds).
+    """
+    _, lapack = _blas_lapack()
+    norm = _lay_out(A, diagonal)
     _, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
     if info < 0:
         raise RuntimeError(f"dpotrf rejected argument {-info}")
@@ -474,6 +544,57 @@ def _rcond(A, norm):
     return rcond
 
 
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """A rank-deficient beta = 0 on the pivoted route (see _pivoted): the
+    order of H's columns, basic ones first; the r x r factor R11 of the
+    basic columns' Gram; and the null block N0 = P [-W0; I]."""
+
+    order: np.ndarray
+    factor: np.ndarray
+    null: np.ndarray
+
+
+def _pivoted(A, diagonal, rhs):
+    """The basic solution of a rank-deficient beta = 0 and its null block,
+    from LAPACK's pivoted Cholesky factor of H'H: a _Basis and theta0; None
+    when the factor finds full rank or none, or when its basic part is too
+    ill-conditioned for the CSNE step.
+
+    dpstrf, at LAPACK's default tolerance, factors P' H'H P = R'R in A's
+    upper triangle, with R = [R11 R12; 0 0] of rank r; the Gram in A's
+    lower triangle is left as it was. R11 passes the routing rule when u /
+    rcond(R11'R11) is at most _ROUTE_LIMIT; dpocon reads it with the 1-norm
+    of the whole of H'H, which bounds that of R11'R11 from above, so the
+    estimate errs towards the QR route. Then theta0 = P [x_B; 0] with R11'R11
+    x_B = (H'y)_B, the basic columns' own normal equations, and N0 = P [-W0;
+    I] with W0 = R11^-1 R12 spans the null space of the factored Gram. R11
+    is copied out of A, which later betas' factors write over.
+    """
+    _, lapack = _blas_lapack()
+    norm = _lay_out(A, diagonal)
+    _, piv, rank, info = lapack.dpstrf(A, lower=0, overwrite_a=1)
+    if info < 0:
+        raise RuntimeError(f"dpstrf rejected argument {-info}")
+    p = len(A)
+    if not 0 < rank < p:
+        return None
+    factor = np.array(A[:rank, :rank], order="F")
+    if _rcond(factor, norm) < _UNIT_ROUNDOFF / _ROUTE_LIMIT:
+        return None
+    order = piv - 1
+    basic, free = order[:rank], order[rank:]
+    W0, info = lapack.dtrtrs(factor, A[:rank, rank:])
+    if info:
+        raise RuntimeError(f"dtrtrs failed: info {info}")
+    null = np.zeros((p, p - rank), order="F")
+    null[basic] = -W0
+    null[free, np.arange(p - rank)] = 1.0
+    theta0 = np.zeros(p)
+    theta0[basic] = lapack.dpotrs(factor, rhs[basic])[0]
+    return _Basis(order, factor, null), theta0
+
+
 # weights past the float range, from a pivot near the smallest float, fail
 # the acceptance test, so computing them warns of nothing
 @np.errstate(over="ignore", invalid="ignore")
@@ -481,22 +602,70 @@ def _correct(A, gram_diagonal, beta, theta0, g, r0_square, rhs):
     """The CSNE step theta = theta0 + (H'H + beta I)^-1 (g - beta theta0),
     with g = H'r0 and r0_square = ||r0||^2 for r0 = y - H theta0, by the
     factor in A's upper triangle; the norm of theta's normal residual, which
-    the acceptance test measures and the report keeps; and ||y - H theta||.
-
-    With delta = theta - theta0, ||y - H theta||^2 = ||r0||^2 - 2 delta'g +
-    delta'H'H delta, whose terms are of the size of ||r0||^2, not ||y||^2,
-    so it resolves residuals far below sqrt(eps) ||y||; rounding may take it
-    below 0, where it is clamped. The last term reads the Gram in A's lower
-    triangle, with `gram_diagonal`, H'H's diagonal, written back on A's.
-    Forming the two products writes over the factor's diagonal.
+    the acceptance test measures and the report keeps; and ||y - H theta||
+    (_residual_norm). The last reads the Gram in A's lower triangle, with
+    `gram_diagonal`, H'H's diagonal, written back on A's. Forming the two
+    products writes over the factor's diagonal.
     """
-    blas, lapack = _blas_lapack()
+    _, lapack = _blas_lapack()
     theta = theta0 + lapack.dpotrs(A, g - beta * theta0)[0]
     norm = float(np.linalg.norm(_normal_residual(A, gram_diagonal + beta, theta, rhs)))
     np.fill_diagonal(A, gram_diagonal)
-    delta = theta - theta0
+    return theta, norm, _residual_norm(A, r0_square, g, theta - theta0)
+
+
+def _residual_norm(A, r0_square, g, delta):
+    """||y - H (theta0 + delta)|| from r0_square = ||r0||^2 and g = H'r0 for
+    r0 = y - H theta0, with the Gram in A's lower triangle and on its
+    diagonal: ||r0||^2 - 2 delta'g + delta'H'H delta, whose terms are of the
+    size of ||r0||^2, not ||y||^2, so it resolves residuals far below
+    sqrt(eps) ||y||; rounding may take it below 0, where it is clamped."""
+    blas, _ = _blas_lapack()
     square = r0_square - 2.0 * (delta @ g) + delta @ blas.dsymv(1.0, A, delta, lower=1)
-    return theta, norm, float(np.sqrt(max(0.0, square)))
+    return float(np.sqrt(max(0.0, square)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _correct_basic(A, gram_diagonal, basis, theta0, g, r0_square, G, null_square, rhs):
+    """The CSNE step of a pivoted beta = 0 (see _pivoted), which corrects
+    both its basic solution and its null block by the factor R11 of the
+    basic Gram, and the minimum-norm theta it gives. With g = H'r0 and
+    r0_square = ||r0||^2 for r0 = y - H theta0, and G = H'(-H N0) and
+    null_square = ||H N0||_F^2 from the correction walk:
+
+        x_B = x_B0 + (R11'R11)^-1 g_B,  W = W0 - (R11'R11)^-1 G_B,
+        z = (I + W'W)^-1 W'x_B,  theta = P [x_B - W z; z],
+
+    where z minimizes ||theta|| over the solutions P [x_B - W z; z] of the
+    basic least-squares problem (I + W'W >= I, so its factor exists while W
+    is finite; a non-finite W gives a non-finite theta, which the checks
+    refuse). Returns theta; its normal residual norm, as _correct does;
+    the residual norm of the basic part P [x_B; 0] (_residual_norm, with
+    delta on the basic rows only: with the null part in delta, that
+    identity is off by about u ||H'H|| ||z||^2); and ||H N||_F^2 for the
+    corrected null block N = P [-W; I], which is ||H N0||_F^2 - 2 <D, G> +
+    <D, H'H D> with D = N - N0, whose rows outside the basic ones are zero.
+    """
+    blas, lapack = _blas_lapack()
+    basic = basis.order[: len(basis.factor)]
+    free = basis.order[len(basis.factor):]
+    x = theta0[basic] + lapack.dpotrs(basis.factor, g[basic])[0]
+    step = lapack.dpotrs(basis.factor, G[basic])[0]  # W0 - W
+    W = -basis.null[basic] - step
+    normal = blas.dsyrk(1.0, W, trans=1)
+    np.fill_diagonal(normal, normal.diagonal() + 1.0)
+    z = lapack.dposv(normal, blas.dgemv(1.0, W, x, trans=1), overwrite_a=1)[1]
+    theta = np.empty_like(theta0)
+    theta[basic] = x - blas.dgemv(1.0, W, z)
+    theta[free] = z
+    # with beta = 0 this also writes the Gram's diagonal on A's
+    norm = float(np.linalg.norm(_normal_residual(A, gram_diagonal, theta, rhs)))
+    delta = np.zeros_like(theta0)
+    delta[basic] = x - theta0[basic]
+    D = np.zeros_like(basis.null)
+    D[basic] = step
+    null_square += np.vdot(D, blas.dsymm(1.0, A, D, lower=1)) - 2.0 * np.vdot(step, G[basic])
+    return theta, norm, _residual_norm(A, r0_square, g, delta), float(null_square)
 
 
 def _rank_revealing(H, y, workspace):
@@ -543,7 +712,8 @@ def _rank_revealing(H, y, workspace):
 @np.errstate(over="ignore", invalid="ignore")
 def _pseudoinverse(R, s, Vt, Uty, beta, size):
     """Minimum-norm (beta = 0) or ridge (beta > 0) solution from the SVD
-    of H; also whether H is numerically rank deficient, the reciprocal
+    of H; also the numerical rank of H (the count of singular values that
+    it keeps), the reciprocal
     condition number of H'H + beta I (0 when it is zero), and the residual
     norm ||y - H theta|| = ||R [theta; -1]||, from the triangle R of [H | y],
     since Q's columns are orthonormal. That is the residual of the computed
@@ -565,4 +735,4 @@ def _pseudoinverse(R, s, Vt, Uty, beta, size):
     blas, _ = _blas_lapack()
     theta = blas.dgemv(1.0, Vt, gain * Uty, trans=1)
     residual = float(np.linalg.norm(blas.dgemv(1.0, R.T, np.append(theta, -1.0), trans=1)))
-    return theta, int(np.count_nonzero(nz)) < Vt.shape[1], rcond, residual
+    return theta, int(np.count_nonzero(nz)), rcond, residual

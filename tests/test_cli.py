@@ -308,7 +308,8 @@ def test_only_a_model_whose_test_score_is_not_finite_is_evaluated(monkeypatch):
 
 
 def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
-    # 30 samples, d = 5: 12 training rows for 37 weights
+    # 30 samples, d = 5: 12 training rows for 37 weights, so the numerical
+    # rank is 12, which the pivoted Cholesky factor of the Gram finds
     from quadconv import TimeSeries
 
     rng = np.random.default_rng(3)
@@ -318,8 +319,8 @@ def test_train_warns_about_rank_deficient_fits(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("warning: beta=0 fit is rank deficient (route pseudoinverse")
-    assert "12 training rows, 37 weights" in err[0]
+    assert err[0].startswith("warning: beta=0 fit is rank deficient (route cholesky")
+    assert "12 training rows, rank 12 of 37 weights" in err[0]
 
 
 @pytest.mark.parametrize("offset, warns", [(1e3, True), (50.0, False)])
@@ -362,7 +363,7 @@ def test_bench_warns_about_rank_deficient_fits_as_train_does(tmp_path, capsys):
     warned = [line for line in capsys.readouterr().err.splitlines() if "rank deficient" in line]
     assert len(warned) == 2
     assert warned[0] == train_err[0]
-    assert "198 training rows, 27 weights" in warned[1]
+    assert "198 training rows, rank 26 of 27 weights" in warned[1]
 
 
 def test_train_data_errors_exit_2(series_csv, tmp_path):

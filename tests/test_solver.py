@@ -15,6 +15,7 @@ from quadconv import (
     NegativeRegularizer,
     NonFiniteInput,
     SolveStrategy,
+    TimeSeries,
     build_regressor,
     narx_window,
     solve_path,
@@ -25,9 +26,11 @@ from quadconv import core, solver
 from quadconv.regressor import _RegressorRows
 
 
-def _narx_system():
-    # noise-free windowed NARX rows: 595 x 37 and numerically rank deficient
+def _narx_system(offset=0.0):
+    # noise-free windowed NARX rows: 595 x 37 and numerically rank deficient,
+    # with the features moved by `offset`
     data = narx_window(synth_narx(600, seed=9), "u", "y", 5)
+    data = Dataset(data.inputs + offset, data.labels)
     H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
     return H, data.labels
 
@@ -73,7 +76,8 @@ def test_rank_deficient_minimum_norm_solution():
     rep = solve_ridge(H, y, 0.0)
     np.testing.assert_allclose(rep.theta, [4.0 / 9.0, 0.0], rtol=1e-12, atol=1e-15)
     assert rep.rank_deficient
-    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    # the pivoted Cholesky factor of the Gram finds the rank
+    assert (rep.solve_strategy, rep.rank, rep.rcond) == (SolveStrategy.CHOLESKY, 1, 0.0)
 
 
 def test_zero_labels_give_zero_weights():
@@ -215,7 +219,8 @@ def test_underdetermined_system_flags_rank_deficiency():
     H = build_regressor(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
     rep = solve_ridge(H, data.labels, 0.0)
     assert rep.rank_deficient
-    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    # the pivoted Cholesky factor of the Gram finds rank N = 3
+    assert (rep.solve_strategy, rep.rank) == (SolveStrategy.CHOLESKY, 3)
     # exact interpolation is possible with more weights than samples
     assert rep.residual_norm <= 1e-10
 
@@ -224,13 +229,15 @@ def test_factorizable_singular_system_still_gets_minimum_norm():
     # windowed noiseless recursive data hides exact column dependencies in
     # the quadratic features; the normal matrix then factorizes numerically
     # even though it is singular, and the result must still be the flagged
-    # minimum-norm solution rather than one polluted by null-space junk
+    # minimum-norm solution rather than one polluted by null-space junk; the
+    # condition estimate sends it to the pivoted Cholesky factor, which finds
+    # the rank that lstsq finds
     H, y = _narx_system()
     rep = solve_ridge(H, y, 0.0)
     assert rep.rank_deficient
-    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert rep.solve_strategy == SolveStrategy.CHOLESKY
     reference, rank = _lstsq(H, y)
-    assert rank < H.shape[1]
+    assert rep.rank == rank < H.shape[1]
     np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-10)
 
 
@@ -254,15 +261,21 @@ def _assert_same_report(a, b):
     assert (a.beta, a.residual_norm, a.normal_residual_norm, a.rcond) == (
         b.beta, b.residual_norm, b.normal_residual_norm, b.rcond
     )
-    assert (a.rank_deficient, a.solve_strategy) == (b.rank_deficient, b.solve_strategy)
+    assert (a.rank_deficient, a.rank, a.solve_strategy) == (
+        b.rank_deficient, b.rank, b.solve_strategy
+    )
 
 
 @pytest.mark.parametrize("betas", [[0.0, 1.0, 10.0], [10.0, 0.0, 1e-6, 0.0, 1.0]])
 def test_solve_path_matches_per_beta_solves_bit_for_bit(betas):
+    # each beta = 0 takes the pivoted Cholesky route, and its correction
+    # shares the walk with the full-rank betas'
     H, y = _narx_system()
     reports = solve_path(H, y, betas)
     assert [r.beta for r in reports] == betas
-    assert {r.solve_strategy for r in reports} == set(SolveStrategy)
+    assert [(r.solve_strategy, r.rank_deficient) for r in reports] == [
+        (SolveStrategy.CHOLESKY, beta == 0) for beta in betas
+    ]
     for beta, rep in zip(betas, reports):
         _assert_same_report(rep, solve_ridge(H, y, beta))
 
@@ -315,10 +328,10 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
             assert (factor == np.triu(cho_factor(normal, lower=False)[0])).all()
         _assert_same_report(rep, lone)
     _assert_same_report(reports[0], reports[2])
-    assert [r.solve_strategy for r in reports] == [
-        SolveStrategy.CHOLESKY, SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY,
-        SolveStrategy.CHOLESKY,
-    ]
+    # beta = 0 takes the pivoted Cholesky route, which makes no dpotrf factor
+    # of the Gram after the correction walk
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
+    assert [r.rank_deficient for r in reports] == [False, True, False, False]
 
 
 def test_a_cholesky_sweep_forms_one_normal_residual_per_beta_and_walks_once_for_corrections(
@@ -403,8 +416,9 @@ def test_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
     betas = [0.0, 1.0]
     column_major = solve_path(H, y, betas)
     row_major = solve_path(np.ascontiguousarray(H), y, betas)
-    assert [r.solve_strategy for r in column_major] == [
-        SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY
+    # beta = 0 takes the pivoted Cholesky route, with a null block in the walk
+    assert [(r.solve_strategy, r.rank_deficient) for r in column_major] == [
+        (SolveStrategy.CHOLESKY, True), (SolveStrategy.CHOLESKY, False)
     ]
     for a, b in zip(column_major, row_major):
         _assert_same_report(a, b)
@@ -423,12 +437,17 @@ def _count_rank_revealing(monkeypatch):
 
 
 def test_solve_path_factors_h_at_most_once_and_only_on_fallback(monkeypatch):
+    # at +1e3 both beta = 0 solves fall back; a rank-deficient sweep that the
+    # pivoted Cholesky route takes, and a full-rank one, factor no H
     calls = _count_rank_revealing(monkeypatch)
-    H, y = _narx_system()
+    H, y = _offset_system(1e3, 0)
     reports = solve_path(H, y, [0.0, 1.0, 0.0, 10.0])
     assert [r.solve_strategy for r in reports].count(SolveStrategy.PSEUDOINVERSE) == 2
     assert len(calls) == 1
     calls.clear()
+    H, y = _narx_system()
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY
+               for r in solve_path(H, y, [0.0, 1.0, 0.0, 10.0]))
     rng = np.random.default_rng(11)
     H, y = _random_system(rng, 5, 2)
     solve_path(H, y, [0.0, 1.0])
@@ -441,8 +460,9 @@ def test_fallback_matches_lstsq_minimum_norm_on_short_systems(n_samples):
     H, y = _random_system(rng, 4, 2, n_samples=n_samples)
     rep = solve_path(H, y, [0.0])[0]
     if n_samples < H.shape[1]:
+        # the pivoted Cholesky factor of the Gram finds rank N
         assert rep.rank_deficient
-        assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+        assert (rep.solve_strategy, rep.rank) == (SolveStrategy.CHOLESKY, n_samples)
     reference, _ = _lstsq(H, y)
     np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-12)
 
@@ -489,13 +509,17 @@ def test_forced_fallback_in_small_row_blocks(monkeypatch, n_samples, block_rows)
 
 @pytest.mark.parametrize("block_rows", [5, 38])  # p = 37
 def test_rank_deficient_fallback_in_small_row_blocks(monkeypatch, block_rows):
-    H, y = _narx_system()
+    # with the features at +50, the pivoted Cholesky factor of the Gram
+    # does not find H's rank, and beta = 0 falls back to the QR
+    H, y = _narx_system(50.0)
     whole = solve_path(H, y, [0.0, 1.0])
     monkeypatch.setattr(solver, "_block_rows", lambda p: block_rows)
     blocked = solve_path(H, y, [0.0, 1.0])
     assert blocked[0].rank_deficient
     assert blocked[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
-    reference, _ = _lstsq(H, y)
+    assert blocked[1].solve_strategy == SolveStrategy.CHOLESKY
+    reference, rank = _lstsq(H, y)
+    assert blocked[0].rank == rank
     np.testing.assert_allclose(blocked[0].theta, reference, rtol=1e-8, atol=1e-10)
     # the Cholesky beta reads neither the QR nor its blocks, so its whole
     # report is the same bits
@@ -503,13 +527,13 @@ def test_rank_deficient_fallback_in_small_row_blocks(monkeypatch, block_rows):
     assert blocked[1].residual_norm == whole[1].residual_norm
 
 
-def _offset_system(offset, seed, scale=1.0):
-    # 500 x 27 features that sit at `offset`, as raw sensor readings do,
+def _offset_system(offset, seed, scale=1.0, rows=500):
+    # rows x 21 features that sit at `offset`, as raw sensor readings do,
     # and labels of a random model plus 1% noise
     rng = np.random.default_rng(seed)
     spec = ConvSpec(6, 3)
-    X = rng.uniform(-1, 1, size=(500, spec.n)) * scale + offset
-    H = build_regressor(Dataset(X, np.zeros(500)), spec, ActivationParams(0.0937, 0.5, 0.4688))
+    X = rng.uniform(-1, 1, size=(rows, spec.n)) * scale + offset
+    H = build_regressor(Dataset(X, np.zeros(rows)), spec, ActivationParams(0.0937, 0.5, 0.4688))
     y = H @ rng.uniform(-1, 1, size=spec.n_weights)
     y += 0.01 * np.linalg.norm(y) / np.sqrt(y.size) * rng.standard_normal(y.size)
     return H, y
@@ -581,6 +605,18 @@ def _record_rconds(monkeypatch):
     return rconds
 
 
+def _record_corrections(monkeypatch):
+    corrected = []
+    gradients = solver._normal_gradients
+
+    def recorded(H, y, thetas, workspace):
+        corrected.extend(thetas)
+        return gradients(H, y, thetas, workspace)
+
+    monkeypatch.setattr(solver, "_normal_gradients", recorded)
+    return corrected
+
+
 @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 200])
 def test_the_condition_estimate_matches_lapacks_dpocon(p):
     # each factor step reads the 1-norm of the matrix it factors, by
@@ -619,25 +655,23 @@ def test_a_system_conditioned_like_wide_fit_stays_on_the_cholesky_route(monkeypa
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_features_at_1e3_are_routed_to_the_qr_by_their_condition_estimate(monkeypatch, seed):
-    # u / rcond is about 7e3: the beta goes to the QR/SVD route before any
-    # correction step, so no acceptance level, however loose, keeps it on
-    # the Cholesky route
+    # u / rcond is about 7e3, so no full-rank theta0 is formed. LAPACK's
+    # tolerance drops directions of H'H as in a rank-deficient Gram, and the
+    # basic part of the pivoted factor passes the same estimate, but the
+    # corrected null block is far from H's null space (H has full rank):
+    # the null check sends the beta to the QR/SVD route, so no acceptance
+    # level, however loose, keeps it on the Cholesky route
     monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", np.inf)
     rconds = _record_rconds(monkeypatch)
-    corrected = []
-    gradients = solver._normal_gradients
-
-    def recorded(H, y, thetas, workspace):
-        corrected.extend(thetas)
-        return gradients(H, y, thetas, workspace)
-
-    monkeypatch.setattr(solver, "_normal_gradients", recorded)
+    corrected = _record_corrections(monkeypatch)
     H, y = _offset_system(1e3, seed)
     rep = solve_ridge(H, y, 0.0)
     assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
-    assert not rep.rank_deficient
-    assert len(rconds) == 1 and solver._UNIT_ROUNDOFF / rconds[0] > 1e3
-    assert corrected == []
+    assert not rep.rank_deficient and rep.rank == H.shape[1]
+    assert len(rconds) == 2 and solver._UNIT_ROUNDOFF / rconds[0] > 1e3
+    assert solver._UNIT_ROUNDOFF / rconds[1] <= solver._ROUTE_LIMIT
+    # the pivoted theta0 and its null block, never a full-rank theta0
+    assert [np.ndim(theta) for theta in corrected] == [1, 2]
     # the report's rcond is the SVD's, whose s_min two SVDs give to about
     # eps * cond(H) = 2e-6 relative
     s = np.linalg.svd(H, compute_uv=False)
@@ -707,16 +741,165 @@ def test_rank_deficient_systems_are_routed_by_the_condition_estimate_and_flagged
 ):
     # the condition estimate is the one routing rule, for beta = 0 as for
     # every beta: a factor that stops, or one whose estimate exceeds the
-    # limit, sends the beta to the QR/SVD route, whose SVD finds the rank
+    # limit, leaves the full-rank Cholesky route. A rank-deficient beta = 0
+    # then takes the pivoted Cholesky factor of the Gram; a dependent column
+    # 1e8 times the size of the others, whose Gram hides H's rank, goes on
+    # to the QR/SVD route, whose SVD finds the rank
     rconds = _record_rconds(monkeypatch)
     H, y = _rank_deficient_system(kind)
     rep = solve_ridge(H, y, 0.0)
-    assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert rep.solve_strategy == (
+        SolveStrategy.PSEUDOINVERSE if kind == "scaled-dependent-column" else SolveStrategy.CHOLESKY
+    )
     assert rep.rank_deficient
-    assert all(solver._UNIT_ROUNDOFF / rcond > solver._ROUTE_LIMIT for rcond in rconds)
+    # each factor of the Gram stops, so the one estimate is the basic
+    # factor's, which passes the limit
+    assert len(rconds) == 1 and solver._UNIT_ROUNDOFF / rconds[0] <= solver._ROUTE_LIMIT
     reference, rank = _lstsq(H, y)
-    assert rank < H.shape[1]
+    assert rep.rank == rank < H.shape[1]
     np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-10)
+
+
+_PIVOTED = {
+    "narx-2980x230": lambda: _rank_deficient_system("narx"),
+    "duplicated-column": lambda: _rank_deficient_system("duplicated-column"),
+    "zero-column": lambda: _rank_deficient_system("zero-column"),
+    "fewer-rows-than-columns": lambda: _rank_deficient_system("fewer-rows-than-columns"),
+    "narx-595x37": _narx_system,
+    "short-5x11": lambda: _random_system(np.random.default_rng(12), 4, 2, n_samples=5),
+    "toy-3x2": lambda: (np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0, 1.0])),
+}
+
+
+# Summed in 7-row blocks, the Gram of the duplicated column is not exactly
+# singular: its dpocon estimate reads u / rcond = 0.044, below the routing
+# limit, and beta = 0 stays on the full-rank Cholesky route, where the
+# acceptance test passes a theta 0.23 away from lstsq's, flagged as of full
+# rank. That happens before the pivoted route is tried.
+_FOOLED = pytest.mark.xfail(
+    strict=True, reason="the condition estimate passes a Gram that rounding made nonsingular"
+)
+
+
+@pytest.mark.parametrize(
+    "system, walk_rows",
+    [pytest.param(system, walk_rows, id=f"{system}-{'walked' if walk_rows else 'held'}",
+                  marks=_FOOLED if (system, walk_rows) == ("duplicated-column", 7) else ())
+     for system in sorted(_PIVOTED) for walk_rows in (None, 7)],
+)
+def test_rank_deficient_systems_take_the_pivoted_cholesky_route(monkeypatch, system, walk_rows):
+    # beta = 0 solves the basic columns' normal equations from the pivoted
+    # Cholesky factor of the Gram, corrects the basic solution and the null
+    # block from the rows, and takes the minimum-norm solution: lstsq's to
+    # within 2e-12 relative (1.1e-12 seen), with its rank, and with no QR of
+    # H. The
+    # later beta writes over the Gram's factor, so beta = 0 keeps its own.
+    calls = _count_rank_revealing(monkeypatch)
+    H, y = _PIVOTED[system]()
+    if walk_rows is not None:
+        monkeypatch.setattr(core, "_WALK_BYTES", 8 * H.shape[1] * walk_rows)
+    betas = [0.0, 1.0]
+    reports = solve_path(H, y, betas)
+    assert calls == []
+    rep = reports[0]
+    reference, rank = _lstsq(H, y)
+    assert (rep.solve_strategy, rep.rank_deficient, rep.rank, rep.rcond) == (
+        SolveStrategy.CHOLESKY, True, rank, 0.0
+    )
+    np.testing.assert_allclose(rep.theta, reference, rtol=1e-8, atol=1e-10)
+    assert np.linalg.norm(rep.theta - reference) <= 2e-12 * np.linalg.norm(reference)
+    assert (reports[1].rank_deficient, reports[1].rank) == (False, H.shape[1])
+    for beta, report in zip(betas, reports):
+        _assert_same_report(report, solve_ridge(H, y, beta))
+
+
+def _gap_system(noise, seed):
+    # 1000 x 12 rows whose last column is a combination of three others plus
+    # `noise` times a random column: sigma_min / sigma_1 is about 0.16 noise
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((1000, 12))
+    H[:, 11] = H[:, 1] - 2.0 * H[:, 4] + 0.5 * H[:, 7] + noise * rng.standard_normal(1000)
+    return H, H @ rng.standard_normal(12) + 0.01 * rng.standard_normal(1000)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("noise, deficient", [(1e-9, False), (1e-11, False), (1e-13, True)])
+def test_the_pivoted_route_drops_a_direction_only_where_lstsq_does(monkeypatch, noise, deficient, seed):
+    # LAPACK's tolerance finds rank 11 of the Gram at each gap, but at
+    # sigma_min / sigma_1 near 1.5e-10 and 1.5e-12 lstsq keeps full rank: the
+    # corrected null vector is not in H's null space by the SVD's cutoff,
+    # and the null check alone sends beta = 0 to the QR, however loose the
+    # acceptance test. Near 1.5e-14 lstsq drops the direction too, and the
+    # pivoted route is accepted.
+    H, y = _gap_system(noise, seed)
+    s = np.linalg.svd(H, compute_uv=False)
+    assert 1.3e-1 * noise < s[-1] / s[0] < 1.7e-1 * noise
+    reference, rank = _lstsq(H, y)
+    assert rank == (11 if deficient else 12)
+    calls = _count_rank_revealing(monkeypatch)
+    for accept in (solver._CHOLESKY_ACCEPT, np.inf):
+        monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", accept)
+        rep = solve_ridge(H, y, 0.0)
+        assert (rep.rank_deficient, rep.rank) == (deficient, rank)
+        if deficient:
+            assert rep.solve_strategy == SolveStrategy.CHOLESKY
+            assert np.linalg.norm(rep.theta - reference) <= 1e-13 * np.linalg.norm(reference)
+        else:
+            assert rep.solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert len(calls) == (0 if deficient else 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_acceptance_test_sends_a_pivoted_step_that_misses_the_bound_to_the_qr(
+    monkeypatch, seed
+):
+    # _rescue_system's rows and a zero column: the pivoted factor drops the
+    # zero column, whose null vector needs no correction, and the basic part
+    # is _rescue_system's, where one CSNE step misses the c = 1 bound; its
+    # normal residual fails the acceptance test, and beta = 0 falls back
+    H, y = _rescue_system(seed)
+    H = np.column_stack([H, np.zeros(len(H))])
+    rep = solve_ridge(H, y, 0.0)
+    assert (rep.solve_strategy, rep.rank_deficient, rep.rank) == (
+        SolveStrategy.PSEUDOINVERSE, True, 20
+    )
+    _assert_within_the_qr_bound(H[:, :20], y, rep.theta[:20])
+    # with no acceptance test the step's theta is kept
+    monkeypatch.setattr(solver, "_CHOLESKY_ACCEPT", np.inf)
+    rep = solve_ridge(H, y, 0.0)
+    assert (rep.solve_strategy, rep.rank) == (SolveStrategy.CHOLESKY, 20)
+    assert _qr_bound_ratio(H[:, :20], y, rep.theta[:20]) > 10.0
+
+
+@pytest.mark.parametrize("offset, walks", [(None, 2), (1e3, 3)], ids=["accepted", "refused"])
+def test_a_pivoted_beta_reads_h_twice_or_three_times_when_refused(monkeypatch, offset, walks):
+    # the null block rides the correction walk that the full-rank betas
+    # take; a pivoted beta = 0 that the checks refuse adds the QR walk after it
+    fills = []
+    fill_rows = _RegressorRows.fill_rows
+
+    def counted(self, rows, out):
+        fills.append(rows)
+        return fill_rows(self, rows, out)
+
+    monkeypatch.setattr(_RegressorRows, "fill_rows", counted)
+    corrected = _record_corrections(monkeypatch)
+    if offset is None:  # noise-free NARX rows: rank deficient
+        data = narx_window(synth_narx(600, seed=9), "u", "y", 5)
+    else:
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.uniform(-1, 1, size=(595, 10)) + offset, rng.uniform(-1, 1, size=595))
+    spec = ConvSpec(10, 3)
+    H = _RegressorRows(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
+    # 595 rows in blocks of 100: six a walk
+    monkeypatch.setattr(core, "_WALK_BYTES", 8 * spec.n_weights * 100)
+    monkeypatch.setattr(solver, "_block_rows", lambda p: 100)
+    reports = solve_path(H, data.labels, [0.0, 1.0])
+    assert [np.ndim(theta) for theta in corrected] == [1, 1, 2]
+    assert reports[0].solve_strategy == (
+        SolveStrategy.CHOLESKY if offset is None else SolveStrategy.PSEUDOINVERSE
+    )
+    assert len(fills) == walks * 6
 
 
 def test_solve_path_matches_per_beta_solves_where_the_correction_moves_theta():
@@ -781,7 +964,8 @@ def test_residual_norm_keeps_ten_digits_of_the_reported_weights_residual(
 def test_fallback_allocates_no_n_row_matrix(monkeypatch):
     # a fallback over several row blocks holds one block-sized buffer, and
     # every SVD is of a triangle with at most p rows, so no N-row copy of
-    # H and no N x p left factor is formed
+    # H and no N x p left factor is formed; at +1e3 both beta = 0 solves
+    # try the pivoted Cholesky route first, and the null check refuses them
     svd_shapes = []
     _, lapack = solver._blas_lapack()
     svd = lapack.dgesdd
@@ -791,16 +975,15 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(lapack, "dgesdd", recording_svd)
-    data = narx_window(synth_narx(13000, seed=9), "u", "y", 5)
-    H = build_regressor(data, ConvSpec(10, 3), ActivationParams(0.0937, 0.5, 0.4688))
+    H, y = _offset_system(1e3, 0, rows=13000)
     assert len(solver._slices(H.shape[0], solver._block_rows(H.shape[1]))) >= 4
     tracemalloc.start()
     try:
-        reports = solve_path(H, data.labels, [0.0, 0.0])
+        reports = solve_path(H, y, [0.0, 0.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert reports[0].solve_strategy == SolveStrategy.PSEUDOINVERSE
+    assert [r.solve_strategy for r in reports] == [SolveStrategy.PSEUDOINVERSE] * 2
     assert peak <= H.nbytes / 2
     assert svd_shapes == [(H.shape[1], H.shape[1])]
 
@@ -808,7 +991,9 @@ def test_fallback_allocates_no_n_row_matrix(monkeypatch):
 def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(monkeypatch):
     # at p = 230, as on a NARX series with d = 20 and f = 5, the QR stack of
     # a block (999,537 floats) fits in the Gram walk's buffer (1,048,570), so
-    # the Gram, QR and correction walks all fill the solve's one workspace
+    # the Gram, QR and correction walks all fill the solve's one workspace;
+    # random channels at +100 make beta = 0 of full rank but too
+    # ill-conditioned for the Cholesky routes
     outs = []
     fill_rows = _RegressorRows.fill_rows
 
@@ -817,7 +1002,9 @@ def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(mo
         return fill_rows(self, rows, out)
 
     monkeypatch.setattr(_RegressorRows, "fill_rows", recorded)
-    data = narx_window(synth_narx(10000, seed=9), "u", "y", 20)
+    rng = np.random.default_rng(9)
+    series = TimeSeries({name: rng.uniform(-1, 1, 10000) + 100.0 for name in ("u", "y")})
+    data = narx_window(series, "u", "y", 20)
     spec = ConvSpec(40, 5)
     H = _RegressorRows(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
     N, p = H.shape
@@ -968,13 +1155,14 @@ def test_a_module_that_fails_to_load_leaves_no_entry_and_loads_at_the_next_call(
 def test_a_solve_falls_back_to_scipy_linalg_where_the_path_finder_misses(monkeypatch):
     # as in an editable build, whose extension modules the path finder does
     # not see: the solver calls scipy.linalg.blas and scipy.linalg.lapack,
-    # which re-export the same wrappers, so every report is the same bits
+    # which re-export the same wrappers, so every report is the same bits.
+    # The rank-deficient sweep takes the pivoted Cholesky route (dpstrf,
+    # dtrtrs), and at +1e3 beta = 0 falls back to the QR (dgesdd)
     import scipy.linalg.blas
     import scipy.linalg.lapack
 
-    H, y = _narx_system()
-    betas = [0.0, 1.0]
-    direct = solve_path(H, y, betas)
+    systems = [(_narx_system(), [0.0, 1.0]), (_offset_system(1e3, 0), [0.0])]
+    direct = [solve_path(H, y, betas) for (H, y), betas in systems]
 
     class Missing:
         @staticmethod
@@ -986,20 +1174,23 @@ def test_a_solve_falls_back_to_scipy_linalg_where_the_path_finder_misses(monkeyp
         monkeypatch.delitem(sys.modules, name)
     blas, lapack = solver._blas_lapack()
     assert blas is scipy.linalg.blas and lapack is scipy.linalg.lapack
-    svds = []
-    svd = lapack.dgesdd
+    calls = []
+    for name in ("dgesdd", "dpstrf", "dtrtrs"):
+        wrapper = getattr(lapack, name)
 
-    def recorded(*args, **kwargs):
-        svds.append(args[0].shape)
-        return svd(*args, **kwargs)
+        def recorded(*args, wrapper=wrapper, name=name, **kwargs):
+            calls.append(name)
+            return wrapper(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", recorded)
-    fallen = solve_path(H, y, betas)
-    assert len(svds) == 1
-    assert [r.solve_strategy for r in direct] == [
-        SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY
+        monkeypatch.setattr(scipy.linalg.lapack, name, recorded)
+    fallen = [solve_path(H, y, betas) for (H, y), betas in systems]
+    # each beta = 0 factors the Gram by dpstrf; the +1e3 one is refused
+    assert calls == ["dpstrf", "dtrtrs", "dpstrf", "dtrtrs", "dgesdd"]
+    assert [[r.solve_strategy for r in reports] for reports in direct] == [
+        [SolveStrategy.CHOLESKY, SolveStrategy.CHOLESKY], [SolveStrategy.PSEUDOINVERSE]
     ]
-    for a, b in zip(fallen, direct):
+    assert direct[0][0].rank_deficient
+    for a, b in zip(sum(fallen, []), sum(direct, [])):
         _assert_same_report(a, b)
 
 

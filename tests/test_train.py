@@ -76,8 +76,11 @@ def test_fit_path_matches_per_beta_fits_and_splits_time():
     start = time.perf_counter()
     results = fit_path(data, spec, _PARAMS, betas)
     elapsed = time.perf_counter() - start
-    assert results[0].report.solve_strategy == SolveStrategy.PSEUDOINVERSE
-    assert results[1].report.solve_strategy == SolveStrategy.CHOLESKY
+    # beta = 0 is rank deficient and takes the pivoted Cholesky route
+    assert [(r.report.solve_strategy, r.report.rank_deficient) for r in results] == [
+        (SolveStrategy.CHOLESKY, True), (SolveStrategy.CHOLESKY, False),
+        (SolveStrategy.CHOLESKY, False),
+    ]
     for beta, result in zip(betas, results):
         alone = fit(data, spec, _PARAMS, beta)
         assert result.model.zbar1_band.tobytes() == alone.model.zbar1_band.tobytes()
@@ -106,10 +109,13 @@ def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatc
     _walk_in_blocks(monkeypatch, data, spec, 5)
     H = build_regressor(data, spec, _PARAMS)
     calls = _count_assembly(monkeypatch)
-    for beta, route in [(0.0, SolveStrategy.PSEUDOINVERSE), (1.0, SolveStrategy.CHOLESKY)]:
+    # beta = 0 takes the pivoted Cholesky route, as the data are rank deficient
+    for beta, deficient in [(0.0, True), (1.0, False)]:
         walked = fit(data, spec, _PARAMS, beta)
         held = solve_ridge(H, data.labels, beta)
-        assert walked.report.solve_strategy == held.solve_strategy == route
+        assert walked.report.solve_strategy == held.solve_strategy == SolveStrategy.CHOLESKY
+        assert walked.report.rank_deficient == held.rank_deficient == deficient
+        assert walked.report.rank == held.rank
         assert walked.report.theta.tobytes() == held.theta.tobytes()
         assert walked.report.normal_residual_norm == held.normal_residual_norm
         assert walked.report.residual_norm == held.residual_norm
@@ -132,13 +138,20 @@ def _record_blocks_assembled(monkeypatch):
     return blocks
 
 
-@pytest.mark.parametrize("betas, walks", [([0.0, 1.0], 3), ([1.0, 10.0], 2)])
+# beta = 0 is rank deficient on these rows and takes the pivoted Cholesky
+# route, which reads H no more often than a full-rank sweep; with the
+# features at +100 the pivoted factor finds full rank, and beta = 0 falls
+# back to the QR
+@pytest.mark.parametrize(
+    "betas, offset, walks", [([0.0, 1.0], 0.0, 2), ([0.0, 1.0], 100.0, 3), ([1.0, 10.0], 0.0, 2)]
+)
 def test_walked_sweep_holds_no_regressor_and_assembles_each_row_at_most_once_a_walk(
-    monkeypatch, betas, walks
+    monkeypatch, betas, offset, walks
 ):
     solver._blas_lapack()  # loaded before tracing, as the first fit would
 
     data, spec = narx_window(synth_narx(4000, seed=9), "u", "y", 5), ConvSpec(10, 3)
+    data = Dataset(data.inputs + offset, data.labels)
     _walk_in_blocks(monkeypatch, data, spec, 4)
     blocks = _record_blocks_assembled(monkeypatch)
     tracemalloc.start()
