@@ -55,10 +55,11 @@ whole sweep. Each beta copies the strict lower triangle up and makes its
 Cholesky factor in place in the upper triangle, so no second p x p array
 is ever made; a beta whose factor a later beta overwrote makes it again
 for its correction step. A beta on the pivoted route keeps a copy of its
-r x r factor R11 instead, and its p x (p - r) null block.
+r x r factor R11 instead, and the r x (p - r) W0 of its null block, which
+is made whole, p x (p - r), for the correction walk only.
 
 A solve calls fifteen of scipy's f2py wrappers (ddot, dsyrk, dgemv, dgemm,
-dsymv, dsymm, dlange, dpotrf, dpotrs, dposv, dpocon, dpstrf, dtrtrs,
+dsymv, dtrmm, dlange, dpotrf, dpotrs, dposv, dpocon, dpstrf, dtrtrs,
 dgeqrt, dgesdd), and train's scoring of test rows two (dgemm, dgemv),
 which live in its extension modules scipy.linalg._fblas and _flapack.
 _blas_lapack loads those two modules by the import system's path finder,
@@ -151,19 +152,22 @@ class SolveReport:
 
     `rank` is the numerical rank: p on a full-rank Cholesky beta, the rank
     of the pivoted factor on a rank-deficient one, and the count of
-    singular values the SVD keeps on the QR/SVD route. `rank_deficient` is
-    rank < p.
+    singular values the SVD keeps on the QR/SVD route.
     """
 
     theta: np.ndarray
     beta: float
     residual_norm: float
     normal_residual_norm: float
-    rank_deficient: bool
     rank: int
     solve_strategy: SolveStrategy
     seconds: float
     rcond: float
+
+    @property
+    def rank_deficient(self) -> bool:
+        """Whether the numerical rank is below the number of weights."""
+        return self.rank < self.theta.size
 
 
 def _check_betas(betas) -> list[float]:
@@ -327,7 +331,7 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
                 "regressor's entries are too small for the float range"
             )
         fields.update(
-            theta=theta, rank_deficient=rank < p, rank=rank, rcond=rcond,
+            theta=theta, rank=rank, rcond=rcond,
             residual_norm=residual, solve_strategy=SolveStrategy.PSEUDOINVERSE,
             normal_residual_norm=float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs))),
         )
@@ -340,24 +344,25 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         norm = _factor(A, diagonal)
         rcond = 0.0 if norm is None else _rcond(A, norm)
         if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT:
-            s.update(theta=lapack.dpotrs(A, rhs)[0], rank_deficient=False, rank=p, rcond=rcond,
+            s.update(theta=lapack.dpotrs(A, rhs)[0], rank=p, rcond=rcond,
                      solve_strategy=SolveStrategy.CHOLESKY)
             pending.append(i)
             factored = i
         elif s["beta"] == 0 and (pivoted := _pivoted(A, diagonal, rhs)) is not None:
             bases[i], theta = pivoted
             # H'H is singular, so its reciprocal condition number is 0
-            s.update(theta=theta, rank_deficient=True, rank=len(bases[i].factor), rcond=0.0,
+            s.update(theta=theta, rank=len(bases[i].factor), rcond=0.0,
                      solve_strategy=SolveStrategy.CHOLESKY)
             pending.append(i)
         else:
             fall_back(s, diagonal)
         tick(s)
     walked = _normal_gradients(
-        H, y, [solved[i]["theta"] for i in pending] + [bases[i].null for i in bases], workspace
+        H, y, [solved[i]["theta"] for i in pending] + [bases[i].null() for i in bases], workspace
     )
     corrections = dict(zip(pending, walked))
     nulls = dict(zip(bases, walked[len(pending):]))
+    del walked
     # the correction walk counts towards the first beta, as the Gram walk does
     tick(solved[0])
     # the beta whose factor A holds goes first; each other one makes its
@@ -366,19 +371,20 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
         s = solved[i]
         diagonal = gram_diagonal + s["beta"]
         if i in bases:
-            theta, norm, residual, null_square = _correct_basic(
-                A, gram_diagonal, bases[i], s["theta"], *corrections[i], *nulls[i], rhs
+            # popped, as are the walk's p x (p - r) products with the null
+            # block (and `walked` deleted), so that a beta the checks refuse
+            # holds none of them through the QR walk
+            corrected = _correct_basic(
+                A, gram_diagonal, bases.pop(i), s["theta"], *corrections[i], *nulls.pop(i),
+                rhs, null_cutoff,
             )
-            accepted = null_square <= null_cutoff**2
         else:
             if i != factored:
                 _factor(A, diagonal)
-            theta, norm, residual = _correct(
-                A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs
-            )
-            accepted = True
+            corrected = _correct(A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs)
         factored = None  # the acceptance test writes over its diagonal
-        if accepted and norm <= _CHOLESKY_ACCEPT * scale:
+        if corrected is not None and corrected[1] <= _CHOLESKY_ACCEPT * scale:
+            theta, norm, residual = corrected
             s.update(theta=theta, normal_residual_norm=norm, residual_norm=residual)
         else:
             fall_back(s, diagonal)
@@ -548,18 +554,28 @@ def _rcond(A, norm):
 class _Basis:
     """A rank-deficient beta = 0 on the pivoted route (see _pivoted): the
     order of H's columns, basic ones first; the r x r factor R11 of the
-    basic columns' Gram; and the null block N0 = P [-W0; I]."""
+    basic columns' Gram; and W0 = R11^-1 R12, r x (p - r)."""
 
     order: np.ndarray
     factor: np.ndarray
-    null: np.ndarray
+    W0: np.ndarray
+
+    def null(self):
+        """The null block N0 = P [-W0; I], column-major p x (p - r): made for
+        the correction walk only, as it is far larger than W0 when r is
+        small."""
+        p, rank = len(self.order), len(self.factor)
+        null = np.zeros((p, p - rank), order="F")
+        null[self.order[:rank]] = -self.W0
+        null[self.order[rank:], np.arange(p - rank)] = 1.0
+        return null
 
 
 def _pivoted(A, diagonal, rhs):
-    """The basic solution of a rank-deficient beta = 0 and its null block,
-    from LAPACK's pivoted Cholesky factor of H'H: a _Basis and theta0; None
-    when the factor finds full rank or none, or when its basic part is too
-    ill-conditioned for the CSNE step.
+    """The basic solution of a rank-deficient beta = 0 and what its null
+    block is made from, by LAPACK's pivoted Cholesky factor of H'H: a
+    _Basis and theta0; None when the factor finds full rank or none, or
+    when its basic part is too ill-conditioned for the CSNE step.
 
     dpstrf, at LAPACK's default tolerance, factors P' H'H P = R'R in A's
     upper triangle, with R = [R11 R12; 0 0] of rank r; the Gram in A's
@@ -583,16 +599,12 @@ def _pivoted(A, diagonal, rhs):
     if _rcond(factor, norm) < _UNIT_ROUNDOFF / _ROUTE_LIMIT:
         return None
     order = piv - 1
-    basic, free = order[:rank], order[rank:]
     W0, info = lapack.dtrtrs(factor, A[:rank, rank:])
     if info:
         raise RuntimeError(f"dtrtrs failed: info {info}")
-    null = np.zeros((p, p - rank), order="F")
-    null[basic] = -W0
-    null[free, np.arange(p - rank)] = 1.0
     theta0 = np.zeros(p)
-    theta0[basic] = lapack.dpotrs(factor, rhs[basic])[0]
-    return _Basis(order, factor, null), theta0
+    theta0[order[:rank]] = lapack.dpotrs(factor, rhs[order[:rank]])[0]
+    return _Basis(order, factor, W0), theta0
 
 
 # weights past the float range, from a pivot near the smallest float, fail
@@ -626,7 +638,7 @@ def _residual_norm(A, r0_square, g, delta):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _correct_basic(A, gram_diagonal, basis, theta0, g, r0_square, G, null_square, rhs):
+def _correct_basic(A, gram_diagonal, basis, theta0, g, r0_square, G, null_square, rhs, cutoff):
     """The CSNE step of a pivoted beta = 0 (see _pivoted), which corrects
     both its basic solution and its null block by the factor R11 of the
     basic Gram, and the minimum-norm theta it gives. With g = H'r0 and
@@ -639,19 +651,32 @@ def _correct_basic(A, gram_diagonal, basis, theta0, g, r0_square, G, null_square
     where z minimizes ||theta|| over the solutions P [x_B - W z; z] of the
     basic least-squares problem (I + W'W >= I, so its factor exists while W
     is finite; a non-finite W gives a non-finite theta, which the checks
-    refuse). Returns theta; its normal residual norm, as _correct does;
-    the residual norm of the basic part P [x_B; 0] (_residual_norm, with
+    refuse).
+
+    None when the corrected null block N = P [-W; I] has ||H N||_F above
+    `cutoff`, which is checked before theta is formed. With S = W0 - W, the
+    rows of N - N0 on the basic columns (the others are zero), ||H N||_F^2 is
+    ||H N0||_F^2 - 2 <S, G_B> + <S, H_B'H_B S>, and the last term is read as
+    ||R11 S||_F^2: R11'R11 is the basic block of the Gram to rounding, and
+    the product costs r^2 (p - r) where one with the whole Gram costs
+    p^2 (p - r). Else theta; its normal residual norm, as _correct gives;
+    and the residual norm of the basic part P [x_B; 0] (_residual_norm, with
     delta on the basic rows only: with the null part in delta, that
-    identity is off by about u ||H'H|| ||z||^2); and ||H N||_F^2 for the
-    corrected null block N = P [-W; I], which is ||H N0||_F^2 - 2 <D, G> +
-    <D, H'H D> with D = N - N0, whose rows outside the basic ones are zero.
+    identity is off by about u ||H'H|| ||z||^2).
     """
     blas, lapack = _blas_lapack()
     basic = basis.order[: len(basis.factor)]
     free = basis.order[len(basis.factor):]
+    G = np.asfortranarray(G[basic])
+    step = lapack.dpotrs(basis.factor, G)[0]  # S = W0 - W
+    product = blas.dtrmm(1.0, basis.factor, step).reshape(-1, order="F")
+    null_square += blas.ddot(product, product) - 2.0 * blas.ddot(
+        step.reshape(-1, order="F"), G.reshape(-1, order="F")
+    )
+    if not null_square <= cutoff * cutoff:
+        return None
     x = theta0[basic] + lapack.dpotrs(basis.factor, g[basic])[0]
-    step = lapack.dpotrs(basis.factor, G[basic])[0]  # W0 - W
-    W = -basis.null[basic] - step
+    W = basis.W0 - step
     normal = blas.dsyrk(1.0, W, trans=1)
     np.fill_diagonal(normal, normal.diagonal() + 1.0)
     z = lapack.dposv(normal, blas.dgemv(1.0, W, x, trans=1), overwrite_a=1)[1]
@@ -662,10 +687,7 @@ def _correct_basic(A, gram_diagonal, basis, theta0, g, r0_square, G, null_square
     norm = float(np.linalg.norm(_normal_residual(A, gram_diagonal, theta, rhs)))
     delta = np.zeros_like(theta0)
     delta[basic] = x - theta0[basic]
-    D = np.zeros_like(basis.null)
-    D[basic] = step
-    null_square += np.vdot(D, blas.dsymm(1.0, A, D, lower=1)) - 2.0 * np.vdot(step, G[basic])
-    return theta, norm, _residual_norm(A, r0_square, g, delta), float(null_square)
+    return theta, norm, _residual_norm(A, r0_square, g, delta)
 
 
 def _rank_revealing(H, y, workspace):

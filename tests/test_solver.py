@@ -42,10 +42,10 @@ def _lstsq(H, y):
     return theta, rank
 
 
-def _random_system(rng, n, f, n_samples=None):
+def _random_system(rng, n, f, n_samples=None, offset=0.0):
     spec = ConvSpec(n, f)
     N = n_samples if n_samples is not None else 2 * spec.n_weights + 5
-    data = Dataset(rng.uniform(-1, 1, size=(N, n)), rng.uniform(-1, 1, size=N))
+    data = Dataset(rng.uniform(-1, 1, size=(N, n)) + offset, rng.uniform(-1, 1, size=N))
     H = build_regressor(data, spec, ActivationParams(0.0937, 0.5, 0.4688))
     return H, data.labels
 
@@ -266,18 +266,35 @@ def _assert_same_report(a, b):
     )
 
 
+def _sweep_matching_per_beta_solves(H, y, betas):
+    reports = solve_path(H, y, betas)
+    assert [r.beta for r in reports] == betas
+    for beta, rep in zip(betas, reports):
+        _assert_same_report(rep, solve_ridge(H, y, beta))
+    return reports
+
+
 @pytest.mark.parametrize("betas", [[0.0, 1.0, 10.0], [10.0, 0.0, 1e-6, 0.0, 1.0]])
 def test_solve_path_matches_per_beta_solves_bit_for_bit(betas):
     # each beta = 0 takes the pivoted Cholesky route, and its correction
     # shares the walk with the full-rank betas'
-    H, y = _narx_system()
-    reports = solve_path(H, y, betas)
-    assert [r.beta for r in reports] == betas
+    reports = _sweep_matching_per_beta_solves(*_narx_system(), betas)
     assert [(r.solve_strategy, r.rank_deficient) for r in reports] == [
         (SolveStrategy.CHOLESKY, beta == 0) for beta in betas
     ]
-    for beta, rep in zip(betas, reports):
-        _assert_same_report(rep, solve_ridge(H, y, beta))
+
+
+@pytest.mark.parametrize("betas", [[0.0, 1.0, 10.0], [10.0, 0.0, 1e-6, 0.0, 1.0]])
+def test_a_sweep_that_falls_back_matches_per_beta_solves_bit_for_bit(betas):
+    # at +50 the pivoted factor's null vectors are not in H's null space, so
+    # each beta = 0 falls back to the QR, which the sweep shares with beta =
+    # 1e-6, and the SVD flags both
+    reports = _sweep_matching_per_beta_solves(*_narx_system(50.0), betas)
+    assert {r.solve_strategy for r in reports} == set(SolveStrategy)
+    assert [(r.solve_strategy, r.rank_deficient) for r in reports] == [
+        (SolveStrategy.PSEUDOINVERSE, True) if beta < 1 else (SolveStrategy.CHOLESKY, False)
+        for beta in betas
+    ]
 
 
 def test_solve_path_full_rank_sweep_matches_per_beta_solves():
@@ -290,15 +307,16 @@ def test_solve_path_full_rank_sweep_matches_per_beta_solves():
         _assert_same_report(rep, solve_ridge(H, y, beta))
 
 
-def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(monkeypatch):
+def _factors_restored_after_a_factor_that_stops(monkeypatch, offset):
     # N < p: the beta = 0 factor stops at a nonpositive pivot after it has
     # overwritten part of the upper triangle, which each later beta must
     # restore before it factors; after the correction walk, the last beta's
-    # factor is still in place and the two beta = 1 factors are made again
+    # factor is still in place and the two beta = 1 factors are made again.
+    # beta = 0 makes no dpotrf factor after the walk on either route
     from scipy.linalg import cho_factor
 
     rng = np.random.default_rng(0)
-    H, y = _random_system(rng, 10, 3, n_samples=20)
+    H, y = _random_system(rng, 10, 3, n_samples=20, offset=offset)
     # the Gram walk writes H'H into the lower triangle only
     lower = solver._gram(core._Rows([H]), y, solver._Workspace())[0]
     assert (np.triu(lower, 1) == 0).all()
@@ -328,10 +346,25 @@ def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(
             assert (factor == np.triu(cho_factor(normal, lower=False)[0])).all()
         _assert_same_report(rep, lone)
     _assert_same_report(reports[0], reports[2])
-    # beta = 0 takes the pivoted Cholesky route, which makes no dpotrf factor
-    # of the Gram after the correction walk
-    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
     assert [r.rank_deficient for r in reports] == [False, True, False, False]
+    return reports
+
+
+def test_each_beta_factors_the_normal_matrix_restored_after_a_factor_that_stops(monkeypatch):
+    # beta = 0 takes the pivoted Cholesky route
+    reports = _factors_restored_after_a_factor_that_stops(monkeypatch, 0.0)
+    assert all(r.solve_strategy == SolveStrategy.CHOLESKY for r in reports)
+
+
+def test_each_beta_factors_the_normal_matrix_restored_around_a_beta_0_that_falls_back(
+    monkeypatch,
+):
+    # with the features at +100, beta = 0 falls back to the QR
+    reports = _factors_restored_after_a_factor_that_stops(monkeypatch, 100.0)
+    assert [r.solve_strategy for r in reports] == [
+        SolveStrategy.CHOLESKY, SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY,
+        SolveStrategy.CHOLESKY,
+    ]
 
 
 def test_a_cholesky_sweep_forms_one_normal_residual_per_beta_and_walks_once_for_corrections(
@@ -405,9 +438,8 @@ def test_cholesky_sweep_holds_one_p_by_p_array(monkeypatch):
     assert peak <= 1.25 * p * p * 8 + 8 * p * 50
 
 
-@pytest.mark.parametrize("walk_rows", [None, 37], ids=["one-block", "37-row-blocks"])
-def test_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
-    H, y = _narx_system()
+def _routes_in_both_memory_orders(monkeypatch, walk_rows, offset):
+    H, y = _narx_system(offset)
     if walk_rows is not None:
         monkeypatch.setattr(core, "_WALK_BYTES", 8 * H.shape[1] * walk_rows)
     assert len(solver._slices(len(y), solver._walk_rows(H.shape[1]))) == (
@@ -416,12 +448,25 @@ def test_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
     betas = [0.0, 1.0]
     column_major = solve_path(H, y, betas)
     row_major = solve_path(np.ascontiguousarray(H), y, betas)
-    # beta = 0 takes the pivoted Cholesky route, with a null block in the walk
-    assert [(r.solve_strategy, r.rank_deficient) for r in column_major] == [
-        (SolveStrategy.CHOLESKY, True), (SolveStrategy.CHOLESKY, False)
-    ]
     for a, b in zip(column_major, row_major):
         _assert_same_report(a, b)
+    return [(r.solve_strategy, r.rank_deficient) for r in column_major]
+
+
+@pytest.mark.parametrize("walk_rows", [None, 37], ids=["one-block", "37-row-blocks"])
+def test_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
+    # beta = 0 takes the pivoted Cholesky route, with a null block in the walk
+    assert _routes_in_both_memory_orders(monkeypatch, walk_rows, 0.0) == [
+        (SolveStrategy.CHOLESKY, True), (SolveStrategy.CHOLESKY, False)
+    ]
+
+
+@pytest.mark.parametrize("walk_rows", [None, 37], ids=["one-block", "37-row-blocks"])
+def test_qr_reports_do_not_depend_on_the_memory_order_of_h(monkeypatch, walk_rows):
+    # at +50 beta = 0 falls back, and the QR walk reads H
+    assert _routes_in_both_memory_orders(monkeypatch, walk_rows, 50.0) == [
+        (SolveStrategy.PSEUDOINVERSE, True), (SolveStrategy.CHOLESKY, False)
+    ]
 
 
 def _count_rank_revealing(monkeypatch):

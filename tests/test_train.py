@@ -104,16 +104,18 @@ def _walk_in_blocks(monkeypatch, data, spec, blocks):
     assert len(solver._slices(data.n_samples, solver._block_rows(spec.n_weights))) == blocks
 
 
-def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatch):
+def _walked_fits_matching_solves_on_the_held_regressor(monkeypatch, offset):
     data, spec = _narx_data(), ConvSpec(10, 3)
+    data = Dataset(data.inputs + offset, data.labels)
     _walk_in_blocks(monkeypatch, data, spec, 5)
     H = build_regressor(data, spec, _PARAMS)
     calls = _count_assembly(monkeypatch)
-    # beta = 0 takes the pivoted Cholesky route, as the data are rank deficient
+    routes = []
     for beta, deficient in [(0.0, True), (1.0, False)]:
         walked = fit(data, spec, _PARAMS, beta)
         held = solve_ridge(H, data.labels, beta)
-        assert walked.report.solve_strategy == held.solve_strategy == SolveStrategy.CHOLESKY
+        assert walked.report.solve_strategy == held.solve_strategy
+        routes.append(held.solve_strategy)
         assert walked.report.rank_deficient == held.rank_deficient == deficient
         assert walked.report.rank == held.rank
         assert walked.report.theta.tobytes() == held.theta.tobytes()
@@ -124,6 +126,21 @@ def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatc
         assert walked.train_seconds == walked.report.seconds
     # a fit of several blocks never builds H whole
     assert calls == []
+    return routes
+
+
+def test_walked_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatch):
+    # beta = 0 takes the pivoted Cholesky route, as the data are rank deficient
+    assert _walked_fits_matching_solves_on_the_held_regressor(monkeypatch, 0.0) == [
+        SolveStrategy.CHOLESKY, SolveStrategy.CHOLESKY
+    ]
+
+
+def test_walked_qr_fit_matches_a_solve_on_the_held_regressor_bit_for_bit(monkeypatch):
+    # with the features at +100, beta = 0 falls back to the blocked QR
+    assert _walked_fits_matching_solves_on_the_held_regressor(monkeypatch, 100.0) == [
+        SolveStrategy.PSEUDOINVERSE, SolveStrategy.CHOLESKY
+    ]
 
 
 def _record_blocks_assembled(monkeypatch):
@@ -140,8 +157,8 @@ def _record_blocks_assembled(monkeypatch):
 
 # beta = 0 is rank deficient on these rows and takes the pivoted Cholesky
 # route, which reads H no more often than a full-rank sweep; with the
-# features at +100 the pivoted factor finds full rank, and beta = 0 falls
-# back to the QR
+# features at +100 the pivoted factor's basic block fails the routing rule,
+# and beta = 0 falls back to the QR
 @pytest.mark.parametrize(
     "betas, offset, walks", [([0.0, 1.0], 0.0, 2), ([0.0, 1.0], 100.0, 3), ([1.0, 10.0], 0.0, 2)]
 )
