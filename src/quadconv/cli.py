@@ -260,13 +260,12 @@ def _scores(results, n_train: int, test_set):
     an ill-conditioned H'H + beta I does.
 
     The solve measured the training residual, so only the test rows are
-    read: by one walk over them for the whole sweep that multiplies by each
-    model's band tiles on the BLAS library of the solve
-    (train.mean_squared_errors), so that a run keeps to one BLAS thread
-    pool. It groups the products as the model kernel does, so a prediction
-    that overflows makes the score inf or nan; only such a model is
-    evaluated on the test rows again (predict_batch), which refuses the
-    prediction with the index of its row."""
+    read: by the model kernel's walk over them for the whole sweep, on the
+    BLAS library of the solve (train.mean_squared_errors), so that a run
+    keeps to one BLAS thread pool. A prediction that overflows makes the
+    score inf or nan; only such a model is evaluated on the test rows again
+    (predict_batch), which refuses the prediction with the index of its
+    row."""
     scores = []
     for result, test_mse in zip(results, mean_squared_errors(results, test_set)):
         _warn(result, n_train)

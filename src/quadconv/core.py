@@ -30,7 +30,11 @@ class ActivationParams:
 
     @property
     def discriminant(self) -> float:
-        return self.b * self.b - 4.0 * self.a * self.c
+        """b**2 - 4ac, or b**2 (1 - 4 (a/b)(c/b)), which keeps its sign,
+        where both products overflow and the difference is inf - inf."""
+        a, b, c = self.a, self.b, self.c
+        disc = b * b - 4.0 * a * c
+        return b * (b * (1.0 - 4.0 * (a / b) * (c / b))) if disc != disc else disc
 
 
 #: Coefficients that mimic a ReLU over a moderate input range; used as the
@@ -53,13 +57,13 @@ def validate_activation(a: float, b: float, c: float) -> ActivationParams:
         raise InvalidActivation(f"quadratic coefficient a must be > 0, got {a!r}")
     if not c > 0:
         raise InvalidActivation(f"constant coefficient c must be > 0, got {c!r}")
-    disc = b * b - 4.0 * a * c
-    if not disc >= 0:
+    params = ActivationParams(float(a), float(b), float(c))
+    if not params.discriminant >= 0:
         raise InvalidActivation(
-            f"discriminant b**2 - 4ac must be >= 0, got {disc!r} "
+            f"discriminant b**2 - 4ac must be >= 0, got {params.discriminant!r} "
             f"for (a, b, c) = ({a!r}, {b!r}, {c!r})"
         )
-    return ActivationParams(float(a), float(b), float(c))
+    return params
 
 
 def activation_eval(params: ActivationParams, z):

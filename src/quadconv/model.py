@@ -168,15 +168,20 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # The evaluation kernel. Both maps read the same product X @ Zbar1:
 #   output   a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4
 #   gradient 2a * X Zbar1 + b * Zbar2
-# One walk, _walk, takes both over the rows of X in blocks that hold two
-# m x n arrays, its rows of X (a view of a held array or a block built from
-# windows, see core._Rows) and their product with Zbar1, in half the solver's
-# walk budget: blocks sized by the walk rule for 4n floats a row, so
-# evaluation after a fit stays under the fit's own peak. The single-row entry points call the block kernels on
-# a one-row matrix, which is one block. BLAS may round a one-row product
-# (gemv) differently from a many-row one (gemm), and a product's rounding
-# may depend on the rows beside it, so the entry points, and one row
-# evaluated alone or within a block, agree to rounding, not bit for bit.
+# One walk, _walk, takes either over the rows of X for a list of models, in
+# blocks that hold two m x n arrays (its rows of X and their product with
+# Zbar1) in half the solver's walk budget, so evaluation after a fit stays
+# under the fit's own peak. Its argument is the product: serving passes
+# np.matmul and reads a held array's blocks as views, so it never loads
+# scipy; train.mean_squared_errors passes scipy's dgemm and dgemv, the BLAS
+# of the solve before it, so a train run keeps to one thread pool (see
+# solver), and fills column-major blocks, so every tile's operand is a
+# contiguous column slice. predict and sensitivity call the block kernels
+# on their one row without the walk, whose setup would cost a query some
+# microseconds. All group the same products, so they overflow on the same
+# rows, but rounding may depend on the library, the memory order, the rows
+# beside a row and on one row (gemv) or many (gemm): they agree to
+# rounding, not bit for bit.
 # Zbar1 is zero wherever |i - j| >= f, so the product is formed in band
 # tiles of w columns: columns [j0, j1) of X Zbar1 are
 # X[:, lo:hi] @ Zbar1[lo:hi, j0:j1] with lo = max(0, j0 - f + 1) and
@@ -194,40 +199,51 @@ def to_weight_vector(model: QuadraticModel) -> np.ndarray:
 # no slice arithmetic.
 
 
-def _walk(model: QuadraticModel, X, block_kernel, row_shape: tuple) -> np.ndarray:
-    """block_kernel(model, X[r], out[r]) over row blocks r of X, taken
-    through core._as_rows; out, made once X's width is checked, holds an
-    array of row_shape per row."""
-    X, n = _as_rows(X), model.spec.n
-    if len(X.shape) != 2 or X.shape[1] != n:
-        raise DimensionMismatch(f"expected rows of length {n}, got shape {X.shape}")
-    out = np.empty((X.shape[0], *row_shape))
-    for r in _slices(X.shape[0], _walk_rows(4 * n)):
-        block_kernel(model, X[r], out[r])
+def _walk(models, X, block_kernel, row_shape: tuple, matmul, order="C") -> np.ndarray:
+    """block_kernel(model, block, out[k, r], matmul, order) for every model
+    k over row blocks r of X, taken through core._as_rows; out, made once
+    X's width is checked, holds an array of row_shape per row and model.
+    matmul(A, B, out=C) writes A @ B into C, and matmul(A, v) returns A @ v.
+    Order "C" reads a held array's blocks as they are; "F" fills each block
+    column-major into one reused buffer, and the kernels make their
+    products column-major too."""
+    X = _as_rows(X)
+    for n in (model.spec.n for model in models):
+        if len(X.shape) != 2 or X.shape[1] != n:
+            raise DimensionMismatch(f"expected rows of length {n}, got shape {X.shape}")
+    N, n = X.shape
+    rows = _walk_rows(4 * n)
+    out = np.empty((len(models), N, *row_shape))
+    buffer = np.empty(min(N, rows) * n) if order == "F" else None
+    for r in _slices(N, rows):
+        m = r.stop - r.start
+        block = (X[r] if buffer is None
+                 else X.fill_rows(r, buffer[: m * n].reshape((m, n), order="F")))
+        for model, model_out in zip(models, out):
+            block_kernel(model, block, model_out[r], matmul, order)
     return out
 
 
-def _times_zbar1(model: QuadraticModel, block, out) -> np.ndarray:
+def _times_zbar1(model: QuadraticModel, block, out, matmul) -> np.ndarray:
     """Write block @ Zbar1 into out, one band tile at a time: the wide
     tiles for one row, the narrow ones for more."""
     tiles = model.zbar1_tiles if len(block) == 1 else model.zbar1_block_tiles
     for rows, cols, Z in tiles:
-        np.matmul(block[rows], Z, out=out[cols])
+        matmul(block[rows], Z, out=out[cols])
     return out
 
 
-def _predict_block(model: QuadraticModel, block, out) -> np.ndarray:
-    # a block and its product are freed on return, before the next block
-    # is read
+def _predict_block(model: QuadraticModel, block, out, matmul, order) -> np.ndarray:
+    # the product is freed on return, before the next model or block
     p = model.params
-    XZ = _times_zbar1(model, block, np.empty(block.shape))
-    out[...] = (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * (block @ model.zbar2)
+    XZ = _times_zbar1(model, block, np.empty(block.shape, order=order), matmul)
+    out[...] = (p.a * np.einsum("ij,ij->i", block, XZ) + p.b * matmul(block, model.zbar2)
                 + p.c * model.zbar4)
     return out
 
 
-def _sensitivity_block(model: QuadraticModel, block, out) -> np.ndarray:
-    grad = _times_zbar1(model, block, out)
+def _sensitivity_block(model: QuadraticModel, block, out, matmul, order) -> np.ndarray:
+    grad = _times_zbar1(model, block, out, matmul)
     grad *= 2.0 * model.params.a
     grad += model.params.b * model.zbar2
     return grad
@@ -242,26 +258,26 @@ def _as_row(model: QuadraticModel, x) -> np.ndarray:
 
 def predict(model: QuadraticModel, x) -> float:
     """Evaluate a * x' Zbar1 x + b * Zbar2' x + c * Zbar4 at one input."""
-    return float(_predict_block(model, _as_row(model, x), np.empty(1))[0])
+    return float(_predict_block(model, _as_row(model, x), np.empty(1), np.matmul, "C")[0])
 
 
 def predict_batch(model: QuadraticModel, X) -> np.ndarray:
     """Vectorized predict over the rows of X, a 2-D array or the features
     of a Dataset."""
-    return _walk(model, X, _predict_block, ())
+    return _walk([model], X, _predict_block, (), np.matmul)[0]
 
 
 def sensitivity(model: QuadraticModel, x0) -> np.ndarray:
     """Gradient of the output with respect to the input at x0:
     2a * Zbar1 x0 + b * Zbar2."""
     row = _as_row(model, x0)
-    return _sensitivity_block(model, row, np.empty(row.shape))[0]
+    return _sensitivity_block(model, row, np.empty(row.shape), np.matmul, "C")[0]
 
 
 def sensitivity_batch(model: QuadraticModel, X0) -> np.ndarray:
     """Vectorized sensitivity over the rows of X0, a 2-D array or the
     features of a Dataset."""
-    return _walk(model, X0, _sensitivity_block, (model.spec.n,))
+    return _walk([model], X0, _sensitivity_block, (model.spec.n,), np.matmul)[0]
 
 
 def serialize(model: QuadraticModel) -> str:

@@ -60,8 +60,9 @@ is made whole, p x (p - r), for the correction walk only.
 
 A solve calls fifteen of scipy's f2py wrappers (ddot, dsyrk, dgemv, dgemm,
 dsymv, dtrmm, dlange, dpotrf, dpotrs, dposv, dpocon, dpstrf, dtrtrs,
-dgeqrt, dgesdd), and train's scoring of test rows two (dgemm, dgemv),
-which live in its extension modules scipy.linalg._fblas and _flapack.
+dgeqrt, dgesdd), and the product that train passes to the model's walk to
+score test rows two (dgemm, dgemv), which live in its extension modules
+scipy.linalg._fblas and _flapack.
 _blas_lapack loads those two modules by the import system's path finder,
 without running scipy/linalg/__init__: that package's array-API layer
 imports numpy.f2py, numpy.testing and numpy.ma, and after numpy it cost

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationParams, ConvSpec, _slices, _walk_rows
+from .core import ActivationParams, ConvSpec, _walk_rows
 from .dataio import mse
 from .errors import DimensionMismatch
-from .model import QuadraticModel, reconstruct
+from .model import QuadraticModel, _predict_block, _walk, reconstruct
 from .regressor import Dataset, _RegressorRows, build_regressor
 from .solver import SolveReport, _blas_lapack, _check_betas, solve_path, solve_ridge
 
@@ -67,46 +67,25 @@ def _fit(data, spec, params, solve):
 def mean_squared_errors(results, data: Dataset) -> list[float]:
     """The mean squared error (dataio.mse) of every result's model on
     `data`, inf or nan where a prediction or its squared error passes the
-    float range, from one walk over its feature rows (_predictions)."""
-    return [mse(pred, data.labels)
-            for pred in _predictions([r.model for r in results], data.features)]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _predictions(models, X) -> np.ndarray:
-    """predict_batch of every model over the rows of X, a core._Rows, one
-    row of the result per model, from one walk over X on scipy's BLAS, the
-    library of the solve before it, so a train run keeps to one BLAS
-    thread pool (see solver).
-
-    Each block of X is filled column-major into one reused buffer, so
-    every band tile's operand is a contiguous column slice of it, and each
-    model's prediction is the formula of model._predict_block in its order,
-    a * rowsum(X * (X Zbar1)) + b * X Zbar2 + c * Zbar4, with X Zbar1 taken
-    by dgemm over the model's own band tiles, the wide ones for a one-row
-    block and the narrow ones for more, as model._times_zbar1 picks them.
-    It groups the same products as predict_batch, so the two overflow on
-    the same rows, but it may round each product differently: they agree
-    to rounding, not bit for bit. A prediction past the float range is
-    inf or nan, without a warning.
-    """
-    blas, _ = _blas_lapack()
-    N, n = X.shape
-    for model in models:
+    float range, without a warning, from one walk over its feature rows
+    for all the models (model._walk) on scipy's BLAS, the library of the
+    solve before it, so a train run keeps to one BLAS thread pool (see
+    solver). It agrees with predict_batch to rounding, not bit for bit."""
+    n = data.features.shape[1]
+    for model in (r.model for r in results):
         if model.spec.n != n:
             raise DimensionMismatch(f"dataset has {n} features but spec.n = {model.spec.n}")
-    rows = _walk_rows(4 * n)
-    buffer = np.empty(2 * min(N, rows) * n)
-    out = np.empty((len(models), N))
-    for r in _slices(N, rows):
-        m = r.stop - r.start
-        block = X.fill_rows(r, buffer[: m * n].reshape((m, n), order="F"))
-        XZ = buffer[m * n : 2 * m * n].reshape((m, n), order="F")
-        for model, predictions in zip(models, out):
-            p = model.params
-            tiles = model.zbar1_tiles if m == 1 else model.zbar1_block_tiles
-            for tile_rows, cols, Z in tiles:
-                blas.dgemm(1.0, block[tile_rows], Z.T, trans_b=1, c=XZ[cols], overwrite_c=1)
-            predictions[r] = (p.a * np.einsum("ij,ij->i", block, XZ)
-                              + p.b * blas.dgemv(1.0, block, model.zbar2) + p.c * model.zbar4)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = _walk([r.model for r in results], data.features, _predict_block, (),
+                            _blas_matmul, order="F")
+    return [mse(pred, data.labels) for pred in predictions]
+
+
+def _blas_matmul(a, b, out=None):
+    """The product of a train run's model._walk: a @ b by scipy's dgemm
+    into out, a column-major array, or returned by dgemv when b is a vector
+    and there is no out."""
+    blas, _ = _blas_lapack()
+    if out is None:
+        return blas.dgemv(1.0, a, b)
+    return blas.dgemm(1.0, a, b.T, trans_b=1, c=out, overwrite_c=1)

@@ -528,6 +528,11 @@ def _write_rows(path, header, rows):
                                "--data", "{root}/series.csv", "--out", "{tmp}/m.json"],
                      2, "data error: the least-squares weights overflow at beta=0",
                      id="train-weights-overflow"),
+        # a valid activation whose b**2 and 4ac both overflow: the regressor
+        # is finite, and its Gram is not
+        pytest.param(_TRAIN + ["--a", "1e200", "--b", "1e300", "--c", "1e200",
+                               "--data", "{root}/series.csv", "--out", "{tmp}/m.json"],
+                     2, "data error: H'H overflows", id="train-activation-products-overflow"),
         pytest.param(_LAT + ["--data", "{root}/huge_labels.csv", "--out", "{tmp}/m.json"],
                      2, "data error: labels are too large: the sum of their squares overflows",
                      id="train-labels-overflow"),

@@ -28,6 +28,12 @@ def test_validate_activation_boundary_discriminant():
     assert p.discriminant == 0.0
 
 
+def test_validate_activation_accepts_a_discriminant_whose_products_both_overflow():
+    # b**2 and 4ac are both inf, and b**2 - 4ac = 1e600 - 4e400 > 0
+    assert validate_activation(1e200, 1e300, 1e200).discriminant == np.inf
+    assert ActivationParams(1e200, -2e200, 1e200).discriminant == 0.0
+
+
 @pytest.mark.parametrize(
     "a,b,c,fragment",
     [
@@ -41,6 +47,8 @@ def test_validate_activation_boundary_discriminant():
         (1.0, float("-inf"), 1.0, "must be finite"),
         (float("nan"), 1.0, 1.0, "must be finite"),
         (1.0, 3.0, float("inf"), "must be finite"),
+        # 1e616 - 4e616 < 0 with both products past the float range
+        (1e308, 1e308, 1e308, "4ac must be >= 0, got -inf for"),
     ],
 )
 def test_validate_activation_rejections(a, b, c, fragment):

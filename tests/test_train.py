@@ -31,6 +31,7 @@ from quadconv import (
     synth_narx,
 )
 from quadconv import core, solver
+from quadconv import model as model_module
 from quadconv.regressor import _RegressorRows
 
 _PARAMS = ActivationParams(0.0937, 0.5, 0.4688)
@@ -315,7 +316,8 @@ def test_the_scoring_predictor_agrees_with_predict_batch(n, f):
         windowed = multichannel_window(series, [f"u{k}" for k in range(channels)], r, "lat")
         assert np.array_equal(windowed.inputs, X)
         for data in (Dataset(X, np.zeros(N)), windowed):
-            got = quadconv.train._predictions(models, data.features)
+            got = model_module._walk(models, data.features, model_module._predict_block, (),
+                                     quadconv.train._blas_matmul, order="F")
             for model, predictions in zip(models, got):
                 want = predict_batch(model, X)
                 assert np.all(np.abs(predictions - want) <= 1e-13 * _rounding_scale(model, X))
