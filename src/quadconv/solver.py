@@ -1,9 +1,9 @@
 """Normal-equation and pseudoinverse solution of the training problem.
 
 The solver reads the regressor H only in row blocks, by three walks: one
-accumulates H'H and H'y, one factors [H | y] by a tall-skinny QR when a beta
-falls back, and one reads the correction of every Cholesky beta's weights,
-and of a rank-deficient beta's null block, from H. Each beta's residual
+accumulates H'H and H'y, one reads the correction of every Cholesky beta's
+weights, and of a rank-deficient beta's null block, from H, and one factors
+[H | y] by a tall-skinny QR when a beta falls back. Each beta's residual
 norm comes from what its route already holds: the correction walk's
 residual of the uncorrected weights on the Cholesky route, the triangle of
 [H | y] on the QR route. H is a held 2-D array of any
@@ -41,6 +41,11 @@ the SVD would drop it. Any other beta goes to the QR route, whose SVD finds
 the rank. A Gram hides H's rank once kappa(H)^2 u nears 1, as at features
 that sit at +1e3, where LAPACK's tolerance drops directions that H keeps;
 the null check sends those to the QR.
+
+A sweep runs in stages: the Gram walk; routing, each beta's factor and
+condition estimate; the correction walk; acceptance, each routed beta's
+CSNE step and tests; and last one QR walk and SVD for the betas refused on
+the way, each solved from it in beta order.
 
 A solve fills its blocks into one workspace, a flat buffer that every walk
 reuses: it is made when a walk first has to fill a block (a held H whose
@@ -135,10 +140,10 @@ class SolveStrategy(str, Enum):
 class SolveReport:
     """Solution plus diagnostics of a single least-squares solve.
 
-    `seconds` is the wall time this beta added to its sweep: the first beta
-    of a sweep also carries the shared Gram walk and the shared walk that
-    reads every Cholesky beta's correction from H, and the first beta that
-    falls back also carries the sweep's one QR walk and SVD. When H comes
+    `seconds` is the wall time this beta added to its sweep: its own route,
+    acceptance and pseudoinverse, plus on the first beta the validation, the
+    Gram walk and the correction walk, and on the lowest-index beta that
+    falls back the sweep's one QR walk and SVD. When H comes
     from a row source, these walks include assembling its blocks. `theta` is
     read-only, one weight per column of H, in the layout that
     model.reconstruct inverts. `residual_norm` is ||y - H theta|| of the
@@ -202,19 +207,15 @@ def solve_ridge(H, y, beta: float) -> SolveReport:
 def solve_path(H, y, betas) -> list[SolveReport]:
     """solve_ridge for every beta of a sweep, one report per beta in order.
 
-    The Gram matrix H'H and H'y are formed once, by one walk over H. Each
-    beta factors H'H + beta I by Cholesky and solves the normal equations,
-    and one walk reads every Cholesky beta's correction step, and the
-    residual of its uncorrected weights, from H (see the module docstring).
-    A beta = 0 whose factor is degenerate or too ill-conditioned tries the
-    pivoted Cholesky factor of the Gram, whose null block rides the same
-    walk. A beta whose factor is degenerate or too ill-conditioned, or
-    whose corrected weights fail the checks, falls back to one QR of [H | y]
-    shared by the whole sweep. Each beta's residual norm comes from its own
-    route, with no walk of its own. So H is read twice, a rank-deficient
-    beta = 0 that the pivoted route takes included, or three times when a
-    beta falls back (twice when every beta falls back before the
-    correction walk). Each report's weights and diagnostics equal
+    H'H and H'y are formed once, and each beta is factored, corrected and
+    tested by the stages of the module docstring. The one QR of [H | y],
+    shared by the whole sweep, is made last, for the betas that fall back;
+    they are solved from it in beta order, so when the weights of two
+    overflow, the NonFiniteInput names the lower-index beta. Each beta's
+    residual norm comes from its own route, with no walk of its own. So H
+    is read twice, a rank-deficient beta = 0 that the pivoted route takes
+    included, or three times when a beta falls back (twice when every beta
+    falls back at routing). Each report's weights and diagnostics equal
     solve_ridge's for its beta bit for bit.
     """
     return _solve_path(H, y, _check_betas(betas))
@@ -266,7 +267,8 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     # clock starts keeps that one-time cost out of the first report's seconds
     blas, lapack = _blas_lapack()
 
-    t = time.perf_counter()
+    # Gram: validation, the Gram walk and the checks on what it made
+    start = time.perf_counter()
     if not hasattr(H, "fill_rows"):
         H = _as_rows(H)
     if len(H.shape) != 2 or min(H.shape) < 1:
@@ -308,91 +310,88 @@ def _solve_path(H, y, betas: list[float]) -> list[SolveReport]:
     # cutoff, s_max eps max(N, p), would drop them, with s_max bounded from
     # below by the largest column norm of H
     null_cutoff = np.sqrt(gram_diagonal.max()) * np.finfo(float).eps * size
-    svd = None
-    solved = [dict(beta=beta, seconds=0.0) for beta in betas]
-    pending = []  # the Cholesky betas, by index, that await their correction
-    bases = {}  # the pending betas on the pivoted route, by index (see _pivoted)
-
-    def tick(fields):
-        # add the time since the last tick to a beta's seconds
-        nonlocal t
-        now = time.perf_counter()
-        fields["seconds"] += now - t
-        t = now
-
-    def fall_back(fields, diagonal):
-        nonlocal svd
-        if svd is None:
-            svd = _rank_revealing(H, y, workspace)
-        theta, rank, rcond, residual = _pseudoinverse(*svd, fields["beta"], size)
-        # an accepted Cholesky theta is finite, as its normal residual is
-        if not np.isfinite(theta).all():
-            raise NonFiniteInput(
-                f"the least-squares weights overflow at beta={fields['beta']:g}: the "
-                "regressor's entries are too small for the float range"
-            )
-        fields.update(
-            theta=theta, rank=rank, rcond=rcond,
-            residual_norm=residual, solve_strategy=SolveStrategy.PSEUDOINVERSE,
-            normal_residual_norm=float(np.linalg.norm(_normal_residual(A, diagonal, theta, rhs))),
-        )
-
-    for i, s in enumerate(solved):
-        diagonal = gram_diagonal + s["beta"]
+    gram_seconds = time.perf_counter() - start
+    # what each beta adds in its own route, acceptance and pseudoinverse
+    seconds = [0.0] * len(betas)
+    # Route: each beta's factor and condition estimate. A beta that passes
+    # gets (theta0, rank, rcond, basis), the basis a _Basis on the pivoted
+    # route (see _pivoted) and None on the full-rank one; the others fall back
+    routed = {}
+    for i, beta in enumerate(betas):
+        start = time.perf_counter()
+        diagonal = gram_diagonal + beta
         # each factor writes over the last; this names the beta whose whole
         # factor A's upper triangle holds
         factored = None
         norm = _factor(A, diagonal)
         rcond = 0.0 if norm is None else _rcond(A, norm)
         if rcond >= _UNIT_ROUNDOFF / _ROUTE_LIMIT:
-            s.update(theta=lapack.dpotrs(A, rhs)[0], rank=p, rcond=rcond,
-                     solve_strategy=SolveStrategy.CHOLESKY)
-            pending.append(i)
+            routed[i] = lapack.dpotrs(A, rhs)[0], p, rcond, None
             factored = i
-        elif s["beta"] == 0 and (pivoted := _pivoted(A, diagonal, rhs)) is not None:
-            bases[i], theta = pivoted
+        elif beta == 0 and (found := _pivoted(A, diagonal, rhs)) is not None:
+            basis, theta0 = found
             # H'H is singular, so its reciprocal condition number is 0
-            s.update(theta=theta, rank=len(bases[i].factor), rcond=0.0,
-                     solve_strategy=SolveStrategy.CHOLESKY)
-            pending.append(i)
-        else:
-            fall_back(s, diagonal)
-        tick(s)
+            routed[i] = theta0, len(basis.factor), 0.0, basis
+        seconds[i] += time.perf_counter() - start
+    # Correct: one walk reads every routed beta's correction, and the
+    # pivoted betas' null blocks
+    start = time.perf_counter()
+    pivoted = [i for i in routed if routed[i][3] is not None]
     walked = _normal_gradients(
-        H, y, [solved[i]["theta"] for i in pending] + [bases[i].null() for i in bases], workspace
+        H, y, [routed[i][0] for i in routed] + [routed[i][3].null() for i in pivoted], workspace
     )
-    corrections = dict(zip(pending, walked))
-    nulls = dict(zip(bases, walked[len(pending):]))
-    del walked
-    # the correction walk counts towards the first beta, as the Gram walk does
-    tick(solved[0])
-    # the beta whose factor A holds goes first; each other one makes its
-    # factor again, from the same matrix, so with the same bits
-    for i in sorted(pending, key=lambda i: i != factored):
-        s = solved[i]
-        diagonal = gram_diagonal + s["beta"]
-        if i in bases:
-            # popped, as are the walk's p x (p - r) products with the null
-            # block (and `walked` deleted), so that a beta the checks refuse
-            # holds none of them through the QR walk
-            corrected = _correct_basic(
-                A, gram_diagonal, bases.pop(i), s["theta"], *corrections[i], *nulls.pop(i),
-                rhs, null_cutoff,
-            )
+    corrections = {i: walked.pop(0) for i in routed}
+    nulls = {i: walked.pop(0) for i in pivoted}
+    correction_seconds = time.perf_counter() - start
+    # Accept: the beta whose factor A holds goes first, before the
+    # acceptance test writes over its diagonal; each other one makes its
+    # factor again, from the same matrix, so with the same bits. Each beta's
+    # entries are popped, the walk's p x (p - r) products with a null block
+    # among them, so that none is held through the QR walk.
+    solved = {}
+    for i in sorted(routed, key=lambda i: i != factored):
+        start = time.perf_counter()
+        theta0, rank, rcond, basis = routed.pop(i)
+        if basis is not None:
+            corrected = _correct_basic(A, gram_diagonal, basis, theta0, *corrections.pop(i),
+                                       *nulls.pop(i), rhs, null_cutoff)
         else:
             if i != factored:
-                _factor(A, diagonal)
-            corrected = _correct(A, gram_diagonal, s["beta"], s["theta"], *corrections[i], rhs)
-        factored = None  # the acceptance test writes over its diagonal
+                _factor(A, gram_diagonal + betas[i])
+            corrected = _correct(A, gram_diagonal, betas[i], theta0, *corrections.pop(i), rhs)
         if corrected is not None and corrected[1] <= _CHOLESKY_ACCEPT * scale:
             theta, norm, residual = corrected
-            s.update(theta=theta, normal_residual_norm=norm, residual_norm=residual)
-        else:
-            fall_back(s, diagonal)
-        tick(s)
-    for s in solved:
-        s["theta"].setflags(write=False)
-    return [SolveReport(**s) for s in solved]
+            solved[i] = dict(theta=theta, normal_residual_norm=norm, residual_norm=residual,
+                             rank=rank, rcond=rcond, solve_strategy=SolveStrategy.CHOLESKY)
+        seconds[i] += time.perf_counter() - start
+    # Fall back: one QR walk and SVD, then the pseudoinverse of every beta
+    # that routing or the acceptance test refused, in beta order
+    fallen = [i for i in range(len(betas)) if i not in solved]
+    if fallen:
+        start = time.perf_counter()
+        svd = _rank_revealing(H, y, workspace)
+        qr_seconds = time.perf_counter() - start
+    for i in fallen:
+        start = time.perf_counter()
+        theta, rank, rcond, residual = _pseudoinverse(*svd, betas[i], size)
+        # an accepted Cholesky theta is finite, as its normal residual is
+        if not np.isfinite(theta).all():
+            raise NonFiniteInput(
+                f"the least-squares weights overflow at beta={betas[i]:g}: the "
+                "regressor's entries are too small for the float range"
+            )
+        norm = float(np.linalg.norm(_normal_residual(A, gram_diagonal + betas[i], theta, rhs)))
+        solved[i] = dict(theta=theta, normal_residual_norm=norm, residual_norm=residual,
+                         rank=rank, rcond=rcond, solve_strategy=SolveStrategy.PSEUDOINVERSE)
+        seconds[i] += time.perf_counter() - start
+    # the first beta carries validation and the Gram and correction walks,
+    # the lowest-index beta that falls back the QR walk and SVD
+    seconds[0] += gram_seconds + correction_seconds
+    if fallen:
+        seconds[fallen[0]] += qr_seconds
+    for fields in solved.values():
+        fields["theta"].setflags(write=False)
+    return [SolveReport(beta=beta, seconds=seconds[i], **solved[i]) for i, beta in enumerate(betas)]
 
 
 def _block_rows(p):

@@ -26,8 +26,10 @@ class FitResult:
     `report.seconds`, plus on the first result the time spent building H
     whole when the N rows fit in one block of the solver's walks. A longer
     fit assembles each block inside the walks, so `report.seconds` already
-    holds it. In a sweep the shared work counts towards the first beta, so
-    the sweep's train_seconds sum to its fit time.
+    holds it. In a sweep the shared work counts towards one beta, as
+    report.seconds says: the assembly, validation, Gram walk and correction
+    walk towards the first, the QR walk and SVD towards the lowest-index
+    beta that falls back. So the sweep's train_seconds sum to its fit time.
     """
 
     model: QuadraticModel
@@ -84,8 +86,13 @@ def mean_squared_errors(results, data: Dataset) -> list[float]:
 def _blas_matmul(a, b, out=None):
     """The product of a train run's model._walk: a @ b by scipy's dgemm
     into out, a column-major array, or returned by dgemv when b is a vector
-    and there is no out."""
+    and there is no out. An out that is not column-major raises
+    RuntimeError: dgemm would return the product in a new array and leave
+    out unwritten."""
     blas, _ = _blas_lapack()
     if out is None:
         return blas.dgemv(1.0, a, b)
-    return blas.dgemm(1.0, a, b.T, trans_b=1, c=out, overwrite_c=1)
+    product = blas.dgemm(1.0, a, b.T, trans_b=1, c=out, overwrite_c=1)
+    if product is not out:
+        raise RuntimeError("dgemm did not write into out, which must be a column-major float array")
+    return product

@@ -2,6 +2,7 @@ import importlib.machinery
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -1063,6 +1064,53 @@ def test_walked_fallback_sweep_fills_the_blocks_of_every_walk_into_one_buffer(mo
     # the Gram and correction (for beta = 1) walks, and the QR walk
     assert len(outs) == 2 * walk_blocks + qr_blocks
     assert all(np.shares_memory(out, outs[0]) for out in outs)
+
+
+def _record_walks(monkeypatch):
+    # the Gram, correction and QR walks in the order they run; the QR walk
+    # also sleeps 50 ms, so that the beta that carries it shows
+    calls = []
+    for name in ("_gram", "_normal_gradients", "_rank_revealing"):
+        def recorded(*args, name=name, walk=getattr(solver, name)):
+            calls.append(name)
+            if name == "_rank_revealing":
+                time.sleep(0.05)
+            return walk(*args)
+
+        monkeypatch.setattr(solver, name, recorded)
+    return calls
+
+
+def test_a_sweep_walks_for_the_gram_then_the_corrections_then_the_qr(monkeypatch):
+    # at +1e3 beta = 1e-3 is refused at routing, beside beta = 1 on the
+    # Cholesky route: the QR walk still runs after the correction walk, once,
+    # and counts towards the beta that falls back
+    calls = _record_walks(monkeypatch)
+    H, y = _offset_system(1e3, 0)
+    reports = solve_path(H, y, [1.0, 1e-3])
+    assert [r.solve_strategy for r in reports] == [
+        SolveStrategy.CHOLESKY, SolveStrategy.PSEUDOINVERSE
+    ]
+    assert calls == ["_gram", "_normal_gradients", "_rank_revealing"]
+    assert reports[1].seconds >= 0.05
+
+
+def test_the_qr_walk_counts_towards_the_lowest_index_beta_that_falls_back(monkeypatch):
+    # beta = 0.5 is routed to the Cholesky route and refused at acceptance,
+    # after beta = 1e-3 behind it was refused at routing: the QR walk counts
+    # towards beta = 0.5, the lower index, whichever was refused first
+    calls = _record_walks(monkeypatch)
+    correct = solver._correct
+    monkeypatch.setattr(solver, "_correct", lambda A, gram_diagonal, beta, *rest: (
+        None if beta == 0.5 else correct(A, gram_diagonal, beta, *rest)
+    ))
+    H, y = _offset_system(1e3, 0)
+    reports = solve_path(H, y, [1.0, 0.5, 1e-3])
+    assert [r.solve_strategy for r in reports] == [
+        SolveStrategy.CHOLESKY, SolveStrategy.PSEUDOINVERSE, SolveStrategy.PSEUDOINVERSE
+    ]
+    assert calls == ["_gram", "_normal_gradients", "_rank_revealing"]
+    assert reports[1].seconds >= 0.05
 
 
 def test_non_finite_regressor_columns_are_named_by_the_gram_diagonal():

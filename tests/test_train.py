@@ -321,3 +321,16 @@ def test_the_scoring_predictor_agrees_with_predict_batch(n, f):
             for model, predictions in zip(models, got):
                 want = predict_batch(model, X)
                 assert np.all(np.abs(predictions - want) <= 1e-13 * _rounding_scale(model, X))
+
+
+def test_the_scoring_product_writes_into_a_column_major_out_and_refuses_a_row_major_one():
+    # f2py copies a row-major out, and dgemm would write the copy and leave
+    # out as it was
+    rng = np.random.default_rng(0)
+    a, b = np.asfortranarray(rng.uniform(-1, 1, (5, 4))), rng.uniform(-1, 1, (4, 3))
+    # a column slice of a column-major buffer, as the walk's tiles write
+    out = np.zeros((5, 7), order="F")[:, 2:5]
+    assert quadconv.train._blas_matmul(a, b, out=out) is out
+    np.testing.assert_allclose(out, a @ b, rtol=1e-13)
+    with pytest.raises(RuntimeError, match="did not write into out"):
+        quadconv.train._blas_matmul(a, b, out=np.zeros((5, 3)))
